@@ -32,7 +32,12 @@ from .percolation import (
     closure,
     verify_certificate,
 )
-from .solver import ratio_table, wsat_exact, wsat_upper_witness
+from .solver import (
+    EXACT_TABLE_UNIVERSE,
+    ratio_table,
+    wsat_exact,
+    wsat_upper_witness,
+)
 from .templates import (
     make_pattern,
     template,
@@ -278,7 +283,7 @@ def cmd_generate(args) -> int:
         clusters = args.n // c
         cover = greedy_cover(clusters, c ** (s - 2), s - 1, seed=args.seed)
         seed_result = wsat_exact(m, pattern, args.budget) \
-            if math.comb(m, pattern.r) <= 20 else None
+            if math.comb(m, pattern.r) <= EXACT_TABLE_UNIVERSE else None
         if seed_result is not None and seed_result.status == "exact":
             seed_graph = seed_result.witness
         else:

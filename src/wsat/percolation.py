@@ -11,10 +11,13 @@ certificates are deterministic.
 Witness search pins the added edge: it tries every pattern edge as the
 preimage of e under every bijection onto e, then extends to the remaining
 pattern vertices in decreasing-degree order, pruning on edge presence.  For
-closure runs the same enumeration is done once per candidate edge against
-the complete universe and cached as required-edge bitmasks (WitnessIndex),
-which turns each addability test into a handful of subset checks; the first
-satisfied witness agrees with the first one the direct search would find.
+closure runs the same enumeration is done once per pattern, for the base
+edge (0..r-1) against the complete universe, and relabelled onto every
+candidate edge; the result is cached as required-edge bitmasks
+(WitnessIndex), which turns each addability test into a handful of subset
+checks.  Free vertices take complement vertices in increasing order and the
+relabelling is monotone on the complement, so each edge's witnesses keep the
+direct search's order: the first satisfied witness is the one it would find.
 """
 
 from __future__ import annotations
@@ -200,6 +203,31 @@ def creates_new_copy(g: Hypergraph, pattern: Pattern, e) -> Witness | None:
     return None
 
 
+def _base_witnesses(pattern: Pattern, n: int):
+    """Distinct pinned witnesses of the base edge (0..r-1) in the complete
+    n-vertex universe, in first-found order.
+
+    Returns (required, mappings): required[i] lists the colex ranks of the
+    image edges other than the base edge, mappings[i] is the first vertex
+    mapping found with that required set.
+    """
+    r = pattern.r
+    base = tuple(range(r))
+    ranks = rank_table(n, r)
+    pat_edges = pattern.graph.sorted_edges
+    seen: set[tuple[int, ...]] = set()
+    required: list[tuple[int, ...]] = []
+    mappings: list[tuple[int, ...]] = []
+    for assignment in _pinned_embeddings(pattern, base, n, lambda img: True):
+        imgs = [tuple(sorted([assignment[w] for w in pe])) for pe in pat_edges]
+        req = tuple(sorted([ranks[img] for img in imgs if img != base]))
+        if req not in seen:
+            seen.add(req)
+            required.append(req)
+            mappings.append(tuple(assignment[v] for v in range(pattern.h)))
+    return required, mappings
+
+
 class WitnessIndex:
     """All pinned witnesses for every candidate edge of the (n, H) universe.
 
@@ -208,38 +236,43 @@ class WitnessIndex:
     one representative vertex mapping each.  An edge is addable in G exactly
     when some required mask is a subset of G's edge mask, and the first
     satisfied entry is the witness the direct search would return.
+
+    The search runs once, on the base edge b = (0..r-1); edge e's entries
+    are its image under the relabelling pi that maps b onto e in order and
+    {r..n-1} onto the complement of e in increasing order.  The pinned
+    bijections onto e are pi applied to those onto b, and free vertices scan
+    the complement in increasing order, on which pi is monotone; so the
+    search for e visits pi of the base search in the same order.
     """
 
     def __init__(self, n: int, pattern: Pattern):
         self.n = n
         self.pattern = pattern
-        universe = edge_universe(n, pattern.r)
-        ranks = rank_table(n, pattern.r)
+        r = pattern.r
+        universe = edge_universe(n, r)
+        ranks = rank_table(n, r)
         self.universe = len(universe)
         self.full_mask = (1 << self.universe) - 1
-        pat_edges = pattern.graph.sorted_edges
+        if pattern.h > n:
+            self._masks = [[] for _ in universe]
+            self._mappings = [[] for _ in universe]
+            return
+        required, base_maps = _base_witnesses(pattern, n)
+        # re-index the required ranks into the base edges they use
+        used = sorted(set().union(*required))
+        slot = {k: i for i, k in enumerate(used)}
+        required = [[slot[k] for k in req] for req in required]
+        used_edges = [universe[k] for k in used]
         masks: list[list[int]] = []
         mappings: list[list[tuple[int, ...]]] = []
         for e in universe:
-            entry_masks: list[int] = []
-            entry_maps: list[tuple[int, ...]] = []
-            seen: set[int] = set()
-            if pattern.h <= n:
-                e_set = set(e)
-                for assignment in _pinned_embeddings(pattern, e, n,
-                                                     lambda img: True):
-                    req = 0
-                    for pe in pat_edges:
-                        img = tuple(sorted(assignment[w] for w in pe))
-                        if set(img) != e_set:
-                            req |= 1 << ranks[img]
-                    if req not in seen:
-                        seen.add(req)
-                        entry_masks.append(req)
-                        entry_maps.append(tuple(assignment[v]
-                                                for v in range(pattern.h)))
-            masks.append(entry_masks)
-            mappings.append(entry_maps)
+            e_set = set(e)
+            pi = e + tuple(v for v in range(n) if v not in e_set)
+            # bit[i] is the mask bit of the image under pi of used_edges[i]
+            bit = [1 << ranks[tuple(sorted([pi[v] for v in f]))]
+                   for f in used_edges]
+            masks.append([sum([bit[i] for i in req]) for req in required])
+            mappings.append([tuple([pi[u] for u in m]) for m in base_maps])
         self._masks = masks
         self._mappings = mappings
 
@@ -428,6 +461,8 @@ def certificate_from_text(text: str) -> SaturationCertificate:
                 n, r = int(parts[2]), int(parts[3])
             except ValueError:
                 raise FormatError(line_no, "header n and r must be integers") from None
+            if n < 0 or r < 1:
+                raise FormatError(line_no, f"invalid header n={n} r={r}")
             continue
         fields = [part.strip() for part in line.split("|")]
         if len(fields) != 3:
@@ -444,9 +479,12 @@ def certificate_from_text(text: str) -> SaturationCertificate:
                     raise FormatError(line_no, f"bad mapping entry {tok!r}")
                 a, _, b = tok.partition("->")
                 try:
-                    mapping[int(a)] = int(b)
+                    v, u = int(a), int(b)
                 except ValueError:
                     raise FormatError(line_no, f"bad mapping entry {tok!r}") from None
+                if v in mapping:
+                    raise FormatError(line_no, f"pattern vertex {v} is mapped twice")
+                mapping[v] = u
             if sorted(mapping) != list(range(len(mapping))):
                 raise FormatError(line_no, "mapping must cover pattern vertices 0..h-1")
             m = tuple(mapping[v] for v in range(len(mapping)))

@@ -224,9 +224,14 @@ def test_verify_template_certificate_pipeline(tmp_path, capsys):
 def test_malformed_certificate_is_usage_error(tmp_path, capsys):
     gpath = write_graph(tmp_path / "star.txt", STAR4)
     bad = tmp_path / "bad.cert"
-    bad.write_text("CERT pattern 4 2\n0 1 | zero | 0->0 1->1 2->2\n")
-    code, _, err = run(capsys, "verify", gpath, "K3", str(bad))
-    assert code == 64 and "line 2" in err
+    for text, line_no in [
+        ("CERT pattern 4 2\n0 1 | zero | 0->0 1->1 2->2\n", 2),
+        ("CERT pattern 4 2\n1 2 | 0 | 0->0 0->1 1->2\n", 2),
+        ("CERT pattern -5 2\n", 1),
+    ]:
+        bad.write_text(text)
+        code, _, err = run(capsys, "verify", gpath, "K3", str(bad))
+        assert code == 64 and f"line {line_no}" in err
 
 
 def test_threads_flag_validated_and_inert(tmp_path, capsys):

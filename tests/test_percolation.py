@@ -226,9 +226,17 @@ def test_certificate_text_roundtrip():
 
 def test_certificate_text_errors():
     from wsat import FormatError
-    with pytest.raises(FormatError):
-        certificate_from_text("not a cert\n")
-    with pytest.raises(FormatError):
-        certificate_from_text("CERT pattern 4 2\n0 1 | x | 0->0\n")
-    with pytest.raises(FormatError):
-        certificate_from_text("CERT pattern 4 2\n0 1 | 0\n")
+    for text, line_no in [
+        ("not a cert\n", 1),
+        ("CERT pattern 4 2\n0 1 | x | 0->0\n", 2),
+        ("CERT pattern 4 2\n0 1 | 0\n", 2),
+        ("CERT pattern 4 2\n0 1 | 0 | 0->0 1->1 2->2\n"
+         "1 2 | 0 | 0->0 0->1 1->2\n", 3),  # pattern vertex 0 mapped twice
+        ("# comment\nCERT pattern -5 2\n", 2),
+        ("CERT pattern 4 0\n", 1),
+        ("CERT template 4 -1\n", 1),
+    ]:
+        with pytest.raises(FormatError) as exc:
+            certificate_from_text(text)
+        assert exc.value.line_no == line_no, text
+    assert certificate_from_text("CERT pattern 0 1\n").n == 0
