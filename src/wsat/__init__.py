@@ -74,8 +74,6 @@ from .percolation import (
 from .solver import (
     RatioRow,
     WsatResult,
-    canonical_edge_ranks,
-    colex_combinations,
     ratio_table,
     wsat_exact,
     wsat_upper,

@@ -43,15 +43,18 @@ class CoverDesign:
         if not self.N >= self.k >= self.t >= 1:
             raise ValueError(
                 f"need N >= k >= t >= 1, got N={self.N}, k={self.k}, t={self.t}")
-        canon = []
-        for b in self.blocks:
-            bs = tuple(sorted(b))
-            if len(bs) != self.k or len(set(bs)) != self.k:
-                raise ValueError(f"block {bs} is not a {self.k}-subset")
-            if bs[0] < 0 or bs[-1] >= self.N:
-                raise ValueError(f"block {bs} out of range for N={self.N}")
-            canon.append(bs)
-        object.__setattr__(self, "blocks", tuple(canon))
+        canon = tuple(_check_block(b, self.N, self.k) for b in self.blocks)
+        object.__setattr__(self, "blocks", canon)
+
+
+def _check_block(block, N: int, k: int) -> tuple[int, ...]:
+    """The block as a sorted tuple; ValueError unless it is a k-subset of [N]."""
+    bs = tuple(sorted(block))
+    if len(bs) != k or len(set(bs)) != k:
+        raise ValueError(f"block {bs} is not a {k}-subset")
+    if bs[0] < 0 or bs[-1] >= N:
+        raise ValueError(f"block {bs} out of range for N={N}")
+    return bs
 
 
 def greedy_cover(N: int, k: int, t: int, seed: int = 0) -> CoverDesign:
@@ -126,15 +129,15 @@ def cover_from_text(text: str) -> CoverDesign:
             values = [int(tok) for tok in line.split()]
         except ValueError:
             raise FormatError(line_no, f"expected integers, got {line!r}") from None
-        if header is None:
-            if len(values) != 3:
-                raise FormatError(line_no, "header must be 'N k t'")
-            header = values
-            continue
-        blocks.append(tuple(values))
+        try:
+            if header is None:
+                if len(values) != 3:
+                    raise ValueError("header must be 'N k t'")
+                header = CoverDesign(*values)
+            else:
+                blocks.append(_check_block(values, header.N, header.k))
+        except ValueError as exc:
+            raise FormatError(line_no, str(exc)) from None
     if header is None:
         raise FormatError(1, "missing 'N k t' header")
-    try:
-        return CoverDesign(header[0], header[1], header[2], tuple(blocks))
-    except ValueError as exc:
-        raise FormatError(1, str(exc)) from None
+    return CoverDesign(header.N, header.k, header.t, tuple(blocks))

@@ -1,25 +1,31 @@
-"""Exact weak saturation numbers by exhaustion, plus engine-verified upper bounds.
+"""Exact weak saturation numbers by search, plus engine-verified upper bounds.
 
-wsat_exact enumerates subgraphs of the complete (n, r) universe by ascending
-edge count, in colex order within each count, and returns the first (hence
-colex-least) percolating subgraph.  Forward exhaustion is the only obviously
-correct oracle here: deletion orders from the complete graph are not
-confluent for general patterns.  The budget counts percolation checks; when
-it runs out the result says which edge counts were fully excluded instead of
-guessing.
+wsat_exact finds the least edge count m* of a percolating r-graph in two
+phases over WitnessIndex.close, and returns the colex-least witness.
 
-Optional isomorphism rejection canonicalizes each candidate to the
-lexicographic minimum of its edge-rank multiset over all n! vertex
-relabelings and skips repeats.  It never changes the returned value, only
-the work done, and at these scales the mask-based percolation test is
-usually cheaper than canonicalizing, so it is off by default.
+1. Refute edge counts level by level on sorted rank tuples.  A tuple grows
+   by a rank above its last one, and survives only if the new rank is not
+   in the closure so far (minimum percolating sets are independent), no
+   vertex transposition maps it to a lexicographically smaller sorted tuple,
+   and adding every higher rank still percolates.  Dropping the largest rank
+   of an S_n-lex-least tuple leaves an S_n-lex-least tuple (orderly
+   generation, Read 1978), and closure commutes with relabelling, so every
+   prefix of the canonical form of a minimum set survives; the first level
+   with a percolating tuple is m*.
+2. At level m* only, a DFS in colex order (largest rank first, ascending)
+   with no symmetry reduction returns the first percolating set.  It skips
+   ranks already in the closure of the chosen ones, and starts each loop at
+   the least rank e for which the chosen ranks plus all of [0, e] percolate.
+
+The budget counts closure calls; when it runs out the result says which
+edge counts were fully refuted instead of guessing.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import permutations
+from itertools import combinations
 from math import comb
 
 from .constructions import clique_extremal, padded_example, s1_construction
@@ -41,7 +47,6 @@ from .percolation import (
 DEFAULT_BUDGET = 10_000_000
 MAX_SOLVER_UNIVERSE = 30
 EXACT_TABLE_UNIVERSE = 20  # ratio_table switches to upper bounds beyond this
-MAX_CANONICAL_N = 8
 
 
 @dataclass(frozen=True)
@@ -50,6 +55,7 @@ class WsatResult:
 
     status is "exact" when the search finished; "inconclusive" means the
     budget ran out and only edge counts up to excluded_up_to are ruled out.
+    explored counts the closure checks (WitnessIndex.close calls) made.
     """
 
     value: int | None
@@ -60,53 +66,103 @@ class WsatResult:
     excluded_up_to: int | None = None
 
 
-def colex_combinations(universe: int, size: int):
-    """All size-subsets of range(universe) as increasing tuples, in colex order."""
-    if size == 0:
-        yield ()
-        return
-    if size > universe:
-        return
-    idx = list(range(size))
-    while True:
-        yield tuple(idx)
-        i = 0
-        while i + 1 < size and idx[i] + 1 == idx[i + 1]:
-            i += 1
-        if idx[i] + 1 == universe:
-            return
-        idx[i] += 1
-        for j in range(i):
-            idx[j] = j
+@lru_cache(maxsize=64)
+def _transposition_tables(n: int, r: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
+    """For each colex rank e, the rank permutations induced by the vertex
+    transpositions that move edge e: one vertex in e, the other outside.
 
-
-@lru_cache(maxsize=8)
-def _perm_rank_tables(n: int, r: int) -> tuple[tuple[int, ...], ...]:
-    if n > MAX_CANONICAL_N:
-        raise ValueError(f"isomorphism rejection supported for n <= {MAX_CANONICAL_N}")
+    A transposition fixing e setwise cannot map a tuple ending in e below
+    itself unless it maps the tuple without e below that, so a tuple grown
+    from a transposition-least parent need only be tested against these.
+    """
     universe = edge_universe(n, r)
     ranks = rank_table(n, r)
-    tables = []
-    for p in permutations(range(n)):
-        tables.append(tuple(ranks[tuple(sorted(p[v] for v in e))] for e in universe))
-    return tuple(tables)
+    swaps = []
+    for a, b in combinations(range(n), 2):
+        swap = {a: b, b: a}
+        swaps.append((a, b, tuple(ranks[tuple(sorted(swap.get(v, v) for v in f))]
+                                  for f in universe)))
+    return tuple(tuple(t for a, b, t in swaps if (a in e) != (b in e))
+                 for e in universe)
 
 
-def canonical_edge_ranks(n: int, r: int, ranks) -> tuple[int, ...]:
-    """Lexicographic minimum of the sorted edge-rank tuple over all vertex
-    relabelings; an isomorphism invariant."""
-    best = None
-    for table in _perm_rank_tables(n, r):
-        cand = tuple(sorted(table[rk] for rk in ranks))
-        if best is None or cand < best:
-            best = cand
-    return best
+def _transposition_least(ranks: tuple[int, ...], tables) -> bool:
+    key = list(ranks)
+    for t in tables:
+        if sorted(map(t.__getitem__, ranks)) < key:
+            return False
+    return True
 
 
-def wsat_exact(n: int, pattern: Pattern, budget: int = DEFAULT_BUDGET,
-               *, prune: bool = False) -> WsatResult:
+class _OutOfBudget(Exception):
+    pass
+
+
+def _refuted_levels(root: int, close, full: int, tables):
+    """Yield 0, 1, 2, ... as each edge count is refuted; stop at the first
+    count that some surviving rank tuple percolates at."""
+    if root == full:
+        return
+    universe = full.bit_length()
+    frontier = [((), root)]
+    level = 0
+    while frontier:
+        yield level
+        level += 1
+        children = []
+        for ranks, cl in frontier:
+            last = ranks[-1] if ranks else -1
+            for e in range(last + 1, universe):
+                if cl >> e & 1:
+                    continue
+                child = ranks + (e,)
+                if not _transposition_least(child, tables[e]):
+                    continue
+                # descendants only add ranks above e; at e = last + 1 this
+                # is the cut the parent itself passed
+                if e > last + 1 and close(cl | full >> e << e) != full:
+                    break  # and for every larger e, by monotonicity
+                child_cl = close(cl | 1 << e)
+                if child_cl == full:
+                    return
+                children.append((child, child_cl))
+        frontier = children
+    raise AssertionError("unreachable: the complete graph percolates")
+
+
+def _colex_least(root: int, close, full: int, size: int) -> int:
+    """Mask of the colex-least percolating set of `size` ranks, given that
+    no smaller set percolates."""
+
+    def extend(chosen: int, cl: int, k: int, hi: int) -> int | None:
+        # choose k more ranks below hi, the largest first; cl plus every
+        # rank below hi is known to percolate
+        if k == 0:
+            return chosen if cl == full else None
+        lo, top = k - 1, hi - 1
+        while lo < top:  # least e for which cl plus all of [0, e] percolates
+            mid = (lo + top) // 2
+            if close(cl | (2 << mid) - 1) == full:
+                top = mid
+            else:
+                lo = mid + 1
+        for e in range(lo, hi):
+            if cl >> e & 1:
+                continue  # dependent: the set would close like a smaller one
+            found = extend(chosen | 1 << e, close(cl | 1 << e), k - 1, e)
+            if found is not None:
+                return found
+        return None
+
+    found = extend(0, root, size, full.bit_length())
+    assert found is not None, "some set of the least percolating size percolates"
+    return found
+
+
+def wsat_exact(n: int, pattern: Pattern, budget: int = DEFAULT_BUDGET
+               ) -> WsatResult:
     """Smallest edge count of a weakly saturated r-graph on n vertices,
-    established by exhaustion, with the colex-least witness."""
+    established by exhaustive search, with the colex-least witness."""
     universe = comb(n, pattern.r)
     if universe > MAX_SOLVER_UNIVERSE:
         raise ValueError(
@@ -117,26 +173,26 @@ def wsat_exact(n: int, pattern: Pattern, budget: int = DEFAULT_BUDGET,
     idx = witness_index(n, pattern)
     full = idx.full_mask
     explored = 0
-    for m in range(universe + 1):
-        seen: set[tuple[int, ...]] | None = set() if prune else None
-        for ranks in colex_combinations(universe, m):
-            if prune:
-                key = canonical_edge_ranks(n, pattern.r, ranks)
-                if key in seen:
-                    continue
-                seen.add(key)
-            if explored >= budget:
-                return WsatResult(None, None, None, explored,
-                                  "inconclusive", m - 1)
-            explored += 1
-            mask = 0
-            for rk in ranks:
-                mask |= 1 << rk
-            if idx.close(mask) == full:
-                witness = graph_of_mask(n, pattern.r, mask)
-                cert = closure(witness, pattern).certificate
-                return WsatResult(m, witness, cert, explored, "exact")
-    raise AssertionError("unreachable: the complete graph percolates")
+
+    def close(mask: int) -> int:
+        nonlocal explored
+        if explored == budget:
+            raise _OutOfBudget
+        explored += 1
+        return idx.close(mask)
+
+    refuted = -1
+    try:
+        root = close(0)
+        tables = _transposition_tables(n, pattern.r)
+        for refuted in _refuted_levels(root, close, full, tables):
+            pass
+        mask = _colex_least(root, close, full, refuted + 1)
+    except _OutOfBudget:
+        return WsatResult(None, None, None, explored, "inconclusive", refuted)
+    witness = graph_of_mask(n, pattern.r, mask)
+    cert = closure(witness, pattern).certificate
+    return WsatResult(refuted + 1, witness, cert, explored, "exact")
 
 
 def wsat_upper_witness(n: int, pattern: Pattern) -> tuple[int, Hypergraph]:

@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 from itertools import combinations
 from math import comb
@@ -111,3 +112,21 @@ def test_cover_text_roundtrip():
         cover_from_text("6 3\n")
     with pytest.raises(FormatError):
         cover_from_text("")
+
+
+@pytest.mark.parametrize("bad_line,message", [
+    ("0 5", "line 3: block (0, 5) out of range for N=4"),
+    ("2 2", "line 3: block (2, 2) is not a 2-subset"),
+    ("0 1 2", "line 3: block (0, 1, 2) is not a 2-subset"),
+])
+def test_cover_text_error_names_the_block_line(bad_line, message):
+    with pytest.raises(FormatError, match=rf"^{re.escape(message)}$"):
+        cover_from_text(f"4 2 1\n0 1\n{bad_line}\n2 3\n")
+    # a bad block after a blank line and a good block is on line 4
+    with pytest.raises(FormatError, match=r"^line 4: "):
+        cover_from_text(f"4 2 1\n\n0 1\n{bad_line}\n")
+
+
+def test_cover_text_header_errors_name_the_header_line():
+    with pytest.raises(FormatError, match=r"^line 2: need N >= k >= t >= 1"):
+        cover_from_text("\n3 4 1\n0 1 2\n")

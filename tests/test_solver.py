@@ -1,3 +1,7 @@
+"""The exact solver against the blind colex scan it replaced, closed forms
+and pinned values; upper bounds and ratio tables."""
+
+import random
 from itertools import combinations
 from math import comb
 
@@ -5,10 +9,11 @@ import pytest
 
 from wsat import (
     Hypergraph,
-    canonical_edge_ranks,
+    certificate_to_text,
     clique_wsat_value,
-    colex_combinations,
+    closure,
     complete_graph,
+    graph_of_mask,
     is_weakly_saturated,
     make_pattern,
     padding_bound,
@@ -17,6 +22,7 @@ from wsat import (
     wsat_exact,
     wsat_upper,
     wsat_upper_witness,
+    witness_index,
 )
 
 K3 = make_pattern(complete_graph(3, 2))
@@ -24,6 +30,40 @@ K4 = make_pattern(complete_graph(4, 2))
 K43 = make_pattern(complete_graph(4, 3))
 TRI_PENDANT = make_pattern(Hypergraph(4, 2, [(0, 1), (0, 2), (1, 2), (0, 3)]))
 SINGLE_EDGE = make_pattern(complete_graph(2, 2))
+EDGE_1 = make_pattern(complete_graph(1, 1))
+TWO_VERTEX_1 = make_pattern(Hypergraph(2, 1, [(0,), (1,)]))
+
+
+def colex_combinations(universe: int, size: int):
+    """All size-subsets of range(universe) as increasing tuples, in colex order."""
+    if size == 0:
+        yield ()
+        return
+    if size > universe:
+        return
+    idx = list(range(size))
+    while True:
+        yield tuple(idx)
+        i = 0
+        while i + 1 < size and idx[i] + 1 == idx[i + 1]:
+            i += 1
+        if idx[i] + 1 == universe:
+            return
+        idx[i] += 1
+        for j in range(i):
+            idx[j] = j
+
+
+def blind_wsat_exact(n, pattern):
+    """Oracle: every edge count in turn, every subset of that size in colex
+    order; the first percolating subset gives the value and the witness mask."""
+    idx = witness_index(n, pattern)
+    for m in range(idx.universe + 1):
+        for ranks in colex_combinations(idx.universe, m):
+            mask = sum(1 << rk for rk in ranks)
+            if idx.close(mask) == idx.full_mask:
+                return m, mask
+    raise AssertionError("unreachable: the complete graph percolates")
 
 
 def test_colex_combinations_order():
@@ -60,12 +100,72 @@ def test_exact_triangle_pendant():
         assert result.value == 3
 
 
+def _random_patterns(rng, h, r, count):
+    all_edges = list(combinations(range(h), r))
+    seen = set()
+    for _ in range(count):
+        edges = tuple(e for e in all_edges if rng.random() < 0.5) or (all_edges[0],)
+        if edges not in seen:
+            seen.add(edges)
+            yield make_pattern(Hypergraph(h, r, edges))
+
+
+def _differential_cases():
+    patterns = [EDGE_1, TWO_VERTEX_1]
+    rng = random.Random(2024)
+    for r, heights in ((2, range(2, 6)), (3, range(3, 6))):
+        for h in heights:
+            patterns.extend(_random_patterns(rng, h, r, 4))
+    for pattern in patterns:
+        n = pattern.r
+        while comb(n, pattern.r) <= 20:
+            yield n, pattern
+            n += 1
+
+
+def test_exact_matches_blind_scan():
+    cases = 0
+    for n, pattern in _differential_cases():
+        value, mask = blind_wsat_exact(n, pattern)
+        result = wsat_exact(n, pattern)
+        label = (n, pattern.graph.sorted_edges)
+        assert result.status == "exact", label
+        assert (result.value, result.witness.mask) == (value, mask), label
+        expected = closure(graph_of_mask(n, pattern.r, mask), pattern).certificate
+        assert (certificate_to_text(result.certificate)
+                == certificate_to_text(expected)), label
+        cases += 1
+    assert cases > 100
+
+
+def test_exact_k4_n7_witness():
+    result = wsat_exact(7, K4)
+    assert result.value == 11
+    star = [(u, v) for v in range(3, 7) for u in (0, 1)]
+    assert result.witness.edges == frozenset([(0, 1), (0, 2), (1, 2)] + star)
+    assert result.witness.mask == 101599  # the blind scan's witness
+
+
+def test_exact_k4_n8_matches_clique_formula():
+    result = wsat_exact(8, K4)
+    assert result.value == clique_wsat_value(8, 4, 2) == 13
+    assert verify_certificate(result.witness, K4, result.certificate)
+
+
 def test_budget_exhaustion_is_explicit():
     result = wsat_exact(6, K3, budget=10)
     assert result.status == "inconclusive"
     assert result.value is None and result.witness is None
-    assert result.excluded_up_to == 0  # only the empty graph was ruled out
+    assert result.excluded_up_to == 2  # counts 0..2 refuted, 3 in progress
     assert result.explored == 10
+
+    # one closure short: the budget runs out in the witness search
+    done = wsat_exact(6, K3)
+    late = wsat_exact(6, K3, budget=done.explored - 1)
+    assert late.status == "inconclusive"
+    assert late.value is None and late.witness is None
+    assert late.excluded_up_to == done.value - 1
+    assert late.explored == done.explored - 1
 
     with pytest.raises(ValueError):
         wsat_exact(6, K3, budget=0)
@@ -74,27 +174,6 @@ def test_budget_exhaustion_is_explicit():
 def test_solver_universe_limit():
     with pytest.raises(ValueError, match="solver limit"):
         wsat_exact(9, K3)  # C(9,2) = 36 > 30
-
-
-def test_pruning_never_changes_value():
-    # instances with C(n, r) <= 15
-    for n, pattern in [(4, K3), (5, K3), (6, K3), (5, K4), (5, K43)]:
-        plain = wsat_exact(n, pattern)
-        pruned = wsat_exact(n, pattern, prune=True)
-        assert plain.value == pruned.value
-        assert pruned.explored <= plain.explored
-
-
-def test_canonical_form_is_isomorphism_invariant():
-    # two labelings of the path on 4 vertices
-    a = Hypergraph(4, 2, [(0, 1), (1, 2), (2, 3)])
-    b = Hypergraph(4, 2, [(0, 2), (1, 3), (0, 3)])
-    from wsat.hypergraph import rank_table
-    ranks_a = [rank_table(4, 2)[e] for e in a.edges]
-    ranks_b = [rank_table(4, 2)[e] for e in b.edges]
-    assert canonical_edge_ranks(4, 2, ranks_a) == canonical_edge_ranks(4, 2, ranks_b)
-    triangle = [rank_table(4, 2)[e] for e in [(0, 1), (0, 2), (1, 2)]]
-    assert canonical_edge_ranks(4, 2, ranks_a) != canonical_edge_ranks(4, 2, triangle)
 
 
 def test_upper_bounds():
