@@ -325,11 +325,12 @@ def cmd_generate(args) -> int:
         (out / "cover.txt").write_text(cover_to_text(design))
         print(f"generate cover N={n_pts} k={k} t={t} blocks={len(design.blocks)} "
               f"valid={str(ok).lower()} sampled={str(design.sampled).lower()}")
-        print(f"#BOUND cover_blocks {len(design.blocks)} "
-              f"{math.comb(n_pts, t)} true")
+        blocks_bound = cons.BoundCheck("cover_blocks", len(design.blocks),
+                                       math.comb(n_pts, t))
+        print(blocks_bound.as_report())
         print(f"#RATIO blocks_over_design_target "
               f"{float(len(design.blocks) / bound):.6f}")
-        return EXIT_OK if ok else EXIT_NEGATIVE
+        return EXIT_OK if ok and blocks_bound.holds else EXIT_NEGATIVE
 
     raise CLIError(f"unknown kind {kind!r}")
 

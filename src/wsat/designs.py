@@ -6,15 +6,25 @@ composite construction; the asymptotically optimal block count is only
 reported against, never promised.  When the candidate space C(N, k) is too
 large to enumerate per round, a seeded random sample of candidates is scored
 instead and the design is flagged as sampled.
+
+Both paths score a block from one bitmask per (t-1)-set T: the vertices
+u > max(T) for which T ∪ {u} is still uncovered, so a score is C(k, t-1)
+popcounts.  The exhaustive path is lazy greedy (Minoux 1978): a heap of
+(-score, colex key) pairs holding stale scores.  A block's score only falls
+as blocks are taken, so a popped block whose fresh score still heads the heap
+is the one a full rescan would pick, ties going to the colex-least block.
+The sampled path scores its seeded rng.sample draws with the same masks.
 """
 
 from __future__ import annotations
 
+import heapq
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import comb
+from typing import Sequence
 
 from .hypergraph import FormatError, colex_key
 
@@ -27,16 +37,14 @@ SAMPLE_CANDIDATES_PER_ROUND = 10_000
 class CoverDesign:
     """Blocks of size k over [N] covering every t-subset at least once.
 
-    delta is the reporting slack used when comparing the block count against
-    the (1 + delta) * C(N, t) / C(k, t) target; sampled records whether the
-    greedy run scored a random candidate subset instead of all blocks.
+    sampled records whether the greedy run scored a random candidate subset
+    instead of all blocks.
     """
 
     N: int
     k: int
     t: int
     blocks: tuple[tuple[int, ...], ...] = ()
-    delta: Fraction = Fraction(0)
     sampled: bool = False
 
     def __post_init__(self):
@@ -62,37 +70,65 @@ def greedy_cover(N: int, k: int, t: int, seed: int = 0) -> CoverDesign:
     per t-subset."""
     if not N >= k >= t >= 1:
         raise ValueError(f"need N >= k >= t >= 1, got N={N}, k={k}, t={t}")
-    uncovered = set(combinations(range(N), t))
+    # uncovered[T]: bitmask of the u > max(T) with T ∪ {u} still uncovered,
+    # for each (t-1)-set T; a t-set is counted once, under T = it minus its max
+    full = (1 << N) - 1
+    uncovered = {T: full & -(2 << T[-1]) if T else full
+                 for T in combinations(range(N), t - 1)}
+    left = comb(N, t)
     blocks: list[tuple[int, ...]] = []
+    bits = [1 << v for v in range(N)]
+
+    def score(block: Sequence[int]) -> int:
+        bmask = sum(map(bits.__getitem__, block))
+        return sum([(uncovered[T] & bmask).bit_count()
+                    for T in combinations(block, t - 1)])
+
+    def take(block: tuple[int, ...], gain: int) -> None:
+        nonlocal left
+        bmask = sum(map(bits.__getitem__, block))
+        for T in combinations(block, t - 1):
+            uncovered[T] &= ~bmask
+        blocks.append(block)
+        left -= gain
+
     exhaustive = comb(N, k) <= EXHAUSTIVE_CANDIDATE_LIMIT
+    if exhaustive:
+        # lazy greedy: every block enters with the most it could ever score,
+        # scores only fall, so a popped block whose fresh (-score, colex key)
+        # still heads the heap is the block a full rescan would choose
+        heap = [(-comb(k, t), colex_key(b)) for b in combinations(range(N), k)]
+        heapq.heapify(heap)
+        while left:
+            _, key = heapq.heappop(heap)
+            block = key[::-1]
+            gain = score(block)
+            if not heap or (-gain, key) <= heap[0]:
+                take(block, gain)
+            elif gain:  # a block that covers nothing new never will
+                heapq.heappush(heap, (-gain, key))
+        return CoverDesign(N, k, t, tuple(blocks))
+
+    # sampled variant: seeded draws, plus one block extending the colex-least
+    # uncovered t-set so every round is guaranteed to make progress
     rng = random.Random(seed)
-
-    def candidates():
-        if exhaustive:
-            yield from combinations(range(N), k)
-            return
-        # sampled variant: seeded draws, plus one block extending an
-        # uncovered t-set so every round is guaranteed to make progress
-        base = min(uncovered, key=colex_key)
-        rest = [v for v in range(N) if v not in base]
-        yield tuple(sorted(base + tuple(rest[: k - t])))
-        population = list(range(N))
+    population = list(range(N))
+    while left:
+        base = min((T + ((m & -m).bit_length() - 1,)
+                    for T, m in uncovered.items() if m), key=colex_key)
+        rest = [v for v in population if v not in base]
+        best_block = tuple(sorted(base + tuple(rest[: k - t])))
+        best_score, best_key = score(best_block), colex_key(best_block)
         for _ in range(SAMPLE_CANDIDATES_PER_ROUND):
-            yield tuple(sorted(rng.sample(population, k)))
-
-    while uncovered:
-        best_block = None
-        best_score = -1
-        best_key = None
-        for block in candidates():
-            score = sum(1 for sub in combinations(block, t) if sub in uncovered)
-            key = colex_key(block)
-            if score > best_score or (score == best_score and key < best_key):
-                best_block, best_score, best_key = block, score, key
-        blocks.append(best_block)
-        for sub in combinations(best_block, t):
-            uncovered.discard(sub)
-    return CoverDesign(N, k, t, tuple(blocks), sampled=not exhaustive)
+            block = rng.sample(population, k)
+            block.sort()
+            gain = score(block)
+            if gain >= best_score:
+                key = colex_key(block)
+                if gain > best_score or key < best_key:
+                    best_block, best_score, best_key = tuple(block), gain, key
+        take(best_block, best_score)
+    return CoverDesign(N, k, t, tuple(blocks), sampled=True)
 
 
 def verify_cover(design: CoverDesign) -> bool:

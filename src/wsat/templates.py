@@ -9,6 +9,14 @@ every H with h vertices and sparseness s >= 2, and the template certificate
 converts mechanically into a pattern certificate.
 
 Canonical representatives: core = {0..s-1}, special edge = {0..r-1}.
+
+The search for a template copy works on a link map: for each (r-1)-set R,
+the bitmask of vertices v with R ∪ {v} an edge, which template_closure
+updates with r writes per added edge.  The vertices that may extend a
+partial copy W are then an AND of link masks, narrowed as W grows.  The
+search visits (W, Z) in the order of the plain set-based search (cores in
+colex order, then vertices in increasing index), so it finds the same first
+copy and the certificates are the same.
 """
 
 from __future__ import annotations
@@ -16,7 +24,7 @@ from __future__ import annotations
 import random
 from itertools import combinations
 from math import comb
-from typing import Callable, Sequence
+from typing import Callable
 
 from .hypergraph import (
     Edge,
@@ -81,44 +89,82 @@ def template(r: int, h: int, s: int) -> tuple[Hypergraph, Edge]:
     return minus.with_edges([special]), special
 
 
-def _find_template_copy(edges, n: int, r: int, e: Edge, h: int, s: int
+def _link_map(edges) -> dict[int, int]:
+    """For each (r-1)-set R, as a vertex bitmask, the bitmask of vertices v
+    such that R ∪ {v} is an edge."""
+    link: dict[int, int] = {}
+    for e in edges:
+        _link_add(link, e)
+    return link
+
+
+def _link_add(link: dict[int, int], e: Edge) -> None:
+    emask = 0
+    for v in e:
+        emask |= 1 << v
+    for v in e:
+        bit = 1 << v
+        link[emask ^ bit] = link.get(emask ^ bit, 0) | bit
+
+
+def _find_template_copy(link: dict[int, int], r: int, e: Edge, h: int, s: int
                         ) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
     """Core search used by creates_template_copy and template_closure.
 
-    Cores Z ⊆ e are tried in colex order; W is grown from e by scanning
-    vertices in increasing index with exact incremental pruning (the
-    condition is closed under shrinking W), so the first pair in this order
-    is returned and None only when no pair exists.
+    Cores Z ⊆ e are tried in colex order; W is grown from e by adding
+    vertices in increasing index.  A vertex v may join W when R ∪ {v} is an
+    edge for every (r-1)-subset R of W with Z ⊄ R, so the vertices that may
+    join are the AND of link[R] over those R: for W = e they are the R =
+    e - {z}, z ∈ Z, and when v joins, link[Q ∪ {v}] is ANDed in for every
+    (r-2)-subset Q of W with Z ⊄ Q.  The condition is closed under shrinking
+    W, so the first pair in this order is returned, and None only when no
+    pair exists.
     """
-    outside = [v for v in range(n) if v not in e]
+    emask = 0
+    for v in e:
+        emask |= 1 << v
+    # the j-subsets of W, as bitmasks, for j = 0..r-2
+    subsets = [[sum(1 << v for v in q) for q in combinations(e, j)]
+               for j in range(r - 1)]
 
     for core in sorted(combinations(e, s), key=colex_key):
-        core_set = set(core)
+        if h == r:
+            # W = e: its one r-subset is e, which contains Z
+            return e, core
+        zmask = 0
+        for z in core:
+            zmask |= 1 << z
+        mask = ~emask
+        for z in core:
+            mask &= link.get(emask ^ (1 << z), 0)
 
-        def compatible(current: list[int], v: int) -> bool:
-            # new r-subsets are those through v; the ones containing Z are exempt
-            for rest in combinations(current, r - 1):
-                sub = tuple(sorted(rest + (v,)))
-                if core_set.issubset(sub):
-                    continue
-                if sub not in edges:
-                    return False
-            return True
-
-        def grow(current: list[int], start: int) -> tuple[int, ...] | None:
-            if len(current) == h:
-                return tuple(sorted(current))
-            for idx in range(start, len(outside)):
-                v = outside[idx]
-                if compatible(current, v):
-                    found = grow(current + [v], idx + 1)
+        def grow(chosen: list[int], subs: list[list[int]], mask: int
+                 ) -> list[int] | None:
+            need = h - r - len(chosen)
+            while mask.bit_count() >= need:
+                low = mask & -mask
+                mask ^= low
+                if need == 1:
+                    return chosen + [low.bit_length() - 1]
+                # mask now holds the candidates above v; keep those that
+                # complete every new (r-1)-set Q ∪ {v} to an edge
+                rest = mask
+                for q in subs[r - 2]:
+                    if q & zmask != zmask:
+                        rest &= link.get(q | low, 0)
+                        if not rest:
+                            break
+                if rest.bit_count() >= need - 1:
+                    grown = [subs[0]] + [subs[j] + [q | low for q in subs[j - 1]]
+                                         for j in range(1, r - 1)]
+                    found = grow(chosen + [low.bit_length() - 1], grown, rest)
                     if found is not None:
                         return found
             return None
 
-        found = grow(list(e), 0)
+        found = grow([], subsets, mask)
         if found is not None:
-            return found, core
+            return tuple(sorted(e + tuple(found))), core
     return None
 
 
@@ -132,33 +178,32 @@ def creates_template_copy(g: Hypergraph, e, h: int, s: int
     e = canonical_edge(e, g.n, g.r)
     if e in g.edges:
         raise ValueError(f"edge {e} is already present")
-    return _find_template_copy(g.edges, g.n, g.r, e, h, s)
+    return _find_template_copy(_link_map(g.edges), g.r, e, h, s)
 
 
 def template_closure(g: Hypergraph, h: int, s: int,
-                     phase_fn: Callable[[Edge], int] | None = None,
-                     candidate_order: Sequence[int] | None = None) -> ClosureResult:
+                     phase_fn: Callable[[Edge], int] | None = None) -> ClosureResult:
     """Template saturation closure: colex sweeps to a fixed point, each added
     edge witnessed by a fresh template copy in which it is the special edge."""
     _check_params(g.r, h, s)
     if g.n < h:
         raise ValueError(f"need at least h={h} vertices, graph has n={g.n}")
     universe = edge_universe(g.n, g.r)
-    order = range(len(universe)) if candidate_order is None else candidate_order
     current = set(g.edges)
+    link = _link_map(current)
     steps: list[TemplateStep] = []
     while len(current) < len(universe):
         added = False
-        for rank in order:
-            e = universe[rank]
+        for e in universe:
             if e in current:
                 continue
-            hit = _find_template_copy(current, g.n, g.r, e, h, s)
+            hit = _find_template_copy(link, g.r, e, h, s)
             if hit is not None:
                 w, core = hit
                 phase = phase_fn(e) if phase_fn is not None else 0
                 steps.append(TemplateStep(e, phase, w, core))
                 current.add(e)
+                _link_add(link, e)
                 added = True
         if not added:
             break

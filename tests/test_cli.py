@@ -1,3 +1,4 @@
+from itertools import combinations
 from pathlib import Path
 
 import pytest
@@ -94,6 +95,22 @@ def test_generate_cover(tmp_path, capsys):
     assert code == 0 and "valid=true" in out
     text = (tmp_path / "cover.txt").read_text()
     assert text.startswith("6 3 2\n")
+    assert "#BOUND cover_blocks 7 15 true" in out
+
+
+def test_generate_cover_bound_failure_exits_negative(tmp_path, capsys,
+                                                     monkeypatch):
+    import wsat.cli as cli
+    from wsat import CoverDesign
+    every = tuple(combinations(range(4), 2))
+    # a valid cover with one block repeated: C(4, 2) + 1 blocks
+    monkeypatch.setattr(cli, "greedy_cover", lambda N, k, t, seed=0:
+                        CoverDesign(N, k, t, every + every[:1]))
+    code, out, _ = run(capsys, "generate", "cover", "4", "2", "2",
+                       "--output", str(tmp_path))
+    assert "valid=true" in out
+    assert "#BOUND cover_blocks 7 6 false" in out
+    assert code == 1
 
 
 def test_generate_percolate(tmp_path, capsys):

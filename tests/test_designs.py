@@ -1,3 +1,4 @@
+import random
 import re
 from fractions import Fraction
 from itertools import combinations
@@ -5,6 +6,7 @@ from math import comb
 
 import pytest
 
+import wsat.designs as designs
 from wsat import (
     CoverDesign,
     FormatError,
@@ -14,6 +16,42 @@ from wsat import (
     rodl_bound,
     verify_cover,
 )
+from wsat.hypergraph import colex_key
+
+
+def oracle_greedy_cover(N: int, k: int, t: int, seed: int = 0) -> CoverDesign:
+    """Full-rescan greedy: every candidate rescored every round."""
+    uncovered = set(combinations(range(N), t))
+    blocks = []
+    exhaustive = comb(N, k) <= designs.EXHAUSTIVE_CANDIDATE_LIMIT
+    rng = random.Random(seed)
+
+    def candidates():
+        if exhaustive:
+            yield from combinations(range(N), k)
+            return
+        # sampled variant: seeded draws, plus one block extending an
+        # uncovered t-set so every round is guaranteed to make progress
+        base = min(uncovered, key=colex_key)
+        rest = [v for v in range(N) if v not in base]
+        yield tuple(sorted(base + tuple(rest[: k - t])))
+        population = list(range(N))
+        for _ in range(designs.SAMPLE_CANDIDATES_PER_ROUND):
+            yield tuple(sorted(rng.sample(population, k)))
+
+    while uncovered:
+        best_block = None
+        best_score = -1
+        best_key = None
+        for block in candidates():
+            score = sum(1 for sub in combinations(block, t) if sub in uncovered)
+            key = colex_key(block)
+            if score > best_score or (score == best_score and key < best_key):
+                best_block, best_score, best_key = block, score, key
+        blocks.append(best_block)
+        for sub in combinations(best_block, t):
+            uncovered.discard(sub)
+    return CoverDesign(N, k, t, tuple(blocks), sampled=not exhaustive)
 
 
 def test_k_equals_t_degenerates_to_all_subsets():
@@ -130,3 +168,24 @@ def test_cover_text_error_names_the_block_line(bad_line, message):
 def test_cover_text_header_errors_name_the_header_line():
     with pytest.raises(FormatError, match=r"^line 2: need N >= k >= t >= 1"):
         cover_from_text("\n3 4 1\n0 1 2\n")
+
+
+def test_lazy_greedy_matches_full_rescan():
+    for n_pts in range(1, 13):
+        for k in range(1, n_pts + 1):
+            for t in range(1, k + 1):
+                design = greedy_cover(n_pts, k, t)
+                assert not design.sampled
+                assert design.blocks == oracle_greedy_cover(n_pts, k, t).blocks, \
+                    (n_pts, k, t)
+
+
+def test_sampled_path_matches_full_rescan(monkeypatch):
+    monkeypatch.setattr(designs, "EXHAUSTIVE_CANDIDATE_LIMIT", 10)
+    monkeypatch.setattr(designs, "SAMPLE_CANDIDATES_PER_ROUND", 200)
+    for n_pts, k, t in [(10, 4, 2), (9, 3, 2), (11, 5, 3), (12, 4, 1), (8, 4, 4)]:
+        for seed in range(4):
+            design = designs.greedy_cover(n_pts, k, t, seed=seed)
+            assert design.sampled
+            assert design.blocks == oracle_greedy_cover(n_pts, k, t, seed).blocks, \
+                (n_pts, k, t, seed)

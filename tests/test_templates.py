@@ -1,12 +1,16 @@
 import random
-from itertools import permutations
+from itertools import combinations, permutations
 from math import comb
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from wsat import (
     ConeSpec,
     Hypergraph,
+    SaturationCertificate,
+    TemplateStep,
+    certificate_to_text,
     check_cone,
     complete_graph,
     creates_template_copy,
@@ -22,6 +26,7 @@ from wsat import (
     verify_certificate,
     verify_template_certificate,
 )
+from wsat.hypergraph import colex_key
 
 K3 = make_pattern(complete_graph(3, 2))
 TRI_PENDANT_GRAPH = Hypergraph(4, 2, [(0, 1), (0, 2), (1, 2), (0, 3)])
@@ -220,3 +225,146 @@ def test_template_saturation_implies_weak_saturation_sampled():
         assert verify_certificate(g, pat, converted)
         assert is_weakly_saturated(g, pat)
     assert percolating >= 20
+
+
+# -- the set-based template search, kept as the oracle for the link-mask one --
+
+def _find_template_copy(edges, n: int, r: int, e, h: int, s: int):
+    """Core search used by creates_template_copy and template_closure.
+
+    Cores Z ⊆ e are tried in colex order; W is grown from e by scanning
+    vertices in increasing index with exact incremental pruning (the
+    condition is closed under shrinking W), so the first pair in this order
+    is returned and None only when no pair exists.
+    """
+    outside = [v for v in range(n) if v not in e]
+
+    for core in sorted(combinations(e, s), key=colex_key):
+        core_set = set(core)
+
+        def compatible(current: list[int], v: int) -> bool:
+            # new r-subsets are those through v; the ones containing Z are exempt
+            for rest in combinations(current, r - 1):
+                sub = tuple(sorted(rest + (v,)))
+                if core_set.issubset(sub):
+                    continue
+                if sub not in edges:
+                    return False
+            return True
+
+        def grow(current: list[int], start: int):
+            if len(current) == h:
+                return tuple(sorted(current))
+            for idx in range(start, len(outside)):
+                v = outside[idx]
+                if compatible(current, v):
+                    found = grow(current + [v], idx + 1)
+                    if found is not None:
+                        return found
+            return None
+
+        found = grow(list(e), 0)
+        if found is not None:
+            return found, core
+    return None
+
+
+def oracle_template_closure(g: Hypergraph, h: int, s: int, phase_fn=None):
+    """The colex sweep to a fixed point over the set-based search."""
+    universe = edge_universe(g.n, g.r)
+    current = set(g.edges)
+    steps = []
+    while len(current) < len(universe):
+        added = False
+        for e in universe:
+            if e in current:
+                continue
+            hit = _find_template_copy(current, g.n, g.r, e, h, s)
+            if hit is not None:
+                w, core = hit
+                phase = phase_fn(e) if phase_fn is not None else 0
+                steps.append(TemplateStep(e, phase, w, core))
+                current.add(e)
+                added = True
+        if not added:
+            break
+    cert = SaturationCertificate("template", g.n, g.r, tuple(steps))
+    return cert, frozenset(current), len(current) == len(universe)
+
+
+def _differential_cases():
+    rng = random.Random(20)
+    for r in (2, 3, 4):
+        for h in range(r, r + 4):
+            for s in range(2, r + 1):
+                for n in range(h, h + 5):
+                    for _ in range(4 if comb(n, r) <= 120 else 2):
+                        density = rng.choice([0.3, 0.6, 0.8, 0.9])
+                        edges = [e for e in edge_universe(n, r)
+                                 if rng.random() < density]
+                        yield Hypergraph(n, r, edges), h, s
+
+
+def test_template_closure_matches_set_based_search():
+    cases = list(_differential_cases())
+    assert len(cases) >= 400
+    assert sum(1 for g, h, s in cases if h == g.r) >= 20
+    percolated = 0
+    for g, h, s in cases:
+        res = template_closure(g, h, s, phase_fn=lambda e: sum(e) % 3)
+        cert, closed, ok = oracle_template_closure(g, h, s,
+                                                   phase_fn=lambda e: sum(e) % 3)
+        assert certificate_to_text(res.certificate) == certificate_to_text(cert), \
+            (g, h, s)
+        assert res.closure.edges == closed
+        assert res.percolated == ok
+        percolated += ok
+    assert 0 < percolated < len(cases)
+
+
+def test_creates_template_copy_matches_set_based_search():
+    tm = template_minus(3, 5, 2)
+    rng = random.Random(4)
+    graphs = [
+        (Hypergraph(4, 2, set(edge_universe(4, 2)) - {(0, 1)}), 4, 2),
+        (Hypergraph(5, 2), 4, 2),
+        (tm, 5, 2),
+        (tm, 5, 3),
+        (tm, 3, 2),
+        (Hypergraph(7, 3, [e for e in edge_universe(7, 3) if rng.random() < 0.7]),
+         6, 3),
+    ]
+    for g, h, s in graphs:
+        for e in edge_universe(g.n, g.r):
+            if e not in g.edges:
+                assert creates_template_copy(g, e, h, s) == \
+                    _find_template_copy(g.edges, g.n, g.r, e, h, s), (g, e, h, s)
+
+
+@st.composite
+def template_case(draw):
+    r = draw(st.integers(min_value=2, max_value=3))
+    h = draw(st.integers(min_value=r, max_value=r + 2))
+    s = draw(st.integers(min_value=2, max_value=r))
+    n = draw(st.integers(min_value=h, max_value=h + 2))
+    universe = edge_universe(n, r)
+    present = draw(st.lists(st.booleans(), min_size=len(universe),
+                            max_size=len(universe)))
+    more = draw(st.lists(st.booleans(), min_size=len(universe),
+                         max_size=len(universe)))
+    g = Hypergraph(n, r, [e for e, keep in zip(universe, present) if keep])
+    bigger = g.with_edges([e for e, keep in zip(universe, more) if keep])
+    return g, bigger, h, s
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(template_case())
+def test_template_closure_replays_is_idempotent_and_monotone(case):
+    g, bigger, h, s = case
+    res = template_closure(g, h, s)
+    assert verify_template_certificate(g, res.certificate, h, s)
+    assert g.edges <= res.closure.edges
+    again = template_closure(res.closure, h, s)
+    assert len(again.certificate) == 0
+    assert again.closure == res.closure
+    assert res.closure.edges <= template_closure(bigger, h, s).closure.edges
