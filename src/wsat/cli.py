@@ -147,7 +147,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--pattern")
     p.add_argument("--n", type=int)
     p.add_argument("--m1", type=int)
-    p.add_argument("--eps", type=float, default=0.0)
 
     p = sub.add_parser("wsat", parents=[common],
                        help="exact value, upper bound, or ratio table")
@@ -289,7 +288,7 @@ def cmd_generate(args) -> int:
         else:
             _, seed_graph = wsat_upper_witness(m, pattern)
         spec = cons.MainSpec(pattern=pattern, n=args.n, m=m, m1=args.m1,
-                             seed_graph=seed_graph, cover=cover, eps=args.eps)
+                             seed_graph=seed_graph, cover=cover)
         result = cons.main_construction(spec)
         reports = list(result.bounds)
         reports.append(f"#RATIO seed_edges_over_m^(s-1) {result.seed_ratio:.6f}")

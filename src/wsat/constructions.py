@@ -373,8 +373,7 @@ class MainSpec:
     m must be the (s-1)-st power of the cluster size c = ceil(m1^(1/(s-1))),
     n a multiple of c, and the cover a design on N = n / c points with block
     size k = c^(s-2) and strength t = s - 1.  seed_graph is an m-vertex
-    weakly saturated graph for the pattern; eps is accounting slack used only
-    in reported ratios.
+    weakly saturated graph for the pattern.
     """
 
     pattern: Pattern
@@ -383,7 +382,6 @@ class MainSpec:
     m1: int
     seed_graph: Hypergraph
     cover: CoverDesign
-    eps: float = 0.0
 
 
 @dataclass(frozen=True)

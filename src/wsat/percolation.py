@@ -18,14 +18,26 @@ candidate edge; the result is cached as required-edge bitmasks
 checks.  Free vertices take complement vertices in increasing order and the
 relabelling is monotone on the complement, so each edge's witnesses keep the
 direct search's order: the first satisfied witness is the one it would find.
+
+Certificates are checked by replay (verify_certificate), which uses neither
+the witness index nor the closure.  A step's image edges are read from its
+mapping through one itemgetter per pattern edge and checked against the
+current edge set together; the per-step checks keep a fixed order and fixed
+messages.  The text parser matches a pattern step line written exactly as
+certificate_to_text writes it with one regular expression, built from the
+first step's edge size and mapping length.  Every other line goes through
+the per-token checks, which are the only source of FormatErrors, so
+messages and line numbers do not depend on the fast form.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import permutations
 from math import comb
+from operator import itemgetter
 from typing import Callable, Iterable, Sequence
 
 from .hypergraph import (
@@ -374,35 +386,39 @@ def verify_certificate(g: Hypergraph, pattern: Pattern,
                                 f"graph has n={g.n} r={g.r}")
     if pattern.r != g.r:
         raise ValueError(f"uniformity mismatch: pattern r={pattern.r}, graph r={g.r}")
+    n, r, h = g.n, g.r, pattern.h
     current = set(g.edges)
-    pat_edges = pattern.graph.sorted_edges
+    # one getter per pattern edge, in colex edge order; itemgetter of a
+    # single index returns the item itself, so r = 1 needs its own
+    image_of = [itemgetter(*pe) if r > 1 else (lambda m, v=pe[0]: (m[v],))
+                for pe in pattern.graph.sorted_edges]
     for i, step in enumerate(cert.steps):
-        try:
-            e = canonical_edge(step.edge, g.n, g.r)
-        except ValueError as exc:
-            return CertificateCheck(False, i, str(exc))
+        e = tuple(sorted(step.edge))
+        if len(e) != r or len(set(e)) != r or e[0] < 0 or e[-1] >= n:
+            try:
+                canonical_edge(e, n, r)  # raises, naming the first failed check
+            except ValueError as exc:
+                return CertificateCheck(False, i, str(exc))
         if e in current:
             return CertificateCheck(False, i, f"edge {e} already present")
         w = step.witness
         m = w.mapping
-        if len(m) != pattern.h:
+        if len(m) != h:
             return CertificateCheck(False, i, "mapping has wrong length")
-        if any(not 0 <= u < g.n for u in m):
+        if min(m) < 0 or max(m) >= n:
             return CertificateCheck(False, i, "mapping target out of range")
-        if len(set(m)) != len(m):
+        if len(set(m)) != h:
             return CertificateCheck(False, i, "mapping is not injective")
         if tuple(sorted(w.covered_edge)) != e:
             return CertificateCheck(False, i, "witness covered_edge differs from step edge")
-        covered = False
-        for pe in pat_edges:
-            img = tuple(sorted(m[v] for v in pe))
-            if img == e:
-                covered = True
-            elif img not in current:
-                return CertificateCheck(False, i, f"image edge {img} absent")
-        if not covered:
-            return CertificateCheck(False, i, "witness image does not cover the added edge")
+        images = [tuple(sorted(get(m))) for get in image_of]
         current.add(e)
+        if not current.issuperset(images):
+            # the first absent image in pattern-edge order, e itself now present
+            img = next(img for img in images if img not in current)
+            return CertificateCheck(False, i, f"image edge {img} absent")
+        if e not in images:
+            return CertificateCheck(False, i, "witness image does not cover the added edge")
     return CertificateCheck(True)
 
 
@@ -438,59 +454,95 @@ def certificate_to_text(cert: SaturationCertificate) -> str:
 
 def _parse_int_list(text: str, line_no: int) -> tuple[int, ...]:
     try:
-        return tuple(int(tok) for tok in text.replace(",", " ").split())
+        return tuple(map(int, text.replace(",", " ").split()))
     except ValueError:
-        raise FormatError(line_no, f"expected integers, got {text!r}") from None
+        raise FormatError(line_no, f"expected integers, got {text.strip()!r}") from None
+
+
+def _written_step(r: int, h: int) -> re.Pattern:
+    """A pattern step line exactly as certificate_to_text writes it for an
+    r-vertex edge and an h-vertex mapping: every number is a group."""
+    edge = " ".join(["([0-9]+)"] * r)
+    mapping = " ".join(f"{v}->([0-9]+)" for v in range(h))
+    return re.compile(rf"{edge} \| (-?[0-9]+) \| {mapping}")
+
+
+def _parse_mapping(text: str, line_no: int) -> tuple[int, ...]:
+    """The per-token parse of a pattern witness: the only source of its
+    FormatErrors, and the path for every witness not in written form."""
+    mapping = {}
+    for tok in text.split():
+        if "->" not in tok:
+            raise FormatError(line_no, f"bad mapping entry {tok!r}")
+        a, _, b = tok.partition("->")
+        try:
+            v, u = int(a), int(b)
+        except ValueError:
+            raise FormatError(line_no, f"bad mapping entry {tok!r}") from None
+        if v in mapping:
+            raise FormatError(line_no, f"pattern vertex {v} is mapped twice")
+        mapping[v] = u
+    if sorted(mapping) != list(range(len(mapping))):
+        raise FormatError(line_no, "mapping must cover pattern vertices 0..h-1")
+    return tuple(mapping[v] for v in range(len(mapping)))
 
 
 def certificate_from_text(text: str) -> SaturationCertificate:
-    kind = n = r = None
-    steps = []
-    for line_no, raw in enumerate(text.splitlines(), start=1):
+    lines = enumerate(text.splitlines(), start=1)
+    for line_no, raw in lines:
         line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if kind is None:
-            parts = line.split()
-            if len(parts) != 4 or parts[0] != "CERT":
-                raise FormatError(line_no, "header must be 'CERT pattern|template n r'")
-            kind = parts[1]
-            if kind not in ("pattern", "template"):
-                raise FormatError(line_no, f"unknown certificate kind {kind!r}")
+        if line and line[0] != "#":
+            break
+    else:
+        raise FormatError(1, "missing certificate header")
+    parts = line.split()
+    if len(parts) != 4 or parts[0] != "CERT":
+        raise FormatError(line_no, "header must be 'CERT pattern|template n r'")
+    kind = parts[1]
+    if kind not in ("pattern", "template"):
+        raise FormatError(line_no, f"unknown certificate kind {kind!r}")
+    try:
+        n, r = int(parts[2]), int(parts[3])
+    except ValueError:
+        raise FormatError(line_no, "header n and r must be integers") from None
+    if n < 0 or r < 1:
+        raise FormatError(line_no, f"invalid header n={n} r={r}")
+    steps = []
+    written = None  # _written_step for the first pattern step's r and h
+    number: dict[str, int] = {}  # int() of each number string it matched
+    for line_no, raw in lines:
+        match = written.fullmatch(raw) if written is not None else None
+        if match is not None:
+            digits = match.groups()
             try:
-                n, r = int(parts[2]), int(parts[3])
-            except ValueError:
-                raise FormatError(line_no, "header n and r must be integers") from None
-            if n < 0 or r < 1:
-                raise FormatError(line_no, f"invalid header n={n} r={r}")
+                values = [*map(number.__getitem__, digits)]
+            except KeyError:
+                number.update(zip(digits, map(int, digits)))
+                values = [*map(number.__getitem__, digits)]
+            edge = tuple(values[:r])
+            steps.append(PatternStep(edge, values[r], Witness(tuple(values[r + 1:]), edge)))
             continue
-        fields = [part.strip() for part in line.split("|")]
+        line = raw.strip()
+        if not line or line[0] == "#":
+            continue
+        fields = line.split("|")
         if len(fields) != 3:
             raise FormatError(line_no, "step must be 'edge | phase_key | witness'")
-        edge = _parse_int_list(fields[0], line_no)
+        edge_text, phase_text, witness = fields
+        edge = _parse_int_list(edge_text, line_no)
         try:
-            phase = int(fields[1])
+            phase = int(phase_text)
         except ValueError:
-            raise FormatError(line_no, f"phase key {fields[1]!r} is not an integer") from None
+            raise FormatError(line_no, f"phase key {phase_text.strip()!r} "
+                                       f"is not an integer") from None
         if kind == "pattern":
-            mapping = {}
-            for tok in fields[2].split():
-                if "->" not in tok:
-                    raise FormatError(line_no, f"bad mapping entry {tok!r}")
-                a, _, b = tok.partition("->")
-                try:
-                    v, u = int(a), int(b)
-                except ValueError:
-                    raise FormatError(line_no, f"bad mapping entry {tok!r}") from None
-                if v in mapping:
-                    raise FormatError(line_no, f"pattern vertex {v} is mapped twice")
-                mapping[v] = u
-            if sorted(mapping) != list(range(len(mapping))):
-                raise FormatError(line_no, "mapping must cover pattern vertices 0..h-1")
-            m = tuple(mapping[v] for v in range(len(mapping)))
+            m = _parse_mapping(witness, line_no)
             steps.append(PatternStep(edge, phase, Witness(m, edge)))
+            # the regex grows with r and h: build it only from an edge of r
+            # vertices, so its size is bounded by this line's
+            if written is None and len(edge) == r:
+                written = _written_step(r, len(m))
         else:
-            witness = fields[2]
             w_part, z_part = None, None
             for tok in witness.split():
                 if tok.startswith("W={") and tok.endswith("}"):
@@ -502,6 +554,4 @@ def certificate_from_text(text: str) -> SaturationCertificate:
             w = _parse_int_list(w_part, line_no)
             z = _parse_int_list(z_part, line_no)
             steps.append(TemplateStep(edge, phase, w, z))
-    if kind is None:
-        raise FormatError(1, "missing certificate header")
     return SaturationCertificate(kind, n, r, tuple(steps))

@@ -22,6 +22,7 @@ copy and the certificates are the same.
 from __future__ import annotations
 
 import random
+from functools import lru_cache
 from itertools import combinations
 from math import comb
 from typing import Callable
@@ -41,7 +42,6 @@ from .percolation import (
     SaturationCertificate,
     TemplateStep,
     Witness,
-    verify_certificate,
 )
 
 
@@ -107,6 +107,13 @@ def _link_add(link: dict[int, int], e: Edge) -> None:
         link[emask ^ bit] = link.get(emask ^ bit, 0) | bit
 
 
+@lru_cache(maxsize=64)
+def _core_positions(r: int, s: int) -> tuple[tuple[int, ...], ...]:
+    """Positions of the s-subsets of an increasing r-tuple, in colex order
+    (the same for every such tuple)."""
+    return tuple(sorted(combinations(range(r), s), key=colex_key))
+
+
 def _find_template_copy(link: dict[int, int], r: int, e: Edge, h: int, s: int
                         ) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
     """Core search used by creates_template_copy and template_closure.
@@ -120,23 +127,21 @@ def _find_template_copy(link: dict[int, int], r: int, e: Edge, h: int, s: int
     W, so the first pair in this order is returned, and None only when no
     pair exists.
     """
-    emask = 0
-    for v in e:
-        emask |= 1 << v
+    if h == r:
+        # W = e: its one r-subset is e, which contains Z; e[:s] is the
+        # colex-first core
+        return e, e[:s]
+    bits = [1 << v for v in e]
+    emask = sum(bits)
     # the j-subsets of W, as bitmasks, for j = 0..r-2
-    subsets = [[sum(1 << v for v in q) for q in combinations(e, j)]
-               for j in range(r - 1)]
+    subsets = [list(map(sum, combinations(bits, j))) for j in range(r - 1)]
 
-    for core in sorted(combinations(e, s), key=colex_key):
-        if h == r:
-            # W = e: its one r-subset is e, which contains Z
-            return e, core
-        zmask = 0
-        for z in core:
-            zmask |= 1 << z
+    for positions in _core_positions(r, s):
+        zbits = [bits[p] for p in positions]
+        zmask = sum(zbits)
         mask = ~emask
-        for z in core:
-            mask &= link.get(emask ^ (1 << z), 0)
+        for zbit in zbits:
+            mask &= link.get(emask ^ zbit, 0)
 
         def grow(chosen: list[int], subs: list[list[int]], mask: int
                  ) -> list[int] | None:
@@ -164,7 +169,7 @@ def _find_template_copy(link: dict[int, int], r: int, e: Edge, h: int, s: int
 
         found = grow([], subsets, mask)
         if found is not None:
-            return tuple(sorted(e + tuple(found))), core
+            return tuple(sorted(e + tuple(found))), tuple([e[p] for p in positions])
     return None
 
 

@@ -1,16 +1,25 @@
+import io
+from contextlib import redirect_stderr, redirect_stdout
 from itertools import combinations
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wsat import (
+    FormatError,
     Hypergraph,
+    certificate_from_text,
+    certificate_to_text,
+    closure,
     complete_graph,
     graph_from_text,
     graph_to_text,
     make_pattern,
 )
 from wsat.cli import main, parse_pattern_token
+from test_percolation import mutated_text
 
 
 def run(capsys, *argv):
@@ -249,6 +258,33 @@ def test_malformed_certificate_is_usage_error(tmp_path, capsys):
         bad.write_text(text)
         code, _, err = run(capsys, "verify", gpath, "K3", str(bad))
         assert code == 64 and f"line {line_no}" in err
+
+
+K4_GRAPH = Hypergraph(6, 2, [(0, 1), (1, 2), (0, 3), (3, 4), (4, 5)])
+K4_CERT = certificate_to_text(closure(K4_GRAPH, make_pattern(complete_graph(4, 2))).certificate)
+
+
+@pytest.fixture(scope="module")
+def verify_inputs(tmp_path_factory):
+    root = tmp_path_factory.mktemp("verify")
+    return write_graph(root / "graph.txt", K4_GRAPH), root / "mutant.cert"
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(mutated_text(K4_CERT))
+def test_verify_mutated_certificate_never_raises(verify_inputs, text):
+    gpath, cert = verify_inputs
+    cert.write_text(text)
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(["verify", gpath, "K4", str(cert)])
+    try:
+        certificate_from_text(text)
+    except FormatError as exc:
+        assert code == 64 and f"line {exc.line_no}:" in err.getvalue()
+    else:
+        assert code in (0, 1), err.getvalue()
+        assert out.getvalue().startswith(("valid steps=", "invalid at step"))
 
 
 def test_threads_flag_validated_and_inert(tmp_path, capsys):
