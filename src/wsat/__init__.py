@@ -26,7 +26,6 @@ from .constructions import (
     padding_bound,
     percolate_bound,
     percolate_gadget,
-    percolate_graph,
     percolate_phase,
     s1_construction,
     spartite_gadget,

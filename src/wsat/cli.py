@@ -4,7 +4,9 @@ Exit codes: 0 success, 1 negative verdict (not percolated / invalid
 certificate), 2 inconclusive (budget exhausted), 64 usage or input error.
 Runs with identical arguments produce byte-identical files and stdout; the
 --threads flag is accepted for compatibility but the engines are serial and
-their schedule is fixed, so it cannot affect any output.
+their schedule is fixed, so it cannot affect any output.  Every generate
+kind writes its files, then prints a summary line and its #BOUND / #RATIO
+report lines, which its graph file also carries at the end.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ import hashlib
 import math
 import re
 import sys
+from functools import lru_cache
 from pathlib import Path
 
 from . import constructions as cons
@@ -30,6 +33,7 @@ from .percolation import (
     certificate_from_text,
     certificate_to_text,
     closure,
+    is_weakly_saturated,
     verify_certificate,
 )
 from .solver import (
@@ -106,20 +110,14 @@ def _outdir(args) -> Path:
     return out
 
 
-def _write_graph(path: Path, g: Hypergraph, report_lines=()) -> None:
-    text = graph_to_text(g)
-    for line in report_lines:
-        text += line + "\n"
-    path.write_text(text)
-
-
+@lru_cache(maxsize=1)
 def _build_parser() -> _Parser:
+    """The argument parser, built on the first main() call of a process."""
     common = _Parser(add_help=False)
     common.add_argument("--output", default=".", metavar="DIR")
     common.add_argument("--seed", type=int, default=0)
     common.add_argument("--threads", type=int, default=1)
     common.add_argument("--budget", type=int, default=10_000_000)
-    common.add_argument("--format", choices=["text"], default="text")
 
     parser = _Parser(prog="wsat", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -132,21 +130,13 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("generate", parents=[common],
                        help="build a construction, engine-check it, write files")
-    p.add_argument("kind", choices=["template", "cone", "spartite", "percolate",
-                                    "s1", "main", "clique-extremal", "cover"])
+    p.add_argument("kind", choices=list(GENERATE))
     p.add_argument("params", nargs="*", type=int)
-    p.add_argument("--r", type=int)
-    p.add_argument("--s", type=int)
-    p.add_argument("--h", type=int)
-    p.add_argument("--size-a", type=int, dest="size_a")
-    p.add_argument("--size-b", type=int, dest="size_b")
-    p.add_argument("--part-sizes", dest="part_sizes",
-                   help="comma-separated part sizes")
-    p.add_argument("--l", type=int, dest="clusters")
-    p.add_argument("--t", type=int, dest="cluster_size")
+    for flag in ("--r", "--s", "--h", "--size-a", "--size-b", "--l", "--t",
+                 "--n", "--m1"):
+        p.add_argument(flag, type=int)
+    p.add_argument("--part-sizes", help="comma-separated part sizes")
     p.add_argument("--pattern")
-    p.add_argument("--n", type=int)
-    p.add_argument("--m1", type=int)
 
     p = sub.add_parser("wsat", parents=[common],
                        help="exact value, upper bound, or ratio table")
@@ -178,7 +168,7 @@ def cmd_closure(args) -> int:
         result = closure(g, pattern)
         label = f"pattern {pattern_hash(pattern)}"
     out = _outdir(args)
-    _write_graph(out / "closure.txt", result.closure)
+    (out / "closure.txt").write_text(graph_to_text(result.closure))
     (out / "closure.cert").write_text(certificate_to_text(result.certificate))
     print(f"closure {label} n={g.n} r={g.r} start={g.edge_count} "
           f"added={len(result.certificate)} "
@@ -186,152 +176,153 @@ def cmd_closure(args) -> int:
     return EXIT_OK if result.percolated else EXIT_NEGATIVE
 
 
-def _need(args, names):
-    missing = [n for n in names if getattr(args, n) is None]
-    if missing:
-        flags = ", ".join("--" + n.replace("_", "-") for n in missing)
-        raise CLIError(f"generate {args.kind} requires {flags}")
+# -- generate: one builder per kind --------------------------------------------
+#
+# A builder returns (files, summary, reports, verdict): files maps each file
+# name, in write order, to its text or to a graph (written with the report
+# lines appended); reports are strings or BoundChecks.
+
+def _gen_template(args):
+    r, h, s = args.params
+    g, special = template(r, h, s)
+    bound = cons.BoundCheck("template_edge_count", g.edge_count,
+                            math.comb(h, r) - math.comb(h - s, r - s) + 1,
+                            relation="==")
+    return ({"template.txt": g},
+            f"generate template r={r} h={h} s={s} edges={g.edge_count} "
+            f"special={','.join(map(str, special))}", [bound], bound.holds)
 
 
-def _emit(out: Path, filename: str, g: Hypergraph, summary: str, reports) -> None:
-    lines = [b.as_report() if isinstance(b, cons.BoundCheck) else b for b in reports]
-    _write_graph(out / filename, g, lines)
-    print(summary)
-    for line in lines:
-        print(line)
+def _gen_cone(args):
+    spec = cons.ConeSpec(r=args.r, h=args.h, s=args.s,
+                         size_a=args.size_a, size_b=args.size_b)
+    g, result, bound = cons.check_cone(spec)
+    return ({"cone.txt": g},
+            f"generate cone n={g.n} r={g.r} edges={g.edge_count} "
+            f"percolated={str(result.percolated).lower()}",
+            [bound], result.percolated and bound.holds)
+
+
+def _gen_spartite(args):
+    sizes = tuple(int(tok) for tok in args.part_sizes.split(","))
+    spec = cons.SpartiteSpec(r=args.r, h=args.h, part_sizes=sizes)
+    g, result = cons.check_spartite(spec)
+    return ({"spartite.txt": g},
+            f"generate spartite n={g.n} r={g.r} edges={g.edge_count} "
+            f"percolated={str(result.percolated).lower()}", [], result.percolated)
+
+
+def _gen_percolate(args):
+    spec = cons.PercolateSpec(r=args.r, h=args.h, s=args.s,
+                              clusters=args.l, cluster_size=args.t)
+    g, e2, result, bound = cons.check_percolate(spec)
+    e1 = g.edges - e2
+    return ({"percolate_e1.txt": graph_to_text(Hypergraph(g.n, g.r, e1)),
+             "percolate_e2.txt": graph_to_text(Hypergraph(g.n, g.r, e2)),
+             "percolate.txt": g},
+            f"generate percolate n={g.n} r={g.r} e1={len(e1)} e2={len(e2)} "
+            f"percolated={str(result.percolated).lower()}",
+            [bound], result.percolated and bound.holds)
+
+
+def _gen_s1(args):
+    pattern = load_pattern(args.pattern)
+    g = cons.s1_construction(pattern, args.n)
+    ok = is_weakly_saturated(g, pattern)
+    return ({"s1.txt": g},
+            f"generate s1 n={g.n} r={g.r} edges={g.edge_count} "
+            f"percolated={str(ok).lower()}", [], ok)
+
+
+def _gen_main(args):
+    pattern = load_pattern(args.pattern)
+    s = pattern.s
+    if s < 2:
+        raise CLIError("generate main needs a pattern of sparseness >= 2")
+    c = cons._ceil_root(args.m1, s - 1)
+    m = c ** (s - 1)
+    if args.n % c != 0:
+        raise CLIError(f"--n must be a multiple of the cluster size {c}")
+    clusters = args.n // c
+    cover = greedy_cover(clusters, c ** (s - 2), s - 1, seed=args.seed)
+    seed_result = wsat_exact(m, pattern, args.budget) \
+        if math.comb(m, pattern.r) <= EXACT_TABLE_UNIVERSE else None
+    if seed_result is not None and seed_result.status == "exact":
+        seed_graph = seed_result.witness
+    else:
+        _, seed_graph = wsat_upper_witness(m, pattern)
+    spec = cons.MainSpec(pattern=pattern, n=args.n, m=m, m1=args.m1,
+                         seed_graph=seed_graph, cover=cover)
+    result = cons.main_construction(spec)
+    reports = list(result.bounds)
+    reports.append(f"#RATIO seed_edges_over_m^(s-1) {result.seed_ratio:.6f}")
+    reports.append(f"#RATIO total_edges_over_n^(s-1) {result.total_ratio:.6f}")
+    return ({"main_cover.txt": cover_to_text(cover), "main.txt": result.graph},
+            f"generate main n={args.n} m={m} blocks={result.block_count} "
+            f"copies={result.copies_edge_count} extra={result.extra_edge_count} "
+            f"percolated={str(result.percolated).lower()}",
+            reports, result.percolated and all(b.holds for b in result.bounds))
+
+
+def _gen_clique_extremal(args):
+    n, t, r = args.params
+    g = cons.clique_extremal(n, t, r)
+    bound = cons.clique_extremal_bound(g, t)
+    ok = is_weakly_saturated(g, make_pattern(complete_graph(t, r)))
+    return ({"clique_extremal.txt": g},
+            f"generate clique-extremal n={n} t={t} r={r} edges={g.edge_count} "
+            f"percolated={str(ok).lower()}", [bound], ok and bound.holds)
+
+
+def _gen_cover(args):
+    n_pts, k, t = args.params
+    design = greedy_cover(n_pts, k, t, seed=args.seed)
+    ok = verify_cover(design)
+    blocks = len(design.blocks)
+    bound = cons.BoundCheck("cover_blocks", blocks, math.comb(n_pts, t))
+    ratio = float(blocks / rodl_bound(n_pts, k, t))
+    return ({"cover.txt": cover_to_text(design)},
+            f"generate cover N={n_pts} k={k} t={t} blocks={blocks} "
+            f"valid={str(ok).lower()} sampled={str(design.sampled).lower()}",
+            [bound, f"#RATIO blocks_over_design_target {ratio:.6f}"],
+            ok and bound.holds)
+
+
+# kind -> (required arguments, builder); a string names the positional
+# parameters in order, a tuple lists the required flags
+GENERATE = {
+    "template": ("r h s", _gen_template),
+    "cone": (("--r", "--s", "--h", "--size-a", "--size-b"), _gen_cone),
+    "spartite": (("--r", "--h", "--part-sizes"), _gen_spartite),
+    "percolate": (("--r", "--s", "--h", "--l", "--t"), _gen_percolate),
+    "s1": (("--pattern", "--n"), _gen_s1),
+    "main": (("--pattern", "--n", "--m1"), _gen_main),
+    "clique-extremal": ("n t r", _gen_clique_extremal),
+    "cover": ("N k t", _gen_cover),
+}
 
 
 def cmd_generate(args) -> int:
     out = _outdir(args)
-    kind = args.kind
-
-    if kind == "template":
-        if len(args.params) != 3:
-            raise CLIError("generate template needs: r h s")
-        r, h, s = args.params
-        g, special = template(r, h, s)
-        expected = [cons.BoundCheck(
-            "template_edge_count", g.edge_count,
-            math.comb(h, r) - math.comb(h - s, r - s) + 1,
-            relation="==")]
-        _emit(out, "template.txt", g,
-              f"generate template r={r} h={h} s={s} edges={g.edge_count} "
-              f"special={','.join(map(str, special))}", expected)
-        return EXIT_OK if expected[0].holds else EXIT_NEGATIVE
-
-    if kind == "cone":
-        _need(args, ["r", "s", "h", "size_a", "size_b"])
-        spec = cons.ConeSpec(r=args.r, h=args.h, s=args.s,
-                             size_a=args.size_a, size_b=args.size_b)
-        g, result, bound = cons.check_cone(spec)
-        _emit(out, "cone.txt", g,
-              f"generate cone n={g.n} r={g.r} edges={g.edge_count} "
-              f"percolated={str(result.percolated).lower()}", [bound])
-        return EXIT_OK if result.percolated and bound.holds else EXIT_NEGATIVE
-
-    if kind == "spartite":
-        _need(args, ["r", "h", "part_sizes"])
-        sizes = tuple(int(tok) for tok in args.part_sizes.split(","))
-        spec = cons.SpartiteSpec(r=args.r, h=args.h, part_sizes=sizes)
-        g, result = cons.check_spartite(spec)
-        _emit(out, "spartite.txt", g,
-              f"generate spartite n={g.n} r={g.r} edges={g.edge_count} "
-              f"percolated={str(result.percolated).lower()}", [])
-        return EXIT_OK if result.percolated else EXIT_NEGATIVE
-
-    if kind == "percolate":
-        _need(args, ["r", "s", "h", "clusters", "cluster_size"])
-        spec = cons.PercolateSpec(r=args.r, h=args.h, s=args.s,
-                                  clusters=args.clusters,
-                                  cluster_size=args.cluster_size)
-        e1, e2 = cons.percolate_gadget(spec)
-        g = Hypergraph(spec.n, spec.r, e1 | e2)
-        result = template_closure(g, spec.h, spec.s,
-                                  phase_fn=cons.percolate_phase(spec))
-        bound = cons.percolate_bound(spec)
-        _write_graph(out / "percolate_e1.txt", Hypergraph(spec.n, spec.r, e1))
-        _write_graph(out / "percolate_e2.txt", Hypergraph(spec.n, spec.r, e2))
-        _emit(out, "percolate.txt", g,
-              f"generate percolate n={g.n} r={g.r} e1={len(e1)} e2={len(e2)} "
-              f"percolated={str(result.percolated).lower()}", [bound])
-        return EXIT_OK if result.percolated and bound.holds else EXIT_NEGATIVE
-
-    if kind == "s1":
-        if args.pattern is None or args.n is None:
-            raise CLIError("generate s1 requires --pattern and --n")
-        pattern = load_pattern(args.pattern)
-        g = cons.s1_construction(pattern, args.n)
-        from .percolation import is_weakly_saturated
-        ok = is_weakly_saturated(g, pattern)
-        _emit(out, "s1.txt", g,
-              f"generate s1 n={g.n} r={g.r} edges={g.edge_count} "
-              f"percolated={str(ok).lower()}", [])
-        return EXIT_OK if ok else EXIT_NEGATIVE
-
-    if kind == "main":
-        if args.pattern is None or args.n is None or args.m1 is None:
-            raise CLIError("generate main requires --pattern, --n and --m1")
-        pattern = load_pattern(args.pattern)
-        s = pattern.s
-        if s < 2:
-            raise CLIError("generate main needs a pattern of sparseness >= 2")
-        c = cons._ceil_root(args.m1, s - 1)
-        m = c ** (s - 1)
-        if args.n % c != 0:
-            raise CLIError(f"--n must be a multiple of the cluster size {c}")
-        clusters = args.n // c
-        cover = greedy_cover(clusters, c ** (s - 2), s - 1, seed=args.seed)
-        seed_result = wsat_exact(m, pattern, args.budget) \
-            if math.comb(m, pattern.r) <= EXACT_TABLE_UNIVERSE else None
-        if seed_result is not None and seed_result.status == "exact":
-            seed_graph = seed_result.witness
-        else:
-            _, seed_graph = wsat_upper_witness(m, pattern)
-        spec = cons.MainSpec(pattern=pattern, n=args.n, m=m, m1=args.m1,
-                             seed_graph=seed_graph, cover=cover)
-        result = cons.main_construction(spec)
-        reports = list(result.bounds)
-        reports.append(f"#RATIO seed_edges_over_m^(s-1) {result.seed_ratio:.6f}")
-        reports.append(f"#RATIO total_edges_over_n^(s-1) {result.total_ratio:.6f}")
-        (out / "main_cover.txt").write_text(cover_to_text(cover))
-        _emit(out, "main.txt", result.graph,
-              f"generate main n={args.n} m={m} blocks={result.block_count} "
-              f"copies={result.copies_edge_count} extra={result.extra_edge_count} "
-              f"percolated={str(result.percolated).lower()}", reports)
-        ok = result.percolated and all(b.holds for b in result.bounds)
-        return EXIT_OK if ok else EXIT_NEGATIVE
-
-    if kind == "clique-extremal":
-        if len(args.params) != 3:
-            raise CLIError("generate clique-extremal needs: n t r")
-        n, t, r = args.params
-        g = cons.clique_extremal(n, t, r)
-        bound = cons.clique_extremal_bound(n, t, r)
-        from .percolation import is_weakly_saturated
-        ok = is_weakly_saturated(g, make_pattern(complete_graph(t, r)))
-        _emit(out, "clique_extremal.txt", g,
-              f"generate clique-extremal n={n} t={t} r={r} edges={g.edge_count} "
-              f"percolated={str(ok).lower()}", [bound])
-        return EXIT_OK if ok and bound.holds else EXIT_NEGATIVE
-
-    if kind == "cover":
-        if len(args.params) != 3:
-            raise CLIError("generate cover needs: N k t")
-        n_pts, k, t = args.params
-        design = greedy_cover(n_pts, k, t, seed=args.seed)
-        ok = verify_cover(design)
-        bound = rodl_bound(n_pts, k, t)
-        (out / "cover.txt").write_text(cover_to_text(design))
-        print(f"generate cover N={n_pts} k={k} t={t} blocks={len(design.blocks)} "
-              f"valid={str(ok).lower()} sampled={str(design.sampled).lower()}")
-        blocks_bound = cons.BoundCheck("cover_blocks", len(design.blocks),
-                                       math.comb(n_pts, t))
-        print(blocks_bound.as_report())
-        print(f"#RATIO blocks_over_design_target "
-              f"{float(len(design.blocks) / bound):.6f}")
-        return EXIT_OK if ok and blocks_bound.holds else EXIT_NEGATIVE
-
-    raise CLIError(f"unknown kind {kind!r}")
+    required, build = GENERATE[args.kind]
+    if isinstance(required, str):
+        if len(args.params) != len(required.split()):
+            raise CLIError(f"generate {args.kind} needs: {required}")
+    else:
+        missing = [flag for flag in required
+                   if getattr(args, flag[2:].replace("-", "_")) is None]
+        if missing:
+            raise CLIError(f"generate {args.kind} requires {', '.join(missing)}")
+    files, summary, reports, ok = build(args)
+    lines = [b.as_report() if isinstance(b, cons.BoundCheck) else b for b in reports]
+    for name, content in files.items():
+        if isinstance(content, Hypergraph):
+            content = graph_to_text(content) + "".join(line + "\n" for line in lines)
+        (out / name).write_text(content)
+    print(summary)
+    for line in lines:
+        print(line)
+    return EXIT_OK if ok else EXIT_NEGATIVE
 
 
 def _parse_range(token: str) -> range:
@@ -367,7 +358,7 @@ def cmd_wsat(args) -> int:
         status = "upper"
     print(f"wsat {args.n} {pattern.r} {hh} {value} {status}")
     sys.stdout.write(graph_to_text(witness))
-    _write_graph(out / "witness.txt", witness)
+    (out / "witness.txt").write_text(graph_to_text(witness))
     (out / "witness.cert").write_text(certificate_to_text(cert))
     return EXIT_OK
 
@@ -390,9 +381,8 @@ def cmd_verify(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
         if args.threads < 1:
             raise CLIError("--threads must be at least 1")
         if args.budget < 1:

@@ -29,7 +29,7 @@ from itertools import combinations
 from math import comb
 from typing import Callable
 
-from .designs import CoverDesign
+from .designs import CoverDesign, verify_cover
 from .hypergraph import Edge, Hypergraph, Pattern, edge_universe
 from .percolation import ClosureResult, clique_wsat_value, is_weakly_saturated
 from .templates import template_closure
@@ -110,8 +110,8 @@ def cone_gadget(spec: ConeSpec) -> Hypergraph:
     return Hypergraph(spec.n, spec.r, edges)
 
 
-def cone_bound(spec: ConeSpec) -> BoundCheck:
-    g = cone_gadget(spec)
+def cone_bound(spec: ConeSpec, g: Hypergraph) -> BoundCheck:
+    """Bound on the extra edges of g = cone_gadget(spec)."""
     extra = g.edge_count - comb(spec.size_a, spec.r)
     rhs = spec.r * spec.h ** spec.r * spec.size_a ** (spec.s - 2) * spec.size_b
     return BoundCheck("cone_extra_edges", extra, rhs)
@@ -125,7 +125,7 @@ def cone_phase(spec: ConeSpec) -> Callable[[Edge], int]:
 def check_cone(spec: ConeSpec) -> tuple[Hypergraph, ClosureResult, BoundCheck]:
     g = cone_gadget(spec)
     result = template_closure(g, spec.h, spec.s, phase_fn=cone_phase(spec))
-    return g, result, cone_bound(spec)
+    return g, result, cone_bound(spec, g)
 
 
 # -- padding a smaller example ------------------------------------------------
@@ -327,13 +327,8 @@ def percolate_gadget(spec: PercolateSpec) -> tuple[frozenset[Edge], frozenset[Ed
     return frozenset(e1), frozenset(e2)
 
 
-def percolate_graph(spec: PercolateSpec) -> Hypergraph:
-    e1, e2 = percolate_gadget(spec)
-    return Hypergraph(spec.n, spec.r, e1 | e2)
-
-
-def percolate_bound(spec: PercolateSpec) -> BoundCheck:
-    _, e2 = percolate_gadget(spec)
+def percolate_bound(spec: PercolateSpec, e2: frozenset[Edge]) -> BoundCheck:
+    """Bound on E2 = percolate_gadget(spec)[1]."""
     rhs = (spec.r * spec.h ** (spec.r - spec.s + 2)
            * comb(spec.clusters - 1, spec.s - 1)
            * spec.cluster_size ** (spec.s - 2))
@@ -345,10 +340,14 @@ def percolate_phase(spec: PercolateSpec) -> Callable[[Edge], int]:
     return lambda e: sum(1 for v in e if v not in last)
 
 
-def check_percolate(spec: PercolateSpec) -> tuple[Hypergraph, ClosureResult, BoundCheck]:
-    g = percolate_graph(spec)
+def check_percolate(spec: PercolateSpec
+                    ) -> tuple[Hypergraph, frozenset[Edge], ClosureResult, BoundCheck]:
+    """The gadget graph E1 ∪ E2, its extras E2, its template closure and the
+    bound on E2."""
+    e1, e2 = percolate_gadget(spec)
+    g = Hypergraph(spec.n, spec.r, e1 | e2)
     result = template_closure(g, spec.h, spec.s, phase_fn=percolate_phase(spec))
-    return g, result, percolate_bound(spec)
+    return g, e2, result, percolate_bound(spec, e2)
 
 
 # -- sparseness-1 seed --------------------------------------------------------
@@ -428,7 +427,6 @@ def main_construction(spec: MainSpec) -> MainResult:
         raise ValueError(
             f"cover must have N={clusters}, k={k}, t={s - 1}; "
             f"got N={cover.N}, k={cover.k}, t={cover.t}")
-    from .designs import verify_cover
     if not verify_cover(cover):
         raise ValueError("cover does not cover every t-subset")
     seed = spec.seed_graph
@@ -451,7 +449,7 @@ def main_construction(spec: MainSpec) -> MainResult:
 
     bounds = (
         BoundCheck("copies_union", len(copies), len(cover.blocks) * seed.edge_count),
-        percolate_bound(gspec),
+        percolate_bound(gspec, e2),
     )
     percolated = is_weakly_saturated(graph, pattern)
     return MainResult(
@@ -479,7 +477,7 @@ def clique_extremal(n: int, t: int, r: int) -> Hypergraph:
     return Hypergraph(n, r, edges)
 
 
-def clique_extremal_bound(n: int, t: int, r: int) -> BoundCheck:
-    g = clique_extremal(n, t, r)
+def clique_extremal_bound(g: Hypergraph, t: int) -> BoundCheck:
+    """g = clique_extremal(n, t, r) has the closed-form number of edges."""
     return BoundCheck("clique_extremal_edges", g.edge_count,
-                      clique_wsat_value(n, t, r), relation="==")
+                      clique_wsat_value(g.n, t, g.r), relation="==")

@@ -3,10 +3,9 @@
 An edge e missing from G is *addable* when G + e contains a copy of the
 pattern H whose image covers e.  The closure adds addable edges until no
 missing edge is addable; since a witness for an addable edge survives any
-further additions, the closure set is independent of the schedule.  The
-canonical schedule scans missing edges in colex order, adds an addable edge
-immediately, keeps scanning, and repeats full sweeps to a fixed point, so
-certificates are deterministic.
+further additions, the closure set is independent of the schedule.  Every
+closure, pattern or template, with or without a certificate, runs the one
+schedule in sweep().
 
 Witness search pins the added edge: it tries every pattern edge as the
 preimage of e under every bijection onto e, then extends to the remaining
@@ -38,7 +37,7 @@ from functools import lru_cache
 from itertools import permutations
 from math import comb
 from operator import itemgetter
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 from .hypergraph import (
     Edge,
@@ -46,7 +45,6 @@ from .hypergraph import (
     Hypergraph,
     Pattern,
     canonical_edge,
-    colex_key,
     edge_universe,
     graph_of_mask,
     rank_table,
@@ -117,6 +115,27 @@ class CertificateCheck:
 
     def __bool__(self) -> bool:
         return self.ok
+
+
+def sweep(mask: int, full: int, order: Sequence[int],
+          step_for: Callable[[int, int], object | None]) -> tuple[int, list]:
+    """The canonical schedule: scan the ranks missing from mask in order (a
+    colex range unless closure is given a candidate_order), add a rank at
+    once when step_for(rank, mask) returns a step rather than None, and
+    repeat full sweeps until one adds nothing or mask is full.  Returns the
+    final mask and the steps in order, so certificates are deterministic."""
+    steps = []
+    while mask != full:
+        start = mask
+        for rank in order:
+            if not mask >> rank & 1:
+                step = step_for(rank, mask)
+                if step is not None:
+                    steps.append(step)
+                    mask |= 1 << rank
+        if mask == start:
+            break
+    return mask, steps
 
 
 def _pattern_search_order(pattern: Pattern):
@@ -296,23 +315,15 @@ class WitnessIndex:
 
     def close(self, mask: int) -> int:
         """Bootstrap closure of an edge mask (no certificate bookkeeping)."""
-        universe = self.universe
         all_masks = self._masks
-        full = self.full_mask
-        while mask != full:
-            added = False
-            for rank in range(universe):
-                bit = 1 << rank
-                if mask & bit:
-                    continue
-                for req in all_masks[rank]:
-                    if req & mask == req:
-                        mask |= bit
-                        added = True
-                        break
-            if not added:
-                break
-        return mask
+
+        def addable(rank: int, mask: int) -> bool | None:
+            for req in all_masks[rank]:
+                if req & mask == req:
+                    return True
+            return None
+
+        return sweep(mask, self.full_mask, range(self.universe), addable)[0]
 
 
 @lru_cache(maxsize=64)
@@ -339,23 +350,16 @@ def closure(g: Hypergraph, pattern: Pattern,
     idx = witness_index(g.n, pattern)
     universe = edge_universe(g.n, g.r)
     order = range(idx.universe) if candidate_order is None else candidate_order
-    mask = g.mask
-    steps: list[PatternStep] = []
-    while mask != idx.full_mask:
-        added = False
-        for rank in order:
-            bit = 1 << rank
-            if mask & bit:
-                continue
-            mapping = idx.first_witness(rank, mask)
-            if mapping is not None:
-                e = universe[rank]
-                phase = phase_fn(e) if phase_fn is not None else 0
-                steps.append(PatternStep(e, phase, Witness(mapping, e)))
-                mask |= bit
-                added = True
-        if not added:
-            break
+
+    def step_for(rank: int, mask: int) -> PatternStep | None:
+        mapping = idx.first_witness(rank, mask)
+        if mapping is None:
+            return None
+        e = universe[rank]
+        phase = phase_fn(e) if phase_fn is not None else 0
+        return PatternStep(e, phase, Witness(mapping, e))
+
+    mask, steps = sweep(g.mask, idx.full_mask, order, step_for)
     cert = SaturationCertificate("pattern", g.n, g.r, tuple(steps))
     closed = graph_of_mask(g.n, g.r, mask)
     return ClosureResult(closed, cert, mask == idx.full_mask)

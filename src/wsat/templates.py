@@ -10,9 +10,9 @@ converts mechanically into a pattern certificate.
 
 Canonical representatives: core = {0..s-1}, special edge = {0..r-1}.
 
-The search for a template copy works on a link map: for each (r-1)-set R,
-the bitmask of vertices v with R ∪ {v} an edge, which template_closure
-updates with r writes per added edge.  The vertices that may extend a
+template_closure runs percolation.sweep, searching for a template copy on
+a link map: for each (r-1)-set R, the bitmask of vertices v with R ∪ {v} an
+edge, updated with r writes per added edge.  The vertices that may extend a
 partial copy W are then an AND of link masks, narrowed as W grows.  The
 search visits (W, Z) in the order of the plain set-based search (cores in
 colex order, then vertices in increasing index), so it finds the same first
@@ -24,7 +24,6 @@ from __future__ import annotations
 import random
 from functools import lru_cache
 from itertools import combinations
-from math import comb
 from typing import Callable
 
 from .hypergraph import (
@@ -34,6 +33,7 @@ from .hypergraph import (
     canonical_edge,
     colex_key,
     edge_universe,
+    graph_of_mask,
 )
 from .percolation import (
     CertificateCheck,
@@ -42,6 +42,7 @@ from .percolation import (
     SaturationCertificate,
     TemplateStep,
     Witness,
+    sweep,
 )
 
 
@@ -188,33 +189,29 @@ def creates_template_copy(g: Hypergraph, e, h: int, s: int
 
 def template_closure(g: Hypergraph, h: int, s: int,
                      phase_fn: Callable[[Edge], int] | None = None) -> ClosureResult:
-    """Template saturation closure: colex sweeps to a fixed point, each added
-    edge witnessed by a fresh template copy in which it is the special edge."""
+    """Template saturation closure under percolation.sweep, each added edge
+    witnessed by a fresh template copy in which it is the special edge."""
     _check_params(g.r, h, s)
     if g.n < h:
         raise ValueError(f"need at least h={h} vertices, graph has n={g.n}")
     universe = edge_universe(g.n, g.r)
-    current = set(g.edges)
-    link = _link_map(current)
-    steps: list[TemplateStep] = []
-    while len(current) < len(universe):
-        added = False
-        for e in universe:
-            if e in current:
-                continue
-            hit = _find_template_copy(link, g.r, e, h, s)
-            if hit is not None:
-                w, core = hit
-                phase = phase_fn(e) if phase_fn is not None else 0
-                steps.append(TemplateStep(e, phase, w, core))
-                current.add(e)
-                _link_add(link, e)
-                added = True
-        if not added:
-            break
+    full = (1 << len(universe)) - 1
+    link = _link_map(g.edges)
+
+    def step_for(rank: int, mask: int) -> TemplateStep | None:
+        e = universe[rank]
+        hit = _find_template_copy(link, g.r, e, h, s)
+        if hit is None:
+            return None
+        _link_add(link, e)  # sweep adds e at once
+        phase = phase_fn(e) if phase_fn is not None else 0
+        return TemplateStep(e, phase, *hit)
+
+    # g.mask would cache rank_table(n, r), a dict over the whole universe
+    start = sum(1 << i for i, e in enumerate(universe) if e in g.edges)
+    mask, steps = sweep(start, full, range(len(universe)), step_for)
     cert = SaturationCertificate("template", g.n, g.r, tuple(steps))
-    closed = Hypergraph(g.n, g.r, current)
-    return ClosureResult(closed, cert, len(current) == len(universe))
+    return ClosureResult(graph_of_mask(g.n, g.r, mask), cert, mask == full)
 
 
 def verify_template_certificate(g: Hypergraph, cert: SaturationCertificate,

@@ -181,7 +181,7 @@ def test_criterion_4_gadget_grid():
             _, result = check_spartite(spec)
             assert result.percolated, spec
         for spec in PERCOLATE_GRID:
-            _, result, bound = check_percolate(spec)
+            _, _, result, bound = check_percolate(spec)
             assert result.percolated, spec
             assert bound.holds, spec
         for base, k2, pat in PADDING_GRID:

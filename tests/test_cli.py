@@ -1,3 +1,4 @@
+import hashlib
 import io
 from contextlib import redirect_stderr, redirect_stdout
 from itertools import combinations
@@ -17,6 +18,7 @@ from wsat import (
     graph_from_text,
     graph_to_text,
     make_pattern,
+    template_minus,
 )
 from wsat.cli import main, parse_pattern_token
 from test_percolation import mutated_text
@@ -312,3 +314,103 @@ def test_double_runs_are_byte_identical(tmp_path, capsys):
     assert outs[0] == outs[1]
     assert ((tmp_path / "x" / "main.txt").read_bytes()
             == (tmp_path / "y" / "main.txt").read_bytes())
+
+
+# sha256 prefixes of the exit code, stdout and every output file of each
+# command: a byte-level change in a verdict, a certificate, a report line or
+# a summary line fails test_golden_outputs
+GOLDEN_COMMANDS = {
+    "closure": ["closure", "{star}", "K3"],
+    "closure-template": ["closure", "{tminus}", "--template", "4", "2"],
+    "verify": ["verify", "{star}", "K3", "{out}/closure/closure.cert"],
+    "verify-template": ["verify", "{tminus}", "K4",
+                        "{out}/closure-template/closure.cert"],
+    "template": ["generate", "template", "3", "5", "2"],
+    "cone": ["generate", "cone", "--r", "2", "--s", "2", "--h", "3",
+             "--size-a", "4", "--size-b", "2"],
+    "cone-closure": ["closure", "{out}/cone/cone.txt", "--template", "3", "2"],
+    "spartite": ["generate", "spartite", "--r", "2", "--h", "3",
+                 "--part-sizes", "4,4"],
+    "percolate": ["generate", "percolate", "--r", "2", "--s", "2", "--h", "3",
+                  "--l", "3", "--t", "3"],
+    "s1": ["generate", "s1", "--pattern", "triangle+pendant", "--n", "5"],
+    "main": ["generate", "main", "--pattern", "K3", "--n", "12", "--m1", "4"],
+    "clique-extremal": ["generate", "clique-extremal", "5", "3", "2"],
+    "cover": ["generate", "cover", "6", "3", "2"],
+    "exact": ["wsat", "5", "K3", "--exact"],
+    "upper": ["wsat", "6", "K3", "--upper"],
+}
+GOLDEN_DIGESTS = {
+    "closure": {"exit": 0, "stdout": "d5c05063ae61b088",
+        "closure.cert": "40f5a4de2f7c5df1", "closure.txt": "eff8cc2e0693f95a"},
+    "closure-template": {"exit": 0, "stdout": "f85d55dac46b3016",
+        "closure.cert": "b87cfd8e015b2c9a", "closure.txt": "eff8cc2e0693f95a"},
+    "verify": {"exit": 0, "stdout": "f7d90c3448a54552"},
+    "verify-template": {"exit": 0, "stdout": "e8c0d9c6a86ac76e"},
+    "template": {"exit": 0, "stdout": "ffedbf55b517b309",
+        "template.txt": "875bcc987bc2b25e"},
+    "cone": {"exit": 0, "stdout": "58c2e69290712931",
+        "cone.txt": "8bbbd5464598ee16"},
+    "cone-closure": {"exit": 0, "stdout": "1444e8b4112bb5bf",
+        "closure.cert": "ffbef0d7b73a2055", "closure.txt": "13763b2606624991"},
+    "spartite": {"exit": 0, "stdout": "30d43fd0fcf90081",
+        "spartite.txt": "63ca6a6cd7ff56ef"},
+    "percolate": {"exit": 0, "stdout": "0b51f74393fb201a",
+        "percolate.txt": "4c2a92b8b1efd71c",
+        "percolate_e1.txt": "957b10117fcc6017",
+        "percolate_e2.txt": "95c6e95a1cc08c8b"},
+    "s1": {"exit": 0, "stdout": "bc50a86e648fe6d6",
+        "s1.txt": "46f9b10ae821db1c"},
+    "main": {"exit": 0, "stdout": "3f8a348ed3d85b7b",
+        "main.txt": "b69acd2cdf4eddc4", "main_cover.txt": "42ee23e72889c340"},
+    "clique-extremal": {"exit": 0, "stdout": "cbc92c379c44c73e",
+        "clique_extremal.txt": "bae29a3f9fe3f2c3"},
+    "cover": {"exit": 0, "stdout": "98fb71d3ecc1b919",
+        "cover.txt": "186a87c4959fdd21"},
+    "exact": {"exit": 0, "stdout": "54fae44516f58dd0",
+        "witness.cert": "3085de5cbc2fb871", "witness.txt": "20b9fa0c7a1eb676"},
+    "upper": {"exit": 0, "stdout": "fc5f3e90837e2c93",
+        "witness.cert": "7fcfb9d4e7946e8a", "witness.txt": "81f00a5fb4739833"},
+}
+
+
+def _digest(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()[:16]
+
+
+def test_golden_outputs(tmp_path, capsys):
+    paths = {"star": write_graph(tmp_path / "star.txt", STAR4),
+             "tminus": write_graph(tmp_path / "tminus.txt", template_minus(2, 4, 2)),
+             "out": str(tmp_path)}
+    seen = {}
+    for name, argv in GOLDEN_COMMANDS.items():
+        out_dir = tmp_path / name
+        code, out, err = run(capsys, *[a.format(**paths) for a in argv],
+                             "--output", str(out_dir))
+        assert err == "", (name, err)
+        seen[name] = {"exit": code, "stdout": _digest(out.encode())}
+        for path in sorted(out_dir.iterdir()) if out_dir.exists() else ():
+            seen[name][path.name] = _digest(path.read_bytes())
+    assert seen == GOLDEN_DIGESTS
+
+
+GENERATE_POSITIONALS = {"template": "r h s", "clique-extremal": "n t r",
+                        "cover": "N k t"}
+MISSING_CASES = [
+    (kind, i)
+    for kind, argv in GOLDEN_COMMANDS.items() if argv[0] == "generate"
+    for i in range(2, len(argv))
+    if kind in GENERATE_POSITIONALS or argv[i].startswith("--")
+]
+
+
+@pytest.mark.parametrize("kind, i", MISSING_CASES,
+                         ids=[f"{k}-{GOLDEN_COMMANDS[k][i]}" for k, i in MISSING_CASES])
+def test_generate_missing_argument_is_named(tmp_path, capsys, kind, i):
+    argv = GOLDEN_COMMANDS[kind]
+    dropped = argv[i]
+    rest = argv[:i] + argv[i + (2 if dropped.startswith("--") else 1):]
+    code, out, err = run(capsys, *rest, "--output", str(tmp_path))
+    assert code == 64 and out == ""
+    assert "Traceback" not in err
+    assert (GENERATE_POSITIONALS.get(kind) or dropped) in err

@@ -118,7 +118,7 @@ def test_percolate_small_example():
     spec = PercolateSpec(r=2, h=3, s=2, clusters=3, cluster_size=3)
     e1, e2 = percolate_gadget(spec)
     assert len(e2) <= 2 * 27 * 2 * 1
-    g, result, bound = check_percolate(spec)
+    g, _, result, bound = check_percolate(spec)
     assert result.percolated and bound.holds
     # extras live on rigid pairs across a group including the last cluster
     for e in e2:
@@ -208,7 +208,7 @@ def test_clique_extremal_matches_formula_grid():
     for n in range(1, 9):
         for t in range(1, n + 1):
             for r in range(1, t + 1):
-                bound = clique_extremal_bound(n, t, r)
+                bound = clique_extremal_bound(clique_extremal(n, t, r), t)
                 assert bound.holds, (n, t, r)
 
 
@@ -239,5 +239,5 @@ def test_gadget_outputs_reverify_under_template_closure():
     assert result2.percolated
 
     ps = PercolateSpec(r=3, h=4, s=2, clusters=3, cluster_size=4)
-    g3, result3, bound3 = check_percolate(ps)
+    g3, _, result3, bound3 = check_percolate(ps)
     assert result3.percolated and bound3.holds
