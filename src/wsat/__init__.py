@@ -21,6 +21,7 @@ from .constructions import (
     cone_bound,
     cone_gadget,
     cone_phase,
+    main_clusters,
     main_construction,
     padded_example,
     padding_bound,

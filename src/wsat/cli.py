@@ -7,17 +7,23 @@ Runs with identical arguments produce byte-identical files and stdout; the
 their schedule is fixed, so it cannot affect any output.  Every generate
 kind writes its files, then prints a summary line and its #BOUND / #RATIO
 report lines, which its graph file also carries at the end.
+
+argv is parsed by parse_args from one table, VERBS: each verb's positionals
+and flags.  It reads argv as argparse did: a flag by its full name, a unique
+prefix of it or NAME=VALUE; the last of a repeated flag wins; a negative
+number is a value; "--" ends the flags.  Positionals may sit between flags.
+-h or --help anywhere prints USAGE and exits 0.  A cold job thus loads
+neither argparse nor the gettext and locale modules that argparse sets up.
 """
 
 from __future__ import annotations
 
-import argparse
 import hashlib
 import math
 import re
 import sys
-from functools import lru_cache
 from pathlib import Path
+from types import SimpleNamespace
 
 from . import constructions as cons
 from .designs import cover_to_text, greedy_cover, rodl_bound, verify_cover
@@ -57,11 +63,6 @@ EXIT_USAGE = 64
 
 class CLIError(Exception):
     pass
-
-
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):
-        raise CLIError(message)
 
 
 PATTERN_SHORTHANDS = "K<t>, K<t>^<r>, edge^<r>, triangle+pendant"
@@ -108,51 +109,6 @@ def _outdir(args) -> Path:
     out = Path(args.output)
     out.mkdir(parents=True, exist_ok=True)
     return out
-
-
-@lru_cache(maxsize=1)
-def _build_parser() -> _Parser:
-    """The argument parser, built on the first main() call of a process."""
-    common = _Parser(add_help=False)
-    common.add_argument("--output", default=".", metavar="DIR")
-    common.add_argument("--seed", type=int, default=0)
-    common.add_argument("--threads", type=int, default=1)
-    common.add_argument("--budget", type=int, default=10_000_000)
-
-    parser = _Parser(prog="wsat", description=__doc__)
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("closure", parents=[common],
-                       help="bootstrap closure of a graph under a pattern or template")
-    p.add_argument("graph")
-    p.add_argument("pattern", nargs="?")
-    p.add_argument("--template", nargs=2, type=int, metavar=("H", "S"))
-
-    p = sub.add_parser("generate", parents=[common],
-                       help="build a construction, engine-check it, write files")
-    p.add_argument("kind", choices=list(GENERATE))
-    p.add_argument("params", nargs="*", type=int)
-    for flag in ("--r", "--s", "--h", "--size-a", "--size-b", "--l", "--t",
-                 "--n", "--m1"):
-        p.add_argument(flag, type=int)
-    p.add_argument("--part-sizes", help="comma-separated part sizes")
-    p.add_argument("--pattern")
-
-    p = sub.add_parser("wsat", parents=[common],
-                       help="exact value, upper bound, or ratio table")
-    p.add_argument("n", type=int)
-    p.add_argument("pattern")
-    mode = p.add_mutually_exclusive_group(required=True)
-    mode.add_argument("--exact", action="store_true")
-    mode.add_argument("--upper", action="store_true")
-    mode.add_argument("--table", metavar="N1..N2")
-
-    p = sub.add_parser("verify", parents=[common],
-                       help="independently replay a certificate")
-    p.add_argument("graph")
-    p.add_argument("pattern")
-    p.add_argument("certificate")
-    return parser
 
 
 def cmd_closure(args) -> int:
@@ -237,13 +193,7 @@ def _gen_s1(args):
 def _gen_main(args):
     pattern = load_pattern(args.pattern)
     s = pattern.s
-    if s < 2:
-        raise CLIError("generate main needs a pattern of sparseness >= 2")
-    c = cons._ceil_root(args.m1, s - 1)
-    m = c ** (s - 1)
-    if args.n % c != 0:
-        raise CLIError(f"--n must be a multiple of the cluster size {c}")
-    clusters = args.n // c
+    c, m, clusters = cons.main_clusters(args.n, args.m1, s)
     cover = greedy_cover(clusters, c ** (s - 2), s - 1, seed=args.seed)
     seed_result = wsat_exact(m, pattern, args.budget) \
         if math.comb(m, pattern.r) <= EXACT_TABLE_UNIVERSE else None
@@ -336,9 +286,11 @@ def _parse_range(token: str) -> range:
 
 
 def cmd_wsat(args) -> int:
+    if args.exact + args.upper + (args.table is not None) != 1:
+        raise CLIError("give exactly one of --exact, --upper or --table N1..N2")
     pattern = load_pattern(args.pattern)
     hh = pattern_hash(pattern)
-    if args.table:
+    if args.table is not None:
         for row in ratio_table(pattern, _parse_range(args.table), args.budget):
             print(f"ratio {row.n} {row.value} {row.ratio:.6f} {row.method}")
         return EXIT_OK
@@ -380,9 +332,159 @@ def cmd_verify(args) -> int:
     return EXIT_NEGATIVE
 
 
+# -- argv ---------------------------------------------------------------------
+
+USAGE = f"""\
+usage: wsat closure GRAPH [PATTERN] [--template H S]
+       wsat generate KIND [PARAMS ...] [FLAGS]
+       wsat wsat N PATTERN (--exact | --upper | --table N1..N2)
+       wsat verify GRAPH PATTERN CERTIFICATE
+
+generate kinds and their arguments:
+  template r h s
+  clique-extremal n t r
+  cover N k t
+  cone --r R --s S --h H --size-a A --size-b B
+  spartite --r R --h H --part-sizes A,B,...
+  percolate --r R --s S --h H --l L --t T
+  s1 --pattern P --n N
+  main --pattern P --n N --m1 M1
+
+Every command takes --output DIR (default .), --seed N (0), --threads T (1)
+and --budget N (10000000).  A flag may be cut to a unique prefix (--out DIR)
+or written --name=value; -h or --help prints this text.  A pattern is a
+graph file or one of {PATTERN_SHORTHANDS}.
+Exit codes: 0 success, 1 negative verdict, 2 inconclusive, 64 usage error.
+"""
+
+
+def _generate_kind(token: str) -> str:
+    if token not in GENERATE:
+        raise CLIError(f"argument kind: invalid choice {token!r} "
+                       f"(choose from {', '.join(GENERATE)})")
+    return token
+
+
+# flag -> (type, arity, default); arity 0 is a switch, which defaults to
+# False.  --help maps to None: it names no attribute.
+COMMON_FLAGS = {"--output": (str, 1, "."), "--seed": (int, 1, 0),
+                "--threads": (int, 1, 1), "--budget": (int, 1, 10_000_000),
+                "--help": None}
+_INT = (int, 1, None)
+# verb -> (positionals, flags); a positional is (name, type, count), count
+# 1, "?" (at most one) or "*" (any number), the required ones first
+VERBS = {
+    "closure": ((("graph", str, 1), ("pattern", str, "?")),
+                {**COMMON_FLAGS, "--template": (int, 2, None)}),
+    "generate": ((("kind", _generate_kind, 1), ("params", int, "*")),
+                 {**COMMON_FLAGS, "--r": _INT, "--s": _INT, "--h": _INT,
+                  "--size-a": _INT, "--size-b": _INT, "--l": _INT, "--t": _INT,
+                  "--n": _INT, "--m1": _INT, "--part-sizes": (str, 1, None),
+                  "--pattern": (str, 1, None)}),
+    "wsat": ((("n", int, 1), ("pattern", str, 1)),
+             {**COMMON_FLAGS, "--exact": (bool, 0, False),
+              "--upper": (bool, 0, False), "--table": (str, 1, None)}),
+    "verify": ((("graph", str, 1), ("pattern", str, 1), ("certificate", str, 1)),
+               COMMON_FLAGS),
+}
+
+
+def _flag(token: str, flags: dict):
+    """(flag, inline value or None) if token names one of flags, else None.
+
+    A flag is named by itself, by a unique prefix of it, or as NAME=VALUE;
+    a token that names none is a value if it is "-", "--", a negative
+    number or has a space in it, and an unknown flag otherwise.
+    """
+    if not token.startswith("-") or token in ("-", "--"):
+        return None
+    name, eq, inline = token.partition("=")
+    if name not in flags and name.startswith("--"):
+        matches = [flag for flag in flags if flag.startswith(name)]
+        if len(matches) > 1:
+            raise CLIError(f"ambiguous option: {name} could match "
+                           f"{', '.join(matches)}")
+        if matches:
+            name = matches[0]
+    if name in flags:
+        return name, inline if eq else None
+    if re.fullmatch(r"-\d+|-\d*\.\d+", token) or " " in token:
+        return None
+    raise CLIError(f"unrecognized arguments: {token}")
+
+
+def _convert(name: str, convert, token: str):
+    try:
+        return convert(token)
+    except ValueError:
+        raise CLIError(f"argument {name}: invalid value {token!r}") from None
+
+
+def parse_args(argv) -> SimpleNamespace | None:
+    """The attributes the cmd_* handlers read, or None if help is asked for.
+
+    Raises CLIError on an unknown verb, flag or kind, a bad int, a flag
+    without its values, or a missing or extra positional.
+    """
+    if "-h" in argv or "--help" in argv:
+        return None
+    verb = argv[0] if argv else ""
+    if verb not in VERBS:
+        if _flag(verb, {"--help": None}):
+            return None
+        raise CLIError(f"the first argument must be one of {', '.join(VERBS)}, "
+                       f"got {verb!r}")
+    positionals, flags = VERBS[verb]
+    values = {"command": verb}
+    values.update((flag[2:].replace("-", "_"), spec[2])
+                  for flag, spec in flags.items() if spec)
+    tokens, rest, i = [], argv[1:], 0
+    while i < len(rest):
+        token = rest[i]
+        i += 1
+        if token == "--":
+            tokens += rest[i:]
+            break
+        hit = _flag(token, flags)
+        if hit is None:
+            tokens.append(token)
+            continue
+        flag, inline = hit
+        if flag == "--help":
+            return None
+        convert, arity, _ = flags[flag]
+        if inline is not None:
+            if arity != 1:
+                raise CLIError(f"argument {flag}: takes {arity} values, "
+                               f"not {flag}={inline}")
+            given = [inline]
+        else:
+            given = rest[i:i + arity]
+            i += arity
+            if len(given) < arity or any(t == "--" or _flag(t, flags) for t in given):
+                raise CLIError(f"argument {flag}: expected {arity} value(s)")
+        dest = flag[2:].replace("-", "_")
+        given = [_convert(flag, convert, t) for t in given]
+        values[dest] = True if arity == 0 else given[0] if arity == 1 else given
+    missing = [name for name, _, count in positionals[len(tokens):] if count == 1]
+    if missing:
+        raise CLIError(f"the following arguments are required: {', '.join(missing)}")
+    for name, convert, count in positionals:
+        take = len(tokens) if count == "*" else 1
+        given = [_convert(name, convert, t) for t in tokens[:take]]
+        tokens = tokens[take:]
+        values[name] = given if count == "*" else given[0] if given else None
+    if tokens:
+        raise CLIError(f"unrecognized arguments: {' '.join(tokens)}")
+    return SimpleNamespace(**values)
+
+
 def main(argv=None) -> int:
     try:
-        args = _build_parser().parse_args(argv)
+        args = parse_args(sys.argv[1:] if argv is None else list(argv))
+        if args is None:
+            sys.stdout.write(USAGE)
+            return EXIT_OK
         if args.threads < 1:
             raise CLIError("--threads must be at least 1")
         if args.budget < 1:

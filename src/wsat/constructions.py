@@ -370,9 +370,9 @@ class MainSpec:
     """Parameters of the composite construction.
 
     m must be the (s-1)-st power of the cluster size c = ceil(m1^(1/(s-1))),
-    n a multiple of c, and the cover a design on N = n / c points with block
-    size k = c^(s-2) and strength t = s - 1.  seed_graph is an m-vertex
-    weakly saturated graph for the pattern.
+    n a multiple of c (main_clusters derives both), and the cover a design on
+    N = n / c points with block size k = c^(s-2) and strength t = s - 1.
+    seed_graph is an m-vertex weakly saturated graph for the pattern.
     """
 
     pattern: Pattern
@@ -395,11 +395,26 @@ class MainResult:
     percolated: bool
 
 
-def _ceil_root(value: int, power: int) -> int:
+def main_clusters(n: int, m1: int, s: int) -> tuple[int, int, int]:
+    """(c, m, clusters) of the composite construction on n vertices: the
+    cluster size c = ceil(m1^(1/(s-1))), the seed order m = c^(s-1) and the
+    cluster count n / c.  Raises ValueError, naming the CLI flag, when the
+    numbers admit no construction."""
+    if s < 2:
+        raise ValueError(f"composite construction needs sparseness >= 2, got s={s}")
+    if n < 1:
+        raise ValueError(f"n (--n) must be at least 1, got {n}")
+    if m1 < 1:
+        raise ValueError(f"m1 (--m1) must be at least 1, got {m1}")
     c = 1
-    while c ** power < value:
+    while c ** (s - 1) < m1:
         c += 1
-    return c
+    if n % c != 0:
+        raise ValueError(f"n={n} (--n) is not a multiple of the cluster size {c}")
+    clusters = n // c
+    if clusters < s:
+        raise ValueError(f"need at least s={s} clusters, got {clusters}")
+    return c, c ** (s - 1), clusters
 
 
 def main_construction(spec: MainSpec) -> MainResult:
@@ -407,20 +422,13 @@ def main_construction(spec: MainSpec) -> MainResult:
     gadget's extras, engine-check the result, and report the edge accounting."""
     pattern = spec.pattern
     r, h, s = pattern.r, pattern.h, pattern.s
-    if s < 2:
-        raise ValueError(f"composite construction needs sparseness >= 2, got s={s}")
-    c = _ceil_root(spec.m1, s - 1)
-    if spec.m != c ** (s - 1):
+    c, m, clusters = main_clusters(spec.n, spec.m1, s)
+    if spec.m != m:
         raise ValueError(
             f"m must be the next perfect ({s - 1})-st power of m1: "
-            f"expected {c ** (s - 1)}, got {spec.m}")
+            f"expected {m}, got {spec.m}")
     if c < h:
         raise ValueError(f"cluster size {c} below h={h}")
-    if spec.n % c != 0:
-        raise ValueError(f"n={spec.n} is not a multiple of the cluster size {c}")
-    clusters = spec.n // c
-    if clusters < s:
-        raise ValueError(f"need at least s={s} clusters, got {clusters}")
     k = c ** (s - 2)
     cover = spec.cover
     if (cover.N, cover.k, cover.t) != (clusters, k, s - 1):

@@ -1,6 +1,12 @@
+import argparse
 import hashlib
 import io
+import os
+import re
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
+from functools import lru_cache
 from itertools import combinations
 from pathlib import Path
 
@@ -20,7 +26,15 @@ from wsat import (
     make_pattern,
     template_minus,
 )
-from wsat.cli import main, parse_pattern_token
+from wsat.cli import (
+    GENERATE,
+    USAGE,
+    VERBS,
+    CLIError,
+    main,
+    parse_args,
+    parse_pattern_token,
+)
 from test_percolation import mutated_text
 
 
@@ -170,6 +184,12 @@ def test_generate_param_errors(capsys, tmp_path):
     code, _, err = run(capsys, "generate", "cone", "--r", "2", "--s", "2", "--h", "3",
                        "--size-a", "2", "--size-b", "5", "--output", str(tmp_path))
     assert code == 64 and "size_b" in err.replace("-", "_")
+    # the cluster arithmetic of generate main names the flag at fault
+    for n, m1, flag in (("0", "0", "--n"), ("12", "0", "--m1"), ("13", "4", "--n")):
+        code, _, err = run(capsys, "generate", "main", "--pattern", "K3", "--n", n,
+                           "--m1", m1, "--output", str(tmp_path))
+        assert code == 64 and flag in err and "Traceback" not in err
+    assert "multiple" in err
 
 
 def test_generate_output_rereads_through_closure(tmp_path, capsys):
@@ -216,6 +236,9 @@ def test_wsat_table(capsys):
     lines = out.strip().splitlines()
     assert lines[0] == "ratio 3 2 0.666667 exact"
     assert lines[-1] == "ratio 6 5 0.833333 exact"
+    # an empty range is an error, not a silent --upper
+    code, out, err = run(capsys, "wsat", "6", "K3", "--table=")
+    assert code == 64 and out == "" and "range" in err
 
 
 def test_verify_roundtrip_and_tamper(tmp_path, capsys):
@@ -414,3 +437,198 @@ def test_generate_missing_argument_is_named(tmp_path, capsys, kind, i):
     assert code == 64 and out == ""
     assert "Traceback" not in err
     assert (GENERATE_POSITIONALS.get(kind) or dropped) in err
+
+
+# -- argv parsing ---------------------------------------------------------------
+#
+# The argparse parser the CLI used before parse_args, kept verbatim as the
+# oracle of the differential test below.
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        raise CLIError(message)
+
+
+@lru_cache(maxsize=1)
+def _build_parser() -> _Parser:
+    """The argument parser, built on the first main() call of a process."""
+    common = _Parser(add_help=False)
+    common.add_argument("--output", default=".", metavar="DIR")
+    common.add_argument("--seed", type=int, default=0)
+    common.add_argument("--threads", type=int, default=1)
+    common.add_argument("--budget", type=int, default=10_000_000)
+
+    parser = _Parser(prog="wsat", description=__doc__)
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    p = sub.add_parser("closure", parents=[common],
+                       help="bootstrap closure of a graph under a pattern or template")
+    p.add_argument("graph")
+    p.add_argument("pattern", nargs="?")
+    p.add_argument("--template", nargs=2, type=int, metavar=("H", "S"))
+
+    p = sub.add_parser("generate", parents=[common],
+                       help="build a construction, engine-check it, write files")
+    p.add_argument("kind", choices=list(GENERATE))
+    p.add_argument("params", nargs="*", type=int)
+    for flag in ("--r", "--s", "--h", "--size-a", "--size-b", "--l", "--t",
+                 "--n", "--m1"):
+        p.add_argument(flag, type=int)
+    p.add_argument("--part-sizes", help="comma-separated part sizes")
+    p.add_argument("--pattern")
+
+    p = sub.add_parser("wsat", parents=[common],
+                       help="exact value, upper bound, or ratio table")
+    p.add_argument("n", type=int)
+    p.add_argument("pattern")
+    mode = p.add_mutually_exclusive_group(required=True)
+    mode.add_argument("--exact", action="store_true")
+    mode.add_argument("--upper", action="store_true")
+    mode.add_argument("--table", metavar="N1..N2")
+
+    p = sub.add_parser("verify", parents=[common],
+                       help="independently replay a certificate")
+    p.add_argument("graph")
+    p.add_argument("pattern")
+    p.add_argument("certificate")
+    return parser
+
+
+def _oracle(argv):
+    """vars() of the argparse parse, "help", or "error"."""
+    try:
+        with redirect_stdout(io.StringIO()):
+            return vars(_build_parser().parse_args(argv))
+    except CLIError:
+        return "error"
+    except SystemExit as exc:
+        assert exc.code == 0
+        return "help"
+
+
+def _readme_commands():
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    return [line.split("#")[0].split()[1:]
+            for line in readme.read_text().splitlines() if line.startswith("wsat ")]
+
+
+_GOLDEN_ARGV = [[a.format(star="star.txt", tminus="tminus.txt", out="o") for a in argv]
+                for argv in GOLDEN_COMMANDS.values()]
+# perfbench appends --seed (generate only), --threads and --output
+_SHAPED = [argv + ["--seed", "1234567", "--threads", "2", "--output", "out"]
+           for argv in _readme_commands() + _GOLDEN_ARGV]
+ARGV_ACCEPTED = _readme_commands() + _GOLDEN_ARGV + _SHAPED + [
+    ["wsat", "5", "K3", "--exa", "--out", "o"],
+    ["wsat", "5", "K3", "--exact", "--output=o", "--seed=-3"],
+    ["wsat", "5", "K3", "--ex", "--bud", "100", "--budget", "200"],
+    ["wsat", "5", "K3", "--exact", "--exact"],
+    ["wsat", "5", "K3", "--ta", "3..6"],
+    ["wsat", "5", "K3", "--table=3..6", "--table", "4..7"],
+    ["wsat", "-1", "K3", "--upper"],
+    ["wsat", "--exact", "5", "K3"],
+    ["wsat", "5", "--exact", "K3"],
+    ["closure", "g.txt", "--te", "4", "2"],
+    ["closure", "g.txt", "--template", "4", "2", "--template", "3", "2"],
+    ["closure", "--seed", "3", "g.txt", "K3"],
+    ["closure", "--", "g.txt", "K3"],
+    ["closure", "g.txt", "K3", "--th", "4", "--o=", "--se=7"],
+    ["closure", "g.txt", "-", "--output", "-"],
+    ["closure", "-g b.txt", "K3"],
+    ["generate", "cone", "--r=2", "--s", "2", "--h", "3", "--size-a=4",
+     "--size-b", "1"],
+    ["generate", "spartite", "--r", "2", "--h", "3", "--par", "4,4"],
+    ["generate", "s1", "--pat", "K3", "--n", "5", "--n", "6"],
+    ["generate", "--seed", "3", "cover", "12", "5", "2"],
+    ["generate", "cover", "-3", "5", "2", "--seed", "-4"],
+    ["generate", "template", " 3", "+5", "2"],
+    ["generate", "cone"],
+    ["verify", "g", "K3", "c", "--budget", "1_000"],
+]
+ARGV_HELP = [
+    ["-h"], ["--help"], ["--hel"], ["closure", "-h"], ["closure", "--h"],
+    ["wsat", "5", "K3", "--help"], ["generate", "cone", "--he"],
+]
+ARGV_REJECTED = [
+    [], ["clos", "g", "K3"], ["frobnicate"], ["--output", "o", "closure", "g", "K3"],
+    ["wsat", "five", "K3", "--exact"],
+    ["wsat", "5", "K3", "--exact", "--seed", "x"],
+    ["wsat", "5", "K3", "--exact", "--seed", "1.5"],
+    ["generate", "cover", "6", "3", "two"],
+    ["generate", "template", "3.0", "5", "2"],
+    ["wsat", "5", "--exact"], ["verify", "g", "K3"], ["closure"], ["generate"],
+    ["verify", "g", "K3", "c", "extra"], ["closure", "g", "K3", "extra"],
+    ["wsat", "5", "K3", "K4", "--upper"],
+    ["wsat", "5", "K3"],
+    ["wsat", "5", "K3", "--exact", "--upper"],
+    ["wsat", "5", "K3", "--upper", "--table", "3..5"],
+    ["generate", "nope", "1"],
+    ["generate", "cone", "--size", "3"], ["generate", "cone", "--p", "K3"],
+    ["wsat", "5", "K3", "--exact", "--t", "2"],
+    ["closure", "g", "K3", "--frob"], ["closure", "g", "K3", "-x"],
+    ["closure", "g", "--template", "4"],
+    ["closure", "g", "--template", "4", "--seed", "1"],
+    ["closure", "g", "--template=4", "2"],
+    ["wsat", "5", "K3", "--exact=yes"],
+    ["closure", "g", "K3", "--output"],
+    ["closure", "g", "K3", "--seed", "--threads", "2"],
+    ["closure", "--", "g", "K3", "--seed", "1"],
+    ["closure", "--output", "--", "g", "K3"], ["--", "closure", "g", "K3"],
+    ["generate", "--h"],
+]
+# argparse rejects positionals split by flags once it has passed an optional
+# or variadic positional; parse_args collects every positional first.  Each
+# entry is (argv, the same argv with its positionals moved before the flags).
+ARGV_INTERLEAVED = [
+    (["generate", "cover", "12", "--seed", "3", "5", "2"],
+     ["generate", "cover", "12", "5", "2", "--seed", "3"]),
+    (["generate", "cover", "--seed", "3", "12", "5", "2"],
+     ["generate", "cover", "12", "5", "2", "--seed", "3"]),
+    (["closure", "g.txt", "--seed", "1", "K3"],
+     ["closure", "g.txt", "K3", "--seed", "1"]),
+]
+ARGV_CASES = ([(argv, "accepted") for argv in ARGV_ACCEPTED]
+              + [(argv, "help") for argv in ARGV_HELP]
+              + [(argv, "error") for argv in ARGV_REJECTED]
+              + [(argv, canonical) for argv, canonical in ARGV_INTERLEAVED])
+
+
+@pytest.mark.parametrize("argv, expect", ARGV_CASES,
+                         ids=[" ".join(argv) or "(empty)" for argv, _ in ARGV_CASES])
+def test_parse_args_matches_argparse(tmp_path, monkeypatch, capsys, argv, expect):
+    oracle = _oracle(argv)
+    if expect == "accepted":
+        assert isinstance(oracle, dict)
+        assert vars(parse_args(argv)) == oracle
+    elif expect == "help":
+        assert oracle == "help"
+        assert run(capsys, *argv) == (0, USAGE, "")
+    elif expect == "error":
+        assert oracle == "error"
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run(capsys, *argv)
+        assert code == 64 and out == "" and err.startswith("wsat: error: ")
+        assert "Traceback" not in err and not any(tmp_path.iterdir())
+    else:
+        assert oracle == "error"
+        assert vars(parse_args(argv)) == _oracle(expect)
+
+
+def test_usage_names_every_verb_kind_and_flag(capsys):
+    for spelling in ("-h", "--help"):
+        assert run(capsys, spelling) == (0, USAGE, "")
+    words = set(re.findall(r"[\w-]+", USAGE))
+    flags = {flag for _, verb_flags in VERBS.values() for flag in verb_flags}
+    assert set(VERBS) | set(GENERATE) | flags <= words
+
+
+def test_cold_job_loads_no_argparse(tmp_path):
+    src = str(Path(__import__("wsat").__file__).resolve().parent.parent)
+    script = ("import sys, wsat.cli\n"
+              "code = wsat.cli.main(['wsat', '5', 'K3', '--exact', '--output', 'o'])\n"
+              "print(code, [m for m in ('argparse', 'gettext', 'locale')"
+              " if m in sys.modules])\n")
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "0 []"

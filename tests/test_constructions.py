@@ -18,6 +18,7 @@ from wsat import (
     cone_gadget,
     greedy_cover,
     is_weakly_saturated,
+    main_clusters,
     main_construction,
     make_pattern,
     padded_example,
@@ -190,6 +191,17 @@ def test_main_construction_named_invariant_failures():
     with pytest.raises(ValueError, match="cover must have"):
         main_construction(MainSpec(pattern=K3, n=12, m=4, m1=4,
                                    seed_graph=STAR4, cover=greedy_cover(4, 1, 1)))
+
+
+def test_main_clusters():
+    assert main_clusters(12, 4, 2) == (4, 4, 3)
+    assert main_clusters(16, 16, 3) == (4, 16, 4)
+    assert main_clusters(15, 5, 3) == (3, 9, 5)  # c = ceil(sqrt(5))
+    for n, m1, s, match in ((0, 0, 2, "--n"), (12, 0, 2, "--m1"),
+                            (13, 4, 2, "multiple"), (4, 4, 2, "clusters"),
+                            (12, 4, 1, "sparseness")):
+        with pytest.raises(ValueError, match=match):
+            main_clusters(n, m1, s)
 
 
 def test_main_construction_s3():
