@@ -93,6 +93,18 @@ def rank_table(n: int, r: int) -> dict[Edge, int]:
     return {e: i for i, e in enumerate(edge_universe(n, r))}
 
 
+@lru_cache(maxsize=64)
+def mask_rank_table(n: int, r: int) -> dict[int, int]:
+    """Vertex bitmask -> colex rank lookup for the (n, r) universe (cached).
+
+    Colex order on r-sets is the numeric order of their vertex bitmasks, so
+    the keys are inserted in rank order.
+    """
+    check_universe(n, r)
+    masks = sorted(map(sum, combinations([1 << v for v in range(n)], r)))
+    return dict(zip(masks, range(len(masks))))
+
+
 @dataclass(frozen=True)
 class Hypergraph:
     """An r-uniform hypergraph on n labeled vertices."""

@@ -10,13 +10,18 @@ schedule in sweep().
 Witness search pins the added edge: it tries every pattern edge as the
 preimage of e under every bijection onto e, then extends to the remaining
 pattern vertices in decreasing-degree order, pruning on edge presence.  For
-closure runs the same enumeration is done once per pattern, for the base
-edge (0..r-1) against the complete universe, and relabelled onto every
-candidate edge; the result is cached as required-edge bitmasks
+closure runs the witnesses are found in the same order once per pattern, for
+the base edge (0..r-1) against the complete universe, and relabelled onto
+every candidate edge; the result is cached as required-edge bitmasks
 (WitnessIndex), which turns each addability test into a handful of subset
-checks.  Free vertices take complement vertices in increasing order and the
-relabelling is monotone on the complement, so each edge's witnesses keep the
-direct search's order: the first satisfied witness is the one it would find.
+checks.  In the complete universe nothing is pruned, so the base witnesses
+are enumerated directly as the product of pinned edge, bijection and
+injection of the free vertices, on vertex bitmasks.  Relabelled image edges
+are looked up by vertex bitmask (mask_rank_table), and a vertex mapping is
+built only for the entry that first_witness returns.  Free vertices take
+complement vertices in increasing order and the relabelling is monotone on
+the complement, so each edge's witnesses keep the direct search's order: the
+first satisfied witness is the one it would find.
 
 Certificates are checked by replay (verify_certificate), which uses neither
 the witness index nor the closure.  A step's image edges are read from its
@@ -47,7 +52,7 @@ from .hypergraph import (
     canonical_edge,
     edge_universe,
     graph_of_mask,
-    rank_table,
+    mask_rank_table,
 )
 
 
@@ -234,6 +239,17 @@ def creates_new_copy(g: Hypergraph, pattern: Pattern, e) -> Witness | None:
     return None
 
 
+def _getter(indices: Sequence[int]) -> Callable[[Sequence], tuple]:
+    """itemgetter(*indices) that always returns a tuple: itemgetter of a
+    single index returns the bare item, and of none cannot be built."""
+    if len(indices) > 1:
+        return itemgetter(*indices)
+    if indices:
+        i = indices[0]
+        return lambda seq: (seq[i],)
+    return lambda seq: ()
+
+
 def _base_witnesses(pattern: Pattern, n: int):
     """Distinct pinned witnesses of the base edge (0..r-1) in the complete
     n-vertex universe, in first-found order.
@@ -241,21 +257,37 @@ def _base_witnesses(pattern: Pattern, n: int):
     Returns (required, mappings): required[i] lists the colex ranks of the
     image edges other than the base edge, mappings[i] is the first vertex
     mapping found with that required set.
+
+    In the complete universe no partial assignment is pruned, so the pinned
+    search visits, for each pattern edge in colex order and each bijection
+    of it onto the base edge, every injection of its free order into
+    {r..n-1} in lexicographic order.  That product is enumerated directly,
+    on vertex bitmasks: |E(H)|·r!·(n-r)!/(n-h)! assignments.
     """
-    r = pattern.r
-    base = tuple(range(r))
-    ranks = rank_table(n, r)
-    pat_edges = pattern.graph.sorted_edges
+    r, h = pattern.r, pattern.h
+    pat_edges, free_orders = _pattern_search_order(pattern)
+    rank_of = mask_rank_table(n, r)
+    bits = [1 << v for v in range(n)]
     seen: set[tuple[int, ...]] = set()
     required: list[tuple[int, ...]] = []
     mappings: list[tuple[int, ...]] = []
-    for assignment in _pinned_embeddings(pattern, base, n, lambda img: True):
-        imgs = [tuple(sorted([assignment[w] for w in pe])) for pe in pat_edges]
-        req = tuple(sorted([ranks[img] for img in imgs if img != base]))
-        if req not in seen:
-            seen.add(req)
-            required.append(req)
-            mappings.append(tuple(assignment[v] for v in range(pattern.h)))
+    for pinned in pat_edges:
+        # an assignment is a tuple of vertex bits: position k hosts order[k]
+        order = pinned + tuple(free_orders[pinned])
+        mapping_of = _getter([order.index(v) for v in range(h)])
+        # the vertex bits of each other pattern edge's image
+        images = [_getter([order.index(w) for w in pe])
+                  for pe in pat_edges if pe != pinned]
+        for head in permutations(bits[:r]):
+            for tail in permutations(bits[r:], h - r):
+                assigned = head + tail
+                req = tuple(sorted([rank_of[sum(image(assigned))]
+                                    for image in images]))
+                if req not in seen:
+                    seen.add(req)
+                    required.append(req)
+                    mappings.append(tuple([b.bit_length() - 1
+                                           for b in mapping_of(assigned)]))
     return required, mappings
 
 
@@ -263,17 +295,20 @@ class WitnessIndex:
     """All pinned witnesses for every candidate edge of the (n, H) universe.
 
     For each colex rank, stores the distinct required-edge bitmasks (the
-    image edges other than the candidate itself) in first-found order, with
-    one representative vertex mapping each.  An edge is addable in G exactly
-    when some required mask is a subset of G's edge mask, and the first
-    satisfied entry is the witness the direct search would return.
+    image edges other than the candidate itself) in first-found order.  An
+    edge is addable in G exactly when some required mask is a subset of G's
+    edge mask, and the first satisfied entry is the witness the direct
+    search would return.
 
     The search runs once, on the base edge b = (0..r-1); edge e's entries
     are its image under the relabelling pi that maps b onto e in order and
     {r..n-1} onto the complement of e in increasing order.  The pinned
     bijections onto e are pi applied to those onto b, and free vertices scan
     the complement in increasing order, on which pi is monotone; so the
-    search for e visits pi of the base search in the same order.
+    search for e visits pi of the base search in the same order.  Each base
+    image edge is relabelled as a vertex bitmask and looked up in
+    mask_rank_table.  Vertex mappings are kept once, for the base edge,
+    with each edge's pi; _mapping builds an entry's mapping when asked.
     """
 
     def __init__(self, n: int, pattern: Pattern):
@@ -281,36 +316,42 @@ class WitnessIndex:
         self.pattern = pattern
         r = pattern.r
         universe = edge_universe(n, r)
-        ranks = rank_table(n, r)
         self.universe = len(universe)
         self.full_mask = (1 << self.universe) - 1
         if pattern.h > n:
             self._masks = [[] for _ in universe]
-            self._mappings = [[] for _ in universe]
+            self._pis, self._base_maps = [], []
             return
-        required, base_maps = _base_witnesses(pattern, n)
+        required, self._base_maps = _base_witnesses(pattern, n)
         # re-index the required ranks into the base edges they use
         used = sorted(set().union(*required))
         slot = {k: i for i, k in enumerate(used)}
-        required = [[slot[k] for k in req] for req in required]
-        used_edges = [universe[k] for k in used]
+        entry_of = [_getter([slot[k] for k in req]) for req in required]
+        images = [_getter(universe[k]) for k in used]
+        rank_of = mask_rank_table(n, r)
+        bits = [1 << v for v in range(n)]
         masks: list[list[int]] = []
-        mappings: list[list[tuple[int, ...]]] = []
+        pis: list[tuple[int, ...]] = []
         for e in universe:
             e_set = set(e)
-            pi = e + tuple(v for v in range(n) if v not in e_set)
-            # bit[i] is the mask bit of the image under pi of used_edges[i]
-            bit = [1 << ranks[tuple(sorted([pi[v] for v in f]))]
-                   for f in used_edges]
-            masks.append([sum([bit[i] for i in req]) for req in required])
-            mappings.append([tuple([pi[u] for u in m]) for m in base_maps])
+            pi = e + tuple([v for v in range(n) if v not in e_set])
+            pi_bits = [bits[v] for v in pi]
+            # bit[i] is the mask bit of the image under pi of used edge i
+            bit = [1 << rank_of[sum(image(pi_bits))] for image in images]
+            masks.append([sum(entry(bit)) for entry in entry_of])
+            pis.append(pi)
         self._masks = masks
-        self._mappings = mappings
+        self._pis = pis
+
+    def _mapping(self, rank: int, i: int) -> tuple[int, ...]:
+        """The vertex mapping of entry i of edge `rank`."""
+        pi = self._pis[rank]
+        return tuple([pi[u] for u in self._base_maps[i]])
 
     def first_witness(self, rank: int, graph_mask: int) -> tuple[int, ...] | None:
-        for req, mapping in zip(self._masks[rank], self._mappings[rank]):
+        for i, req in enumerate(self._masks[rank]):
             if req & graph_mask == req:
-                return mapping
+                return self._mapping(rank, i)
         return None
 
     def close(self, mask: int) -> int:
@@ -392,10 +433,8 @@ def verify_certificate(g: Hypergraph, pattern: Pattern,
         raise ValueError(f"uniformity mismatch: pattern r={pattern.r}, graph r={g.r}")
     n, r, h = g.n, g.r, pattern.h
     current = set(g.edges)
-    # one getter per pattern edge, in colex edge order; itemgetter of a
-    # single index returns the item itself, so r = 1 needs its own
-    image_of = [itemgetter(*pe) if r > 1 else (lambda m, v=pe[0]: (m[v],))
-                for pe in pattern.graph.sorted_edges]
+    # one getter per pattern edge, in colex edge order
+    image_of = [_getter(pe) for pe in pattern.graph.sorted_edges]
     for i, step in enumerate(cert.steps):
         e = tuple(sorted(step.edge))
         if len(e) != r or len(set(e)) != r or e[0] < 0 or e[-1] >= n:

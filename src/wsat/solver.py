@@ -33,9 +33,8 @@ from .hypergraph import (
     Hypergraph,
     Pattern,
     complete_graph,
-    edge_universe,
     graph_of_mask,
-    rank_table,
+    mask_rank_table,
 )
 from .percolation import (
     SaturationCertificate,
@@ -75,15 +74,15 @@ def _transposition_tables(n: int, r: int) -> tuple[tuple[tuple[int, ...], ...], 
     itself unless it maps the tuple without e below that, so a tuple grown
     from a transposition-least parent need only be tested against these.
     """
-    universe = edge_universe(n, r)
-    ranks = rank_table(n, r)
+    rank_of = mask_rank_table(n, r)
     swaps = []
     for a, b in combinations(range(n), 2):
-        swap = {a: b, b: a}
-        swaps.append((a, b, tuple(ranks[tuple(sorted(swap.get(v, v) for v in f))]
-                                  for f in universe)))
-    return tuple(tuple(t for a, b, t in swaps if (a in e) != (b in e))
-                 for e in universe)
+        # the transposition moves edge m iff m holds exactly one of a, b
+        ab = 1 << a | 1 << b
+        swaps.append((ab, tuple([rank_of[m ^ ab] if m & ab not in (0, ab) else i
+                                 for m, i in rank_of.items()])))
+    return tuple(tuple(t for ab, t in swaps if m & ab not in (0, ab))
+                 for m in rank_of)
 
 
 def _transposition_least(ranks: tuple[int, ...], tables) -> bool:

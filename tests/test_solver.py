@@ -24,6 +24,8 @@ from wsat import (
     wsat_upper_witness,
     witness_index,
 )
+from wsat.hypergraph import edge_universe, rank_table
+from wsat.solver import MAX_SOLVER_UNIVERSE, _transposition_tables
 
 K3 = make_pattern(complete_graph(3, 2))
 K4 = make_pattern(complete_graph(4, 2))
@@ -121,6 +123,32 @@ def _differential_cases():
         while comb(n, pattern.r) <= 20:
             yield n, pattern
             n += 1
+
+
+def seed_transposition_tables(n, r):
+    """_transposition_tables as first written: each transposition applied to
+    every edge tuple, sorted and looked up by tuple."""
+    universe = edge_universe(n, r)
+    ranks = rank_table(n, r)
+    swaps = []
+    for a, b in combinations(range(n), 2):
+        swap = {a: b, b: a}
+        swaps.append((a, b, tuple(ranks[tuple(sorted(swap.get(v, v) for v in f))]
+                                  for f in universe)))
+    return tuple(tuple(t for a, b, t in swaps if (a in e) != (b in e))
+                 for e in universe)
+
+
+def test_transposition_tables_match_seed_construction():
+    cases = 0
+    for r in range(1, MAX_SOLVER_UNIVERSE + 1):
+        n = r
+        while comb(n, r) <= MAX_SOLVER_UNIVERSE:
+            assert (_transposition_tables(n, r)
+                    == seed_transposition_tables(n, r)), (n, r)
+            cases += 1
+            n += 1
+    assert cases > 60
 
 
 def test_exact_matches_blind_scan():

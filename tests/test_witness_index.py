@@ -15,11 +15,32 @@ from wsat import (
     make_pattern,
 )
 from wsat.hypergraph import rank_table
-from wsat.percolation import WitnessIndex, _pinned_embeddings
+from wsat.percolation import WitnessIndex, _base_witnesses, _pinned_embeddings
+
+
+def seed_base_witnesses(pattern, n):
+    """_base_witnesses as first written: the generic pinned search on the
+    base edge, with every image edge sorted and looked up by tuple."""
+    r = pattern.r
+    base = tuple(range(r))
+    ranks = rank_table(n, r)
+    pat_edges = pattern.graph.sorted_edges
+    seen: set[tuple[int, ...]] = set()
+    required: list[tuple[int, ...]] = []
+    mappings: list[tuple[int, ...]] = []
+    for assignment in _pinned_embeddings(pattern, base, n, lambda img: True):
+        imgs = [tuple(sorted([assignment[w] for w in pe])) for pe in pat_edges]
+        req = tuple(sorted([ranks[img] for img in imgs if img != base]))
+        if req not in seen:
+            seen.add(req)
+            required.append(req)
+            mappings.append(tuple(assignment[v] for v in range(pattern.h)))
+    return required, mappings
 
 
 class OracleWitnessIndex(WitnessIndex):
-    """The witness index built by running the pinned search on every edge."""
+    """The witness index built by running the pinned search on every edge;
+    _mappings[rank] lists every entry's mapping, read through _mapping."""
 
     def __init__(self, n, pattern):
         self.n = n
@@ -54,6 +75,9 @@ class OracleWitnessIndex(WitnessIndex):
         self._masks = masks
         self._mappings = mappings
 
+    def _mapping(self, rank, i):
+        return self._mappings[rank][i]
+
 
 def _graph(n, edges):
     return make_pattern(Hypergraph(n, 2, edges))
@@ -75,6 +99,16 @@ NON_COMPLETE = {
 }
 
 
+# the r = 1 and h == r cases: every witness is a bare pinned bijection, or
+# the required sets and mappings have a single vertex per edge
+DEGENERATE = {
+    "edge^1": make_pattern(complete_graph(1, 1)),
+    "two-vertex 1-graph": make_pattern(Hypergraph(2, 1, [(0,), (1,)])),
+    "edge^2": make_pattern(complete_graph(2, 2)),
+    "edge^3": make_pattern(complete_graph(3, 3)),
+}
+
+
 def _relabeled(pattern, rng):
     g = pattern.graph
     perm = rng.sample(range(g.n), g.n)
@@ -86,6 +120,7 @@ def _cases():
     rng = random.Random(41)
     patterns = dict(COMPLETE)
     patterns.update(NON_COMPLETE)
+    patterns.update(DEGENERATE)
     for name, pat in NON_COMPLETE.items():
         patterns[name + " relabeled"] = _relabeled(pat, rng)
     for name, pat in patterns.items():
@@ -101,7 +136,24 @@ def test_index_matches_per_edge_oracle():
         fast, oracle = WitnessIndex(n, pat), OracleWitnessIndex(n, pat)
         assert fast.universe == oracle.universe, (name, n)
         assert fast._masks == oracle._masks, (name, n)
-        assert fast._mappings == oracle._mappings, (name, n)
+        for rank, entries in enumerate(oracle._mappings):
+            assert [fast._mapping(rank, i) for i in range(len(entries))] \
+                == entries, (name, n, rank)
+
+
+# base-edge searches at the sizes the closure and construct benchmarks
+# reach, where the per-edge oracle above would be too slow
+BASE_CASES = [("K3", 16), ("K4", 11), ("K4^3", 10), ("C4", 10), ("C5", 10),
+              ("triangle+pendant", 10), ("K5", 10)]
+
+
+def test_base_witnesses_match_seed_search():
+    patterns = {**COMPLETE, **NON_COMPLETE}
+    for name, top in BASE_CASES:
+        pat = patterns[name]
+        for n in range(pat.h, top + 1):
+            assert _base_witnesses(pat, n) == seed_base_witnesses(pat, n), \
+                (name, n)
 
 
 def test_closure_certificates_match_oracle_backed_index(monkeypatch):
