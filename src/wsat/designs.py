@@ -13,7 +13,12 @@ popcounts.  The exhaustive path is lazy greedy (Minoux 1978): a heap of
 (-score, colex key) pairs holding stale scores.  A block's score only falls
 as blocks are taken, so a popped block whose fresh score still heads the heap
 is the one a full rescan would pick, ties going to the colex-least block.
-The sampled path scores its seeded rng.sample draws with the same masks.
+The sampled path scores its seeded draws with the same masks.  It draws
+them with `_sampler`, which makes the getrandbits calls CPython's
+`Random.sample(range(N), k)` makes, in the same order, and returns the same
+lists without the method's per-call set-up;
+tests/test_designs.py::test_sampler_matches_random_sample pins it against
+`Random.sample` on both of its branches.
 """
 
 from __future__ import annotations
@@ -23,8 +28,8 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import comb
-from typing import Sequence
+from math import ceil, comb, log
+from typing import Callable, Sequence
 
 from .hypergraph import FormatError, colex_key
 
@@ -81,8 +86,8 @@ def greedy_cover(N: int, k: int, t: int, seed: int = 0) -> CoverDesign:
 
     def score(block: Sequence[int]) -> int:
         bmask = sum(map(bits.__getitem__, block))
-        return sum([(uncovered[T] & bmask).bit_count()
-                    for T in combinations(block, t - 1)])
+        return sum([(m & bmask).bit_count() for m in
+                    map(uncovered.__getitem__, combinations(block, t - 1))])
 
     def take(block: tuple[int, ...], gain: int) -> None:
         nonlocal left
@@ -111,16 +116,15 @@ def greedy_cover(N: int, k: int, t: int, seed: int = 0) -> CoverDesign:
 
     # sampled variant: seeded draws, plus one block extending the colex-least
     # uncovered t-set so every round is guaranteed to make progress
-    rng = random.Random(seed)
-    population = list(range(N))
+    draw = _sampler(random.Random(seed), N, k)
     while left:
         base = min((T + ((m & -m).bit_length() - 1,)
                     for T, m in uncovered.items() if m), key=colex_key)
-        rest = [v for v in population if v not in base]
+        rest = [v for v in range(N) if v not in base]
         best_block = tuple(sorted(base + tuple(rest[: k - t])))
         best_score, best_key = score(best_block), colex_key(best_block)
         for _ in range(SAMPLE_CANDIDATES_PER_ROUND):
-            block = rng.sample(population, k)
+            block = draw()
             block.sort()
             gain = score(block)
             if gain >= best_score:
@@ -129,6 +133,52 @@ def greedy_cover(N: int, k: int, t: int, seed: int = 0) -> CoverDesign:
                     best_block, best_score, best_key = tuple(block), gain, key
         take(best_block, best_score)
     return CoverDesign(N, k, t, tuple(blocks), sampled=True)
+
+
+def _sampler(rng: random.Random, N: int, k: int) -> Callable[[], list[int]]:
+    """A function whose every call returns what rng.sample(range(N), k) would,
+    from the same rng.getrandbits calls in the same order.
+
+    Random.sample keeps a pool of the unpicked values when N is small against
+    k, and a set of the picked ones otherwise; both branches are reproduced,
+    with the same float-based threshold.  Each value below m is drawn as
+    Random._randbelow draws it: getrandbits(m.bit_length()) until it is < m.
+    """
+    getrandbits = rng.getrandbits
+    setsize = 21
+    if k > 5:
+        setsize += 4 ** ceil(log(k * 3, 4))
+    if N <= setsize:
+        # pool branch: the i-th pick is pool[j], j < N - i, and the last
+        # unpicked value moves into the vacancy
+        steps = [(m, m.bit_length()) for m in range(N, N - k, -1)]
+        population = list(range(N))
+
+        def draw() -> list[int]:
+            pool = population[:]
+            result = []
+            for m, b in steps:
+                j = getrandbits(b)
+                while j >= m:
+                    j = getrandbits(b)
+                result.append(pool[j])
+                pool[j] = pool[m - 1]
+            return result
+    else:
+        # set branch: redraw a value that is out of range or already picked
+        b = N.bit_length()
+
+        def draw() -> list[int]:
+            result = []
+            picked = set()
+            for _ in range(k):
+                j = getrandbits(b)
+                while j >= N or j in picked:
+                    j = getrandbits(b)
+                picked.add(j)
+                result.append(j)
+            return result
+    return draw
 
 
 def verify_cover(design: CoverDesign) -> bool:

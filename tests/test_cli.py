@@ -360,6 +360,10 @@ GOLDEN_COMMANDS = {
     "main": ["generate", "main", "--pattern", "K3", "--n", "12", "--m1", "4"],
     "clique-extremal": ["generate", "clique-extremal", "5", "3", "2"],
     "cover": ["generate", "cover", "6", "3", "2"],
+    # sampled covers at the default SAMPLE_CANDIDATES_PER_ROUND, drawn through
+    # Random.sample's pool branch and its set branch
+    "cover-pool": ["generate", "cover", "40", "10", "1", "--seed", "3"],
+    "cover-set": ["generate", "cover", "30", "5", "1", "--seed", "3"],
     "exact": ["wsat", "5", "K3", "--exact"],
     "upper": ["wsat", "6", "K3", "--upper"],
 }
@@ -390,6 +394,10 @@ GOLDEN_DIGESTS = {
         "clique_extremal.txt": "bae29a3f9fe3f2c3"},
     "cover": {"exit": 0, "stdout": "98fb71d3ecc1b919",
         "cover.txt": "186a87c4959fdd21"},
+    "cover-pool": {"exit": 0, "stdout": "bb00d9d302d073a5",
+        "cover.txt": "696911121d0cd2d0"},
+    "cover-set": {"exit": 0, "stdout": "2af0e18718c55f03",
+        "cover.txt": "43df5a6b8d619d83"},
     "exact": {"exit": 0, "stdout": "54fae44516f58dd0",
         "witness.cert": "3085de5cbc2fb871", "witness.txt": "20b9fa0c7a1eb676"},
     "upper": {"exit": 0, "stdout": "fc5f3e90837e2c93",
@@ -419,11 +427,14 @@ def test_golden_outputs(tmp_path, capsys):
 
 GENERATE_POSITIONALS = {"template": "r h s", "clique-extremal": "n t r",
                         "cover": "N k t"}
+# every positional and required flag of each generate command; --seed has a
+# default, so dropping it is no error
 MISSING_CASES = [
     (kind, i)
     for kind, argv in GOLDEN_COMMANDS.items() if argv[0] == "generate"
     for i in range(2, len(argv))
-    if kind in GENERATE_POSITIONALS or argv[i].startswith("--")
+    if "--seed" not in argv[i - 1:i + 1]
+    and (argv[1] in GENERATE_POSITIONALS or argv[i].startswith("--"))
 ]
 
 
@@ -436,7 +447,7 @@ def test_generate_missing_argument_is_named(tmp_path, capsys, kind, i):
     code, out, err = run(capsys, *rest, "--output", str(tmp_path))
     assert code == 64 and out == ""
     assert "Traceback" not in err
-    assert (GENERATE_POSITIONALS.get(kind) or dropped) in err
+    assert (GENERATE_POSITIONALS.get(argv[1]) or dropped) in err
 
 
 # -- argv parsing ---------------------------------------------------------------

@@ -183,9 +183,31 @@ def test_lazy_greedy_matches_full_rescan():
 def test_sampled_path_matches_full_rescan(monkeypatch):
     monkeypatch.setattr(designs, "EXHAUSTIVE_CANDIDATE_LIMIT", 10)
     monkeypatch.setattr(designs, "SAMPLE_CANDIDATES_PER_ROUND", 200)
-    for n_pts, k, t in [(10, 4, 2), (9, 3, 2), (11, 5, 3), (12, 4, 1), (8, 4, 4)]:
+    # N > 21 with k <= 5 draws through Random.sample's set branch, the rest
+    # through its pool branch
+    for n_pts, k, t in [(10, 4, 2), (9, 3, 2), (11, 5, 3), (12, 4, 1), (8, 4, 4),
+                        (24, 3, 2), (23, 4, 1)]:
         for seed in range(4):
             design = designs.greedy_cover(n_pts, k, t, seed=seed)
             assert design.sampled
             assert design.blocks == oracle_greedy_cover(n_pts, k, t, seed).blocks, \
                 (n_pts, k, t, seed)
+
+
+# (N, k) around Random.sample's switch from its pool branch (N <= 21, or
+# N <= 21 + 4 ** ceil(log4(3k)) when k > 5) to its set branch, the edge
+# cases k = 1, k = N and N = 1, and the sampled covers that the CLI tests
+# and perfbench's construct workload run
+SAMPLER_SHAPES = [(21, 5), (22, 5), (85, 6), (86, 6), (300, 30), (22, 8), (40, 10),
+                  (30, 5), (1, 1), (7, 1), (30, 1), (9, 9), (12, 12)]
+
+
+@pytest.mark.parametrize("n_pts, k", SAMPLER_SHAPES)
+def test_sampler_matches_random_sample(n_pts, k):
+    for seed in (0, 1, 12345):
+        fast, slow = random.Random(seed), random.Random(seed)
+        draw = designs._sampler(fast, n_pts, k)
+        drawn = [draw() for _ in range(3000)]
+        assert drawn == [slow.sample(range(n_pts), k) for _ in range(3000)]
+        # equal states: both consumed the same getrandbits output
+        assert fast.getstate() == slow.getstate(), (n_pts, k, seed)
