@@ -40,6 +40,8 @@ from .percolation import (
     certificate_to_text,
     closure,
     is_weakly_saturated,
+    read_certificate,
+    replay_steps,
     verify_certificate,
 )
 from .solver import (
@@ -87,18 +89,25 @@ def parse_pattern_token(token: str) -> Pattern:
                    f"{PATTERN_SHORTHANDS}")
 
 
+def read_input(path_str: str) -> str:
+    """The text of an input file; a missing or unreadable one (a directory,
+    say) is a usage error naming the path."""
+    try:
+        return Path(path_str).read_text()
+    except FileNotFoundError:
+        raise CLIError(f"no such file: {path_str}") from None
+    except OSError as exc:
+        raise CLIError(f"cannot read {path_str}: {exc.strerror}") from None
+
+
 def load_pattern(token: str) -> Pattern:
-    path = Path(token)
-    if path.exists():
-        return make_pattern(graph_from_text(path.read_text()))
+    if Path(token).exists():
+        return make_pattern(graph_from_text(read_input(token)))
     return parse_pattern_token(token)
 
 
 def load_graph(path_str: str) -> Hypergraph:
-    path = Path(path_str)
-    if not path.exists():
-        raise CLIError(f"no such file: {path_str}")
-    return graph_from_text(path.read_text())
+    return graph_from_text(read_input(path_str))
 
 
 def pattern_hash(pattern: Pattern) -> str:
@@ -318,15 +327,22 @@ def cmd_wsat(args) -> int:
 def cmd_verify(args) -> int:
     g = load_graph(args.graph)
     pattern = load_pattern(args.pattern)
-    cert_path = Path(args.certificate)
-    if not cert_path.exists():
-        raise CLIError(f"no such file: {args.certificate}")
-    cert = certificate_from_text(cert_path.read_text())
-    if cert.kind == "template":
-        cert = template_cert_to_pattern_cert(cert, pattern)
-    check = verify_certificate(g, pattern, cert)
+    text = read_input(args.certificate)
+    kind, n, r, raw = read_certificate(text)
+    if kind == "template":
+        cert = template_cert_to_pattern_cert(certificate_from_text(text), pattern)
+        check, count = verify_certificate(g, pattern, cert), len(cert)
+    else:
+        # replay each step as it is parsed, and read on after a failure: a
+        # malformed later line still ends the run with its FormatError
+        try:
+            check, count = replay_steps(g, pattern, n, r,
+                                        ((e, m, e) for _, e, _, m in raw))
+        finally:
+            for _ in raw:
+                pass
     if check.ok:
-        print(f"valid steps={len(cert)}")
+        print(f"valid steps={count}")
         return EXIT_OK
     print(f"invalid at step {check.step}: {check.reason}")
     return EXIT_NEGATIVE

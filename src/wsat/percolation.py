@@ -23,14 +23,26 @@ complement vertices in increasing order and the relabelling is monotone on
 the complement, so each edge's witnesses keep the direct search's order: the
 first satisfied witness is the one it would find.
 
-Certificates are checked by replay (verify_certificate), which uses neither
-the witness index nor the closure.  A step's image edges are read from its
-mapping through one itemgetter per pattern edge and checked against the
-current edge set together; the per-step checks keep a fixed order and fixed
-messages.  The text parser matches a pattern step line written exactly as
-certificate_to_text writes it with one regular expression, built from the
-first step's edge size and mapping length.  Every other line goes through
-the per-token checks, which are the only source of FormatErrors, so
+Certificates are checked by replay, which uses neither the witness index
+nor the closure.  One loop (replay_steps) reads (edge, mapping, covered_edge)
+triples, with the per-step checks in a fixed order and with fixed messages;
+verify_certificate feeds it a certificate's steps.  Edges are keyed by an
+order-free integer: with M = r*n^r + 1 and code(v) = sum over j = 1..r of
+v^j * M^(j-1), the key of an r-set S is the sum of its vertices' codes.  Its
+base-M digits are the power sums p_1..p_r of S, with no carries since
+p_j <= r*(n-1)^j < M, and by Newton's identities the power sums of an r-set
+determine it, so the key is injective on r-sets.  Codes are computed for the
+vertices that occur, and a step's image keys are summed from per-position
+column getters over its mapping's codes, with no sort; only a failure
+message builds a sorted edge.
+
+The text parser (read_certificate) returns the header and a generator of raw
+steps, from which certificate_from_text builds the dataclasses; wsat verify
+feeds the generator of a pattern certificate straight into replay_steps, so
+no step object is built.  A pattern step line written exactly as
+certificate_to_text writes it is matched by one regular expression, built
+from the first step's edge size and mapping length.  Every other line goes
+through the per-token checks, which are the only source of FormatErrors, so
 messages and line numbers do not depend on the fast form.
 """
 
@@ -41,8 +53,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import permutations
 from math import comb
-from operator import itemgetter
-from typing import Callable, Sequence
+from operator import add, itemgetter
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .hypergraph import (
     Edge,
@@ -415,54 +427,89 @@ def is_weakly_saturated(g: Hypergraph, pattern: Pattern) -> bool:
     return idx.close(g.mask) == idx.full_mask
 
 
-def verify_certificate(g: Hypergraph, pattern: Pattern,
-                       cert: SaturationCertificate) -> CertificateCheck:
-    """Replay a pattern certificate against g, independently of the engine.
+class _VertexCodes(dict):
+    """code(v) = sum over j = 1..r of v^j * M^(j-1), M = r*n^r + 1, computed
+    when a vertex first occurs: no table of size n."""
+
+    def __init__(self, n: int, r: int):
+        super().__init__()
+        self.powers = [(r * n ** r + 1) ** (j - 1) for j in range(1, r + 1)]
+
+    def __missing__(self, v: int) -> int:
+        code = self[v] = sum([v ** j * p for j, p in enumerate(self.powers, 1)])
+        return code
+
+
+def replay_steps(g: Hypergraph, pattern: Pattern, n: int, r: int,
+                 steps: Iterable[tuple]) -> tuple[CertificateCheck, int]:
+    """Replay the (edge, mapping, covered_edge) steps of a pattern certificate
+    for the (n, r) universe against g; returns the verdict and the number of
+    steps read.
 
     Checks, per step: the edge is well-formed and absent, the witness mapping
     is an injective embedding of the pattern into the current graph plus the
     step's edge, and the image covers that edge.
     """
-    if cert.kind != "pattern":
-        raise ValueError(f"expected a pattern certificate, got kind={cert.kind!r}")
-    if cert.n != g.n or cert.r != g.r:
-        return CertificateCheck(False, None,
-                                f"certificate is for n={cert.n} r={cert.r}, "
-                                f"graph has n={g.n} r={g.r}")
+    if n != g.n or r != g.r:
+        return CertificateCheck(False, None, f"certificate is for n={n} r={r}, "
+                                             f"graph has n={g.n} r={g.r}"), 0
     if pattern.r != g.r:
         raise ValueError(f"uniformity mismatch: pattern r={pattern.r}, graph r={g.r}")
-    n, r, h = g.n, g.r, pattern.h
-    current = set(g.edges)
-    # one getter per pattern edge, in colex edge order
-    image_of = [_getter(pe) for pe in pattern.graph.sorted_edges]
-    for i, step in enumerate(cert.steps):
-        e = tuple(sorted(step.edge))
-        if len(e) != r or len(set(e)) != r or e[0] < 0 or e[-1] >= n:
+    h = pattern.h
+    pat_edges = pattern.graph.sorted_edges
+    code = _VertexCodes(n, r).__getitem__
+    current = {sum(map(code, e)) for e in g.edges}
+    # column j reads the code of the j-th vertex of every pattern edge image
+    first, *rest = [_getter([pe[j] for pe in pat_edges]) for j in range(r)]
+    reason = None
+    i = -1
+    for i, (edge, m, covered) in enumerate(steps):
+        if len(edge) != r or len(set(edge)) != r or min(edge) < 0 or max(edge) >= n:
             try:
-                canonical_edge(e, n, r)  # raises, naming the first failed check
+                canonical_edge(edge, n, r)  # raises, naming the first failed check
             except ValueError as exc:
-                return CertificateCheck(False, i, str(exc))
-        if e in current:
-            return CertificateCheck(False, i, f"edge {e} already present")
-        w = step.witness
-        m = w.mapping
-        if len(m) != h:
-            return CertificateCheck(False, i, "mapping has wrong length")
-        if min(m) < 0 or max(m) >= n:
-            return CertificateCheck(False, i, "mapping target out of range")
-        if len(set(m)) != h:
-            return CertificateCheck(False, i, "mapping is not injective")
-        if tuple(sorted(w.covered_edge)) != e:
-            return CertificateCheck(False, i, "witness covered_edge differs from step edge")
-        images = [tuple(sorted(get(m))) for get in image_of]
-        current.add(e)
+                reason = str(exc)
+                break
+        key = sum(map(code, edge))
+        if key in current:
+            reason = f"edge {tuple(sorted(edge))} already present"
+        elif len(m) != h:
+            reason = "mapping has wrong length"
+        elif min(m) < 0 or max(m) >= n:
+            reason = "mapping target out of range"
+        elif len(set(m)) != h:
+            reason = "mapping is not injective"
+        elif covered is not edge and sorted(covered) != sorted(edge):
+            reason = "witness covered_edge differs from step edge"
+        if reason is not None:
+            break
+        codes = [*map(code, m)]
+        images = first(codes)
+        for column in rest:
+            images = map(add, images, column(codes))
+        images = [*images]
+        current.add(key)
         if not current.issuperset(images):
             # the first absent image in pattern-edge order, e itself now present
-            img = next(img for img in images if img not in current)
-            return CertificateCheck(False, i, f"image edge {img} absent")
-        if e not in images:
-            return CertificateCheck(False, i, "witness image does not cover the added edge")
-    return CertificateCheck(True)
+            k = next(k for k, img in enumerate(images) if img not in current)
+            reason = f"image edge {tuple(sorted(m[v] for v in pat_edges[k]))} absent"
+            break
+        if key not in images:
+            reason = "witness image does not cover the added edge"
+            break
+    else:
+        return CertificateCheck(True), i + 1
+    return CertificateCheck(False, i, reason), i + 1
+
+
+def verify_certificate(g: Hypergraph, pattern: Pattern,
+                       cert: SaturationCertificate) -> CertificateCheck:
+    """Replay a pattern certificate against g, independently of the engine
+    (replay_steps)."""
+    if cert.kind != "pattern":
+        raise ValueError(f"expected a pattern certificate, got kind={cert.kind!r}")
+    steps = ((s.edge, s.witness.mapping, s.witness.covered_edge) for s in cert.steps)
+    return replay_steps(g, pattern, cert.n, cert.r, steps)[0]
 
 
 def clique_wsat_value(n: int, t: int, r: int) -> int:
@@ -530,7 +577,12 @@ def _parse_mapping(text: str, line_no: int) -> tuple[int, ...]:
     return tuple(mapping[v] for v in range(len(mapping)))
 
 
-def certificate_from_text(text: str) -> SaturationCertificate:
+def read_certificate(text: str) -> tuple[str, int, int, Iterator[tuple]]:
+    """The header (kind, n, r) of a certificate text and a generator of its
+    raw steps (line number, edge, phase, witness): the witness is a mapping
+    for a pattern certificate, a (vertex_set, core) pair for a template one.
+    A malformed header raises at once, a malformed step line when the
+    generator reaches it."""
     lines = enumerate(text.splitlines(), start=1)
     for line_no, raw in lines:
         line = raw.strip()
@@ -550,7 +602,10 @@ def certificate_from_text(text: str) -> SaturationCertificate:
         raise FormatError(line_no, "header n and r must be integers") from None
     if n < 0 or r < 1:
         raise FormatError(line_no, f"invalid header n={n} r={r}")
-    steps = []
+    return kind, n, r, _raw_steps(lines, kind, r)
+
+
+def _raw_steps(lines, kind: str, r: int) -> Iterator[tuple]:
     written = None  # _written_step for the first pattern step's r and h
     number: dict[str, int] = {}  # int() of each number string it matched
     for line_no, raw in lines:
@@ -562,8 +617,7 @@ def certificate_from_text(text: str) -> SaturationCertificate:
             except KeyError:
                 number.update(zip(digits, map(int, digits)))
                 values = [*map(number.__getitem__, digits)]
-            edge = tuple(values[:r])
-            steps.append(PatternStep(edge, values[r], Witness(tuple(values[r + 1:]), edge)))
+            yield line_no, tuple(values[:r]), values[r], tuple(values[r + 1:])
             continue
         line = raw.strip()
         if not line or line[0] == "#":
@@ -580,11 +634,11 @@ def certificate_from_text(text: str) -> SaturationCertificate:
                                        f"is not an integer") from None
         if kind == "pattern":
             m = _parse_mapping(witness, line_no)
-            steps.append(PatternStep(edge, phase, Witness(m, edge)))
             # the regex grows with r and h: build it only from an edge of r
             # vertices, so its size is bounded by this line's
             if written is None and len(edge) == r:
                 written = _written_step(r, len(m))
+            yield line_no, edge, phase, m
         else:
             w_part, z_part = None, None
             for tok in witness.split():
@@ -594,7 +648,14 @@ def certificate_from_text(text: str) -> SaturationCertificate:
                     z_part = tok[3:-1]
             if w_part is None or z_part is None:
                 raise FormatError(line_no, "template witness must be 'W={...} Z={...}'")
-            w = _parse_int_list(w_part, line_no)
-            z = _parse_int_list(z_part, line_no)
-            steps.append(TemplateStep(edge, phase, w, z))
-    return SaturationCertificate(kind, n, r, tuple(steps))
+            yield line_no, edge, phase, (_parse_int_list(w_part, line_no),
+                                         _parse_int_list(z_part, line_no))
+
+
+def certificate_from_text(text: str) -> SaturationCertificate:
+    kind, n, r, raw = read_certificate(text)
+    if kind == "pattern":
+        steps = tuple(PatternStep(e, phase, Witness(m, e)) for _, e, phase, m in raw)
+    else:
+        steps = tuple(TemplateStep(e, phase, w, z) for _, e, phase, (w, z) in raw)
+    return SaturationCertificate(kind, n, r, steps)

@@ -24,7 +24,9 @@ from wsat import (
     graph_from_text,
     graph_to_text,
     make_pattern,
+    template_cert_to_pattern_cert,
     template_minus,
+    verify_certificate,
 )
 from wsat.cli import (
     GENERATE,
@@ -285,31 +287,126 @@ def test_malformed_certificate_is_usage_error(tmp_path, capsys):
         assert code == 64 and f"line {line_no}" in err
 
 
+K4 = make_pattern(complete_graph(4, 2))
 K4_GRAPH = Hypergraph(6, 2, [(0, 1), (1, 2), (0, 3), (3, 4), (4, 5)])
-K4_CERT = certificate_to_text(closure(K4_GRAPH, make_pattern(complete_graph(4, 2))).certificate)
+K4_CERT = certificate_to_text(closure(K4_GRAPH, K4).certificate)  # no steps
+# every edge through the core {0, 1} of K_7: the other 10 edges percolate
+K4_EXTREMAL = Hypergraph(7, 2, [e for e in combinations(range(7), 2) if e[0] < 2])
+K4_EXTREMAL_CERT = certificate_to_text(closure(K4_EXTREMAL, K4).certificate)
 
 
 @pytest.fixture(scope="module")
 def verify_inputs(tmp_path_factory):
     root = tmp_path_factory.mktemp("verify")
-    return write_graph(root / "graph.txt", K4_GRAPH), root / "mutant.cert"
+    return {K4_CERT: write_graph(root / "graph.txt", K4_GRAPH),
+            K4_EXTREMAL_CERT: write_graph(root / "extremal.txt", K4_EXTREMAL)}, \
+        root / "mutant.cert"
+
+
+def expected_verify(g, pattern, text):
+    """(exit code, stdout) of wsat verify by the materialized path: parse the
+    whole certificate, then replay it with verify_certificate."""
+    cert = certificate_from_text(text)
+    if cert.kind == "template":
+        cert = template_cert_to_pattern_cert(cert, pattern)
+    check = verify_certificate(g, pattern, cert)
+    if check:
+        return 0, f"valid steps={len(cert)}\n"
+    return 1, f"invalid at step {check.step}: {check.reason}\n"
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
-@given(mutated_text(K4_CERT))
-def test_verify_mutated_certificate_never_raises(verify_inputs, text):
-    gpath, cert = verify_inputs
+@given(st.sampled_from([K4_CERT, K4_EXTREMAL_CERT]).flatmap(
+    lambda base: st.tuples(st.just(base), mutated_text(base))))
+def test_verify_mutated_certificate_never_raises(verify_inputs, case):
+    graphs, cert = verify_inputs
+    base, text = case
     cert.write_text(text)
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
-        code = main(["verify", gpath, "K4", str(cert)])
+        code = main(["verify", graphs[base], "K4", str(cert)])
+    g = K4_GRAPH if base == K4_CERT else K4_EXTREMAL
     try:
-        certificate_from_text(text)
+        expected = expected_verify(g, K4, text)
     except FormatError as exc:
         assert code == 64 and f"line {exc.line_no}:" in err.getvalue()
     else:
-        assert code in (0, 1), err.getvalue()
-        assert out.getvalue().startswith(("valid steps=", "invalid at step"))
+        assert (code, out.getvalue()) == expected, err.getvalue()
+
+
+def test_streamed_verify_matches_the_materialized_path(tmp_path, capsys):
+    gpath = write_graph(tmp_path / "graph.txt", K4_EXTREMAL)
+    cert = tmp_path / "c.cert"
+    header, *steps = K4_EXTREMAL_CERT.splitlines()
+    malformed = "0 x | 0 | 0->0"
+
+    def verify(*lines, graph=gpath, pattern="K4"):
+        text = "\n".join(lines) + "\n"
+        cert.write_text(text)
+        return run(capsys, "verify", graph, pattern, str(cert)), text
+
+    # replay fails at step 1 (its edge is present), a later line is malformed
+    failing = [header, steps[0], "0 1 | 0 | 0->0 1->1 2->2 3->3", *steps[1:]]
+    (code, out, _), _ = verify(*failing)
+    assert (code, out) == (1, "invalid at step 1: edge (0, 1) already present\n")
+    (code, out, err), _ = verify(*failing, malformed)
+    assert code == 64 and out == "" and f"line {len(failing) + 1}:" in err
+    # a header for another n, then a malformed line
+    (code, out, _), _ = verify("CERT pattern 8 2", *steps)
+    assert (code, out) == (1, "invalid at step None: certificate is for n=8 r=2, "
+                              "graph has n=7 r=2\n")
+    (code, out, err), _ = verify("CERT pattern 8 2", *steps, malformed)
+    assert code == 64 and out == "" and f"line {len(steps) + 2}:" in err
+    # comment and blank lines between the steps
+    (code, out, _), text = verify(header, "# first", steps[0], "", "  ",
+                                  *steps[1:3], "# more", *steps[3:], "")
+    assert (code, out) == expected_verify(K4_EXTREMAL, K4, text)
+    assert out == f"valid steps={len(steps)}\n"
+    # a template certificate takes the materialized path
+    tm = template_minus(2, 4, 2)
+    tpath = write_graph(tmp_path / "tminus.txt", tm)
+    run(capsys, "closure", tpath, "--template", "4", "2", "--output", str(tmp_path))
+    template_lines = (tmp_path / "closure.cert").read_text().splitlines()
+    (code, out, _), text = verify(*template_lines, graph=tpath)
+    assert (code, out) == expected_verify(tm, K4, text)
+    assert code == 0 and len(template_lines) > 1
+    (code, _, err), _ = verify(*template_lines, "0 1 | 0 | W={0,1}", graph=tpath)
+    assert code == 64 and f"line {len(template_lines) + 1}:" in err
+
+
+def test_verify_builds_no_pattern_steps(tmp_path, capsys, monkeypatch):
+    import wsat.percolation as percolation
+    built = []
+    real = percolation.PatternStep
+    monkeypatch.setattr(percolation, "PatternStep",
+                        lambda *args: built.append(args) or real(*args))
+    steps = len(certificate_from_text(K4_EXTREMAL_CERT))
+    assert len(built) == steps > 0  # the counter sees the materialized path
+    built.clear()
+    gpath = write_graph(tmp_path / "graph.txt", K4_EXTREMAL)
+    (tmp_path / "c.cert").write_text(K4_EXTREMAL_CERT)
+    code, out, _ = run(capsys, "verify", gpath, "K4", str(tmp_path / "c.cert"))
+    assert (code, out, built) == (0, f"valid steps={steps}\n", [])
+
+
+@pytest.mark.parametrize("argv", [
+    ["closure", "{dir}", "K3"],
+    ["verify", "{dir}", "K3", "{cert}"],
+    ["verify", "{graph}", "{dir}", "{cert}"],
+    ["verify", "{graph}", "K3", "{dir}"],
+    ["wsat", "6", "{dir}", "--exact"],
+    ["generate", "s1", "--pattern", "{dir}", "--n", "6"],
+])
+def test_unreadable_input_is_usage_error(tmp_path, capsys, argv):
+    graph = write_graph(tmp_path / "g.txt", STAR4)
+    cert = tmp_path / "c.cert"
+    cert.write_text("CERT pattern 4 2\n")
+    folder = tmp_path / "folder"
+    folder.mkdir()
+    argv = [a.format(dir=folder, graph=graph, cert=cert) for a in argv]
+    code, out, err = run(capsys, *argv, "--output", str(tmp_path / "o"))
+    assert code == 64 and out == ""
+    assert err == f"wsat: error: cannot read {folder}: Is a directory\n"
 
 
 def test_threads_flag_validated_and_inert(tmp_path, capsys):

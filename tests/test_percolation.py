@@ -595,3 +595,54 @@ def test_closure_is_extensive_idempotent_monotone_and_replays(case):
     assert len(again.certificate) == 0 and again.closure == res.closure
     assert res.closure.edges <= closure(bigger, pattern).closure.edges
     assert verify_certificate(g, pattern, res.certificate)
+
+
+# -- the replay's order-free edge keys ------------------------------------------
+
+def _edge_key(n, r):
+    from wsat.percolation import _VertexCodes
+    code = _VertexCodes(n, r)
+    return lambda e: sum(code[v] for v in e)
+
+
+def _digits(key, base, count):
+    out = []
+    for _ in range(count):
+        key, digit = divmod(key, base)
+        out.append(digit)
+    assert key == 0
+    return out
+
+
+def test_edge_keys_are_distinct_on_all_small_universes():
+    for r in range(1, 5):
+        for n in range(r, 13):
+            key = _edge_key(n, r)
+            keys = {key(e) for e in combinations(range(n), r)}
+            assert len(keys) == len(edge_universe(n, r)), (n, r)
+
+
+def test_edge_key_of_a_single_vertex_is_the_vertex():
+    key = _edge_key(10 ** 7, 1)
+    for v in [0, 1, 2, 12345, 10 ** 7 - 1]:
+        assert key((v,)) == v
+
+
+@pytest.mark.parametrize("r", [2, 3])
+def test_edge_key_digits_are_power_sums_at_the_largest_universe(r):
+    from math import comb
+
+    from wsat.hypergraph import MAX_UNIVERSE
+    n = r
+    while comb(n + 1, r) <= MAX_UNIVERSE:
+        n += 1
+    base = r * n ** r + 1
+    key = _edge_key(n, r)
+    rng = random.Random(r)
+    sets = list(combinations(range(n - r - 4, n), r))  # the top sets
+    sets += [tuple(sorted(rng.sample(range(n), r))) for _ in range(300)]
+    keys = {}
+    for e in sets:
+        k = key(e)
+        assert _digits(k, base, r) == [sum(v ** j for v in e) for j in range(1, r + 1)]
+        assert keys.setdefault(k, e) == e
