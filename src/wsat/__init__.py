@@ -87,8 +87,8 @@ from .templates import (
     template,
     template_cert_to_pattern_cert,
     template_closure,
+    template_mappings,
     template_minus,
-    verify_template_certificate,
 )
 
 __version__ = "0.1.0"

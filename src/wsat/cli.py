@@ -36,13 +36,11 @@ from .hypergraph import (
     graph_to_text,
 )
 from .percolation import (
-    certificate_from_text,
     certificate_to_text,
     closure,
     is_weakly_saturated,
     read_certificate,
     replay_steps,
-    verify_certificate,
 )
 from .solver import (
     EXACT_TABLE_UNIVERSE,
@@ -53,8 +51,8 @@ from .solver import (
 from .templates import (
     make_pattern,
     template,
-    template_cert_to_pattern_cert,
     template_closure,
+    template_mappings,
 )
 
 EXIT_OK = 0
@@ -89,15 +87,20 @@ def parse_pattern_token(token: str) -> Pattern:
                    f"{PATTERN_SHORTHANDS}")
 
 
-def read_input(path_str: str) -> str:
-    """The text of an input file; a missing or unreadable one (a directory,
-    say) is a usage error naming the path."""
+def open_input(path_str: str):
+    """An input file opened as text; a missing or unreadable one (a
+    directory, say) is a usage error naming the path."""
     try:
-        return Path(path_str).read_text()
+        return open(path_str)
     except FileNotFoundError:
         raise CLIError(f"no such file: {path_str}") from None
     except OSError as exc:
         raise CLIError(f"cannot read {path_str}: {exc.strerror}") from None
+
+
+def read_input(path_str: str) -> str:
+    with open_input(path_str) as file:
+        return file.read()
 
 
 def load_pattern(token: str) -> Pattern:
@@ -115,8 +118,13 @@ def pattern_hash(pattern: Pattern) -> str:
 
 
 def _outdir(args) -> Path:
+    """The --output directory, made if missing; a path that cannot be a
+    directory (an existing file, say) is a usage error naming it."""
     out = Path(args.output)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise CLIError(f"cannot make directory {args.output}: {exc.strerror}") from None
     return out
 
 
@@ -327,19 +335,20 @@ def cmd_wsat(args) -> int:
 def cmd_verify(args) -> int:
     g = load_graph(args.graph)
     pattern = load_pattern(args.pattern)
-    text = read_input(args.certificate)
-    kind, n, r, raw = read_certificate(text)
-    if kind == "template":
-        cert = template_cert_to_pattern_cert(certificate_from_text(text), pattern)
-        check, count = verify_certificate(g, pattern, cert), len(cert)
-    else:
-        # replay each step as it is parsed, and read on after a failure: a
-        # malformed later line still ends the run with its FormatError
+    with open_input(args.certificate) as file:
+        kind, n, r, raw = read_certificate(file)
+        if kind == "pattern":
+            steps = ((e, m, e) for _, e, _, m in raw)
+        else:
+            steps = ((e, m, e) for e, _, m in template_mappings(
+                pattern, r, ((e, phase, w, z) for _, e, phase, (w, z) in raw)))
+        # replay each step as it is read, and read on after a failure: a
+        # malformed later line or template step still ends the run with its
+        # FormatError or ValueError
         try:
-            check, count = replay_steps(g, pattern, n, r,
-                                        ((e, m, e) for _, e, _, m in raw))
+            check, count = replay_steps(g, pattern, n, r, steps)
         finally:
-            for _ in raw:
+            for _ in steps:
                 pass
     if check.ok:
         print(f"valid steps={count}")

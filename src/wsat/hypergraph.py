@@ -139,9 +139,6 @@ class Hypergraph:
             m |= 1 << ranks[e]
         return m
 
-    def has_edge(self, e) -> bool:
-        return tuple(sorted(e)) in self.edges
-
     def with_edges(self, extra) -> "Hypergraph":
         return Hypergraph(self.n, self.r, self.edges | frozenset(map(tuple, extra)))
 

@@ -24,26 +24,31 @@ the complement, so each edge's witnesses keep the direct search's order: the
 first satisfied witness is the one it would find.
 
 Certificates are checked by replay, which uses neither the witness index
-nor the closure.  One loop (replay_steps) reads (edge, mapping, covered_edge)
-triples, with the per-step checks in a fixed order and with fixed messages;
-verify_certificate feeds it a certificate's steps.  Edges are keyed by an
-order-free integer: with M = r*n^r + 1 and code(v) = sum over j = 1..r of
-v^j * M^(j-1), the key of an r-set S is the sum of its vertices' codes.  Its
-base-M digits are the power sums p_1..p_r of S, with no carries since
-p_j <= r*(n-1)^j < M, and by Newton's identities the power sums of an r-set
-determine it, so the key is injective on r-sets.  Codes are computed for the
-vertices that occur, and a step's image keys are summed from per-position
-column getters over its mapping's codes, with no sort; only a failure
-message builds a sorted edge.
+nor the closure.  One loop, replay_steps, is the only certificate checker:
+it reads (edge, mapping, covered_edge) triples, with the per-step checks in
+a fixed order and with fixed messages.  verify_certificate feeds it a
+pattern certificate's steps; a template certificate reaches it through
+templates.template_mappings, which turns each step's template copy into a
+pattern embedding.  Edges are keyed by an order-free integer: with
+M = r*n^r + 1 and code(v) = sum over j = 1..r of v^j * M^(j-1), the key of
+an r-set S is the sum of its vertices' codes.  Its base-M digits are the
+power sums p_1..p_r of S, with no carries since p_j <= r*(n-1)^j < M, and
+by Newton's identities the power sums of an r-set determine it, so the key
+is injective on r-sets.  Codes are computed for the vertices that occur,
+and a step's image keys are summed from per-position column getters over
+its mapping's codes, with no sort; only a failure message builds a sorted
+edge.
 
-The text parser (read_certificate) returns the header and a generator of raw
-steps, from which certificate_from_text builds the dataclasses; wsat verify
-feeds the generator of a pattern certificate straight into replay_steps, so
-no step object is built.  A pattern step line written exactly as
-certificate_to_text writes it is matched by one regular expression, built
-from the first step's edge size and mapping length.  Every other line goes
-through the per-token checks, which are the only source of FormatErrors, so
-messages and line numbers do not depend on the fast form.
+The text parser (read_certificate) reads text chunks, such as the lines of
+an open file, and returns the header and a generator of raw steps, from
+which certificate_from_text builds the dataclasses.  wsat verify feeds the
+generator, through template_mappings for a template certificate, straight
+into replay_steps, so it holds neither the whole text nor any step object.
+A pattern step line written exactly as certificate_to_text writes it is
+matched by one regular expression, built from the first step's edge size
+and mapping length.  Every other line goes through the per-token checks,
+which are the only source of FormatErrors, so messages and line numbers do
+not depend on the fast form.
 """
 
 from __future__ import annotations
@@ -51,7 +56,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import permutations
+from itertools import chain, permutations
 from math import comb
 from operator import add, itemgetter
 from typing import Callable, Iterable, Iterator, Sequence
@@ -380,13 +385,9 @@ class WitnessIndex:
 
 
 @lru_cache(maxsize=64)
-def _index_for(n: int, pattern: Pattern) -> WitnessIndex:
-    return WitnessIndex(n, pattern)
-
-
 def witness_index(n: int, pattern: Pattern) -> WitnessIndex:
     """Cached WitnessIndex for repeated closures over the same (n, H)."""
-    return _index_for(n, pattern)
+    return WitnessIndex(n, pattern)
 
 
 def closure(g: Hypergraph, pattern: Pattern,
@@ -577,13 +578,16 @@ def _parse_mapping(text: str, line_no: int) -> tuple[int, ...]:
     return tuple(mapping[v] for v in range(len(mapping)))
 
 
-def read_certificate(text: str) -> tuple[str, int, int, Iterator[tuple]]:
-    """The header (kind, n, r) of a certificate text and a generator of its
-    raw steps (line number, edge, phase, witness): the witness is a mapping
-    for a pattern certificate, a (vertex_set, core) pair for a template one.
+def read_certificate(chunks: Iterable[str]) -> tuple[str, int, int, Iterator[tuple]]:
+    """The header (kind, n, r) of a certificate text, given as an iterable
+    of text chunks (the lines of an open file, or (text,)), and a generator
+    of its raw steps (line number, edge, phase, witness): the witness is a
+    mapping for a pattern certificate, a (vertex_set, core) pair for a
+    template one.  Each chunk is split with str.splitlines, so the lines of
+    a file opened with universal newlines give the lines of its whole text.
     A malformed header raises at once, a malformed step line when the
     generator reaches it."""
-    lines = enumerate(text.splitlines(), start=1)
+    lines = enumerate(chain.from_iterable(map(str.splitlines, chunks)), start=1)
     for line_no, raw in lines:
         line = raw.strip()
         if line and line[0] != "#":
@@ -653,7 +657,7 @@ def _raw_steps(lines, kind: str, r: int) -> Iterator[tuple]:
 
 
 def certificate_from_text(text: str) -> SaturationCertificate:
-    kind, n, r, raw = read_certificate(text)
+    kind, n, r, raw = read_certificate((text,))
     if kind == "pattern":
         steps = tuple(PatternStep(e, phase, Witness(m, e)) for _, e, phase, m in raw)
     else:

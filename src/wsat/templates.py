@@ -5,8 +5,14 @@ vertices by deleting every edge containing a fixed s-set (the *core*) and
 restoring a single one of them (the *special edge*).  A template saturation
 process adds missing edges so that each one plays the special-edge role in a
 fresh template copy; any graph saturated this way is weakly H-saturated for
-every H with h vertices and sparseness s >= 2, and the template certificate
-converts mechanically into a pattern certificate.
+every H with h vertices and sparseness s >= 2.
+
+There is one certificate checker, percolation.replay_steps.  A template
+certificate reaches it through template_mappings, which turns each step's
+copy (W, Z) into a pattern embedding for H, step by step.  Against the
+template graph itself (H = T(r, h, s), whose sparseness witness is the core
+and whose unique edge is the special edge) the replay checks exactly that
+every r-subset of W not containing Z is present and the edge is new.
 
 Canonical representatives: core = {0..s-1}, special edge = {0..r-1}.
 
@@ -24,7 +30,7 @@ from __future__ import annotations
 import random
 from functools import lru_cache
 from itertools import combinations
-from typing import Callable
+from typing import Callable, Iterable, Iterator
 
 from .hypergraph import (
     Edge,
@@ -36,7 +42,6 @@ from .hypergraph import (
     graph_of_mask,
 )
 from .percolation import (
-    CertificateCheck,
     ClosureResult,
     PatternStep,
     SaturationCertificate,
@@ -214,86 +219,63 @@ def template_closure(g: Hypergraph, h: int, s: int,
     return ClosureResult(graph_of_mask(g.n, g.r, mask), cert, mask == full)
 
 
-def verify_template_certificate(g: Hypergraph, cert: SaturationCertificate,
-                                h: int, s: int) -> CertificateCheck:
-    """Independent replay of a template certificate."""
-    if cert.kind != "template":
-        raise ValueError(f"expected a template certificate, got kind={cert.kind!r}")
-    if cert.n != g.n or cert.r != g.r:
-        return CertificateCheck(False, None,
-                                f"certificate is for n={cert.n} r={cert.r}, "
-                                f"graph has n={g.n} r={g.r}")
-    r = g.r
-    current = set(g.edges)
-    for i, step in enumerate(cert.steps):
-        try:
-            e = canonical_edge(step.edge, g.n, g.r)
-        except ValueError as exc:
-            return CertificateCheck(False, i, str(exc))
-        if e in current:
-            return CertificateCheck(False, i, f"edge {e} already present")
-        w = tuple(sorted(step.vertex_set))
-        z = tuple(sorted(step.core))
-        if len(w) != h or len(set(w)) != h:
-            return CertificateCheck(False, i, f"W must be an h-set, got {w}")
-        if len(z) != s or len(set(z)) != s:
-            return CertificateCheck(False, i, f"Z must be an s-set, got {z}")
-        if any(not 0 <= v < g.n for v in w):
-            return CertificateCheck(False, i, "W out of range")
-        if not set(z).issubset(e) or not set(e).issubset(w):
-            return CertificateCheck(False, i, "need Z ⊆ edge ⊆ W")
-        z_set = set(z)
-        for sub in combinations(w, r):
-            if z_set.issubset(sub):
-                continue
-            if sub not in current:
-                return CertificateCheck(False, i, f"required edge {sub} absent")
-        current.add(e)
-    return CertificateCheck(True)
-
-
-def template_cert_to_pattern_cert(cert: SaturationCertificate, pattern: Pattern,
-                                  rng: random.Random | None = None
-                                  ) -> SaturationCertificate:
-    """Convert a template certificate into a pattern certificate for H.
+def template_mappings(pattern: Pattern, r: int, steps: Iterable[tuple],
+                      rng: random.Random | None = None) -> Iterator[tuple]:
+    """Convert the (edge, phase_key, vertex_set, core) steps of a template
+    certificate on r-sets into (edge, phase_key, mapping) steps for H.
 
     Uses a sparseness witness S of H and its unique containing edge: each
     step's template copy (W, Z) yields an embedding of H into W sending S
     onto Z and the unique edge onto the step's added edge.  Any bijection
     between the three blocks works; the default pairs sorted blocks
-    ascending, and rng (when given) shuffles the pairings instead.
+    ascending, and rng (when given) shuffles the pairings instead.  A step
+    whose W is not an h-set or Z not an s-set, or without Z ⊆ edge ⊆ W,
+    raises ValueError; the edge's form, the ranges and edge presence are
+    left to replay_steps.
     """
-    if cert.kind != "template":
-        raise ValueError(f"expected a template certificate, got kind={cert.kind!r}")
     if pattern.s < 2:
         raise ValueError(f"conversion needs sparseness >= 2, pattern has s={pattern.s}")
-    if pattern.r != cert.r:
+    if pattern.r != r:
         raise ValueError(f"uniformity mismatch: pattern r={pattern.r}, "
-                         f"certificate r={cert.r}")
+                         f"certificate r={r}")
     witness_set, witness_edge = sparseness_witness(pattern.graph)
     h, s = pattern.h, pattern.s
-    steps: list[PatternStep] = []
+    sources = [sorted(witness_set), sorted(set(witness_edge) - set(witness_set)),
+               sorted(set(range(h)) - set(witness_edge))]
+    for i, (edge, phase_key, vertex_set, core) in enumerate(steps):
+        w, z, e = set(vertex_set), set(core), set(edge)
+        if len(vertex_set) != h:
+            raise ValueError(f"step {i}: template on {len(vertex_set)} vertices, "
+                             f"pattern has h={h}")
+        if len(core) != s:
+            raise ValueError(f"step {i}: core of size {len(core)}, pattern has s={s}")
+        if len(w) != h:
+            raise ValueError(f"step {i}: W must be an h-set, "
+                             f"got {tuple(sorted(vertex_set))}")
+        if len(z) != s:
+            raise ValueError(f"step {i}: Z must be an s-set, got {tuple(sorted(core))}")
+        if not z <= e <= w:
+            raise ValueError(f"step {i}: need Z ⊆ edge ⊆ W")
+        mapping = [0] * h
+        for src, targets in zip(sources, (sorted(z), sorted(e - z), sorted(w - e))):
+            if rng is not None:
+                rng.shuffle(targets)
+            for v, u in zip(src, targets):
+                mapping[v] = u
+        yield tuple(sorted(edge)), phase_key, tuple(mapping)
+
+
+def template_cert_to_pattern_cert(cert: SaturationCertificate, pattern: Pattern,
+                                  rng: random.Random | None = None
+                                  ) -> SaturationCertificate:
+    """Convert a template certificate into a pattern certificate for H, step
+    by step through template_mappings."""
+    if cert.kind != "template":
+        raise ValueError(f"expected a template certificate, got kind={cert.kind!r}")
     for i, step in enumerate(cert.steps):
         if not isinstance(step, TemplateStep):
             raise ValueError(f"step {i} is not a template step")
-        w = tuple(sorted(step.vertex_set))
-        z = tuple(sorted(step.core))
-        e = tuple(sorted(step.edge))
-        if len(w) != h:
-            raise ValueError(f"step {i}: template on {len(w)} vertices, pattern has h={h}")
-        if len(z) != s:
-            raise ValueError(f"step {i}: core of size {len(z)}, pattern has s={s}")
-        blocks = [
-            (sorted(witness_set), sorted(z)),
-            (sorted(set(witness_edge) - set(witness_set)), sorted(set(e) - set(z))),
-            (sorted(set(range(h)) - set(witness_edge)), sorted(set(w) - set(e))),
-        ]
-        mapping = [0] * h
-        for sources, targets in blocks:
-            if rng is not None:
-                targets = list(targets)
-                rng.shuffle(targets)
-            for src, dst in zip(sources, targets):
-                mapping[src] = dst
-        steps.append(PatternStep(e, step.phase_key, Witness(tuple(mapping), e)))
-    return SaturationCertificate("pattern", cert.n, cert.r, tuple(steps))
+    raw = ((st.edge, st.phase_key, st.vertex_set, st.core) for st in cert.steps)
+    steps = tuple(PatternStep(e, phase, Witness(m, e))
+                  for e, phase, m in template_mappings(pattern, cert.r, raw, rng))
+    return SaturationCertificate("pattern", cert.n, cert.r, steps)

@@ -25,6 +25,7 @@ from wsat import (
     graph_to_text,
     make_pattern,
     template_cert_to_pattern_cert,
+    template_closure,
     template_minus,
     verify_certificate,
 )
@@ -37,6 +38,7 @@ from wsat.cli import (
     parse_args,
     parse_pattern_token,
 )
+from wsat.percolation import read_certificate
 from test_percolation import mutated_text
 
 
@@ -293,22 +295,31 @@ K4_CERT = certificate_to_text(closure(K4_GRAPH, K4).certificate)  # no steps
 # every edge through the core {0, 1} of K_7: the other 10 edges percolate
 K4_EXTREMAL = Hypergraph(7, 2, [e for e in combinations(range(7), 2) if e[0] < 2])
 K4_EXTREMAL_CERT = certificate_to_text(closure(K4_EXTREMAL, K4).certificate)
+# the one missing edge of T(2, 4, 2) closes through a template copy
+K4_TEMPLATE_GRAPH = template_minus(2, 4, 2)
+K4_TEMPLATE_CERT = certificate_to_text(
+    template_closure(K4_TEMPLATE_GRAPH, 4, 2).certificate)
+VERIFY_BASES = {K4_CERT: K4_GRAPH, K4_EXTREMAL_CERT: K4_EXTREMAL,
+                K4_TEMPLATE_CERT: K4_TEMPLATE_GRAPH}
 
 
 @pytest.fixture(scope="module")
 def verify_inputs(tmp_path_factory):
     root = tmp_path_factory.mktemp("verify")
-    return {K4_CERT: write_graph(root / "graph.txt", K4_GRAPH),
-            K4_EXTREMAL_CERT: write_graph(root / "extremal.txt", K4_EXTREMAL)}, \
-        root / "mutant.cert"
+    return {base: write_graph(root / f"graph{i}.txt", g)
+            for i, (base, g) in enumerate(VERIFY_BASES.items())}, root / "mutant.cert"
 
 
 def expected_verify(g, pattern, text):
     """(exit code, stdout) of wsat verify by the materialized path: parse the
-    whole certificate, then replay it with verify_certificate."""
+    whole certificate, convert a template one, then replay it with
+    verify_certificate.  A conversion ValueError is exit 64."""
     cert = certificate_from_text(text)
     if cert.kind == "template":
-        cert = template_cert_to_pattern_cert(cert, pattern)
+        try:
+            cert = template_cert_to_pattern_cert(cert, pattern)
+        except ValueError:
+            return 64, ""
     check = verify_certificate(g, pattern, cert)
     if check:
         return 0, f"valid steps={len(cert)}\n"
@@ -316,7 +327,7 @@ def expected_verify(g, pattern, text):
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
-@given(st.sampled_from([K4_CERT, K4_EXTREMAL_CERT]).flatmap(
+@given(st.sampled_from(list(VERIFY_BASES)).flatmap(
     lambda base: st.tuples(st.just(base), mutated_text(base))))
 def test_verify_mutated_certificate_never_raises(verify_inputs, case):
     graphs, cert = verify_inputs
@@ -325,11 +336,13 @@ def test_verify_mutated_certificate_never_raises(verify_inputs, case):
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
         code = main(["verify", graphs[base], "K4", str(cert)])
-    g = K4_GRAPH if base == K4_CERT else K4_EXTREMAL
     try:
-        expected = expected_verify(g, K4, text)
+        expected = expected_verify(VERIFY_BASES[base], K4, text)
     except FormatError as exc:
-        assert code == 64 and f"line {exc.line_no}:" in err.getvalue()
+        # a template step on an earlier line that fails conversion ends the
+        # streamed run first
+        assert code == 64 and (f"line {exc.line_no}:" in err.getvalue() or
+                               err.getvalue().startswith("wsat: error: step "))
     else:
         assert (code, out.getvalue()) == expected, err.getvalue()
 
@@ -362,7 +375,7 @@ def test_streamed_verify_matches_the_materialized_path(tmp_path, capsys):
                                   *steps[1:3], "# more", *steps[3:], "")
     assert (code, out) == expected_verify(K4_EXTREMAL, K4, text)
     assert out == f"valid steps={len(steps)}\n"
-    # a template certificate takes the materialized path
+    # a template certificate streams through template_mappings
     tm = template_minus(2, 4, 2)
     tpath = write_graph(tmp_path / "tminus.txt", tm)
     run(capsys, "closure", tpath, "--template", "4", "2", "--output", str(tmp_path))
@@ -372,6 +385,66 @@ def test_streamed_verify_matches_the_materialized_path(tmp_path, capsys):
     assert code == 0 and len(template_lines) > 1
     (code, _, err), _ = verify(*template_lines, "0 1 | 0 | W={0,1}", graph=tpath)
     assert code == 64 and f"line {len(template_lines) + 1}:" in err
+
+
+@pytest.mark.parametrize("step,reason", [
+    ("3 4 | 0 | W={3,3,4} Z={3,4}", "W must be an h-set, got (3, 3, 4)"),
+    ("3 4 | 0 | W={0,3,4} Z={0,4}", "need Z ⊆ edge ⊆ W"),
+    ("3 4 | 0 | W={2,3,4} Z={3,3}", "Z must be an s-set, got (3, 3)"),
+])
+def test_verify_malformed_template_witness_is_usage_error(tmp_path, capsys,
+                                                         step, reason):
+    run(capsys, "generate", "cone", "--r", "2", "--s", "2", "--h", "3",
+        "--size-a", "4", "--size-b", "1", "--output", str(tmp_path))
+    graph, cert = str(tmp_path / "cone.txt"), tmp_path / "bad.cert"
+    cert.write_text(f"CERT template 5 2\n{step}\n")
+    code, out, err = run(capsys, "verify", graph, "K3", str(cert))
+    assert (code, out, err) == (64, "", f"wsat: error: step 0: {reason}\n")
+    # after a replay failure (edge (0, 1) is present) the file is still
+    # read on, and the malformed step still ends the run
+    cert.write_text(f"CERT template 5 2\n0 1 | 0 | W={{0,1,2}} Z={{0,1}}\n{step}\n")
+    code, out, err = run(capsys, "verify", graph, "K3", str(cert))
+    assert (code, out, err) == (64, "", f"wsat: error: step 1: {reason}\n")
+
+
+def test_verify_reads_the_certificate_by_lines(tmp_path, capsys):
+    gpath = write_graph(tmp_path / "graph.txt", K4_EXTREMAL)
+    cert = tmp_path / "c.cert"
+    header, *steps = K4_EXTREMAL_CERT.splitlines()
+    # \r\n, form feed and \x85 end lines in the file as in its whole text
+    text = (f"{header}\r\n{steps[0]}\x0c{steps[1]}\n# note\x85"
+            + "\r\n".join(steps[2:]) + "\n")
+    cert.write_text(text)
+    with open(cert) as file:
+        by_lines = read_certificate(file)
+        assert by_lines[:3] == ("pattern", 7, 2)
+        assert list(by_lines[3]) == list(read_certificate((cert.read_text(),))[3])
+    code, out, _ = run(capsys, "verify", gpath, "K4", str(cert))
+    assert (code, out) == (0, f"valid steps={len(steps)}\n")
+    cert.write_text(text + "# \x0c0 x | 0 | 0->0\n")
+    with pytest.raises(FormatError) as exc:
+        certificate_from_text(cert.read_text())
+    code, out, err = run(capsys, "verify", gpath, "K4", str(cert))
+    assert code == 64 and out == "" and f"line {exc.value.line_no}:" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["closure", "{graph}", "K3"],
+    ["generate", "template", "2", "3", "2"],
+    ["wsat", "5", "K3", "--exact"],
+    ["wsat", "5", "K3", "--upper"],
+])
+@pytest.mark.parametrize("output,reason", [("afile", "File exists"),
+                                           ("afile/sub", "Not a directory")])
+def test_output_that_cannot_be_a_directory_is_usage_error(tmp_path, capsys, argv,
+                                                          output, reason):
+    graph = write_graph(tmp_path / "g.txt", STAR4)
+    (tmp_path / "afile").write_text("kept\n")
+    code, out, err = run(capsys, *[a.format(graph=graph) for a in argv],
+                         "--output", str(tmp_path / output))
+    assert (code, out) == (64, "")
+    assert err == f"wsat: error: cannot make directory {tmp_path / output}: {reason}\n"
+    assert (tmp_path / "afile").read_text() == "kept\n"
 
 
 def test_verify_builds_no_pattern_steps(tmp_path, capsys, monkeypatch):

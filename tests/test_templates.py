@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from wsat import (
+    CertificateCheck,
     ConeSpec,
     Hypergraph,
     SaturationCertificate,
@@ -24,9 +25,8 @@ from wsat import (
     template_closure,
     template_minus,
     verify_certificate,
-    verify_template_certificate,
 )
-from wsat.hypergraph import colex_key
+from wsat.hypergraph import canonical_edge, colex_key
 
 K3 = make_pattern(complete_graph(3, 2))
 TRI_PENDANT_GRAPH = Hypergraph(4, 2, [(0, 1), (0, 2), (1, 2), (0, 3)])
@@ -227,6 +227,47 @@ def test_template_saturation_implies_weak_saturation_sampled():
     assert percolating >= 20
 
 
+# -- the direct template-certificate checker, kept as the oracle for the -----
+# -- conversion plus replay_steps that wsat verify runs ----------------------
+
+def verify_template_certificate(g: Hypergraph, cert: SaturationCertificate,
+                                h: int, s: int) -> CertificateCheck:
+    """Independent replay of a template certificate."""
+    if cert.kind != "template":
+        raise ValueError(f"expected a template certificate, got kind={cert.kind!r}")
+    if cert.n != g.n or cert.r != g.r:
+        return CertificateCheck(False, None,
+                                f"certificate is for n={cert.n} r={cert.r}, "
+                                f"graph has n={g.n} r={g.r}")
+    r = g.r
+    current = set(g.edges)
+    for i, step in enumerate(cert.steps):
+        try:
+            e = canonical_edge(step.edge, g.n, g.r)
+        except ValueError as exc:
+            return CertificateCheck(False, i, str(exc))
+        if e in current:
+            return CertificateCheck(False, i, f"edge {e} already present")
+        w = tuple(sorted(step.vertex_set))
+        z = tuple(sorted(step.core))
+        if len(w) != h or len(set(w)) != h:
+            return CertificateCheck(False, i, f"W must be an h-set, got {w}")
+        if len(z) != s or len(set(z)) != s:
+            return CertificateCheck(False, i, f"Z must be an s-set, got {z}")
+        if any(not 0 <= v < g.n for v in w):
+            return CertificateCheck(False, i, "W out of range")
+        if not set(z).issubset(e) or not set(e).issubset(w):
+            return CertificateCheck(False, i, "need Z ⊆ edge ⊆ W")
+        z_set = set(z)
+        for sub in combinations(w, r):
+            if z_set.issubset(sub):
+                continue
+            if sub not in current:
+                return CertificateCheck(False, i, f"required edge {sub} absent")
+        current.add(e)
+    return CertificateCheck(True)
+
+
 # -- the set-based template search, kept as the oracle for the link-mask one --
 
 def _find_template_copy(edges, n: int, r: int, e, h: int, s: int):
@@ -368,3 +409,56 @@ def test_template_closure_replays_is_idempotent_and_monotone(case):
     assert len(again.certificate) == 0
     assert again.closure == res.closure
     assert res.closure.edges <= template_closure(bigger, h, s).closure.edges
+
+
+def _replayed_against_template(g: Hypergraph, cert: SaturationCertificate,
+                               h: int, s: int) -> bool:
+    """The wsat verify verdict with T(r, h, s) as the pattern: conversion,
+    whose ValueError rejects, then replay_steps."""
+    pattern = make_pattern(template(g.r, h, s)[0])
+    assert (pattern.h, pattern.s) == (h, s)
+    assert sparseness_witness(pattern.graph) == (tuple(range(s)), tuple(range(g.r)))
+    try:
+        converted = template_cert_to_pattern_cert(cert, pattern)
+    except ValueError:
+        return False
+    return verify_certificate(g, pattern, converted).ok
+
+
+def _wz_mutations(step: TemplateStep, n: int, rng: random.Random):
+    """Copies of step that differ only in W or Z: a vertex replaced (by a
+    repeat, an outsider or one out of range), repeated, dropped or added."""
+    w, z = list(step.vertex_set), list(step.core)
+
+    def replaced(vs):
+        vs = list(vs)
+        vs[rng.randrange(len(vs))] = rng.randrange(-1, n + 1)
+        return vs
+
+    for new_w, new_z in [(replaced(w), z), (w, replaced(z)),
+                         (replaced(w), replaced(z)), (w[:-1] + w[:1], z),
+                         (w, z[:-1] + z[:1]), (w[1:], z), (w, z[1:]),
+                         (w + [rng.randrange(n)], z), (w, z + [rng.randrange(n)])]:
+        yield TemplateStep(step.edge, step.phase_key, tuple(new_w), tuple(new_z))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(template_case())
+def test_conversion_and_replay_match_the_direct_checker(case):
+    g, _, h, s = case
+    if h == g.r:
+        return  # T(r, r, s) is one edge of sparseness 1: nothing converts
+    cert = template_closure(g, h, s).certificate
+    assert verify_template_certificate(g, cert, h, s)
+    assert _replayed_against_template(g, cert, h, s)
+    rng = random.Random(certificate_to_text(cert))
+    steps = list(cert.steps)
+    rejected = 0
+    for i in rng.sample(range(len(steps)), min(3, len(steps))):
+        for bad in _wz_mutations(steps[i], g.n, rng):
+            mutant = SaturationCertificate("template", g.n, g.r,
+                                           tuple(steps[:i] + [bad] + steps[i + 1:]))
+            ok = verify_template_certificate(g, mutant, h, s).ok
+            assert ok == _replayed_against_template(g, mutant, h, s), mutant
+            rejected += not ok
+    assert rejected >= min(3, len(steps)) * 4  # a repeat or a dropped vertex
