@@ -60,7 +60,6 @@ from .percolation import (
     PatternStep,
     SaturationCertificate,
     TemplateStep,
-    Witness,
     WitnessIndex,
     certificate_from_text,
     certificate_to_text,

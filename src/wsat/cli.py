@@ -218,7 +218,7 @@ def _gen_main(args):
         seed_graph = seed_result.witness
     else:
         _, seed_graph = wsat_upper_witness(m, pattern)
-    spec = cons.MainSpec(pattern=pattern, n=args.n, m=m, m1=args.m1,
+    spec = cons.MainSpec(pattern=pattern, n=args.n, m1=args.m1,
                          seed_graph=seed_graph, cover=cover)
     result = cons.main_construction(spec)
     reports = list(result.bounds)
@@ -338,9 +338,9 @@ def cmd_verify(args) -> int:
     with open_input(args.certificate) as file:
         kind, n, r, raw = read_certificate(file)
         if kind == "pattern":
-            steps = ((e, m, e) for _, e, _, m in raw)
+            steps = ((e, m) for _, e, _, m in raw)
         else:
-            steps = ((e, m, e) for e, _, m in template_mappings(
+            steps = ((e, m) for e, _, m in template_mappings(
                 pattern, r, ((e, phase, w, z) for _, e, phase, (w, z) in raw)))
         # replay each step as it is read, and read on after a failure: a
         # malformed later line or template step still ends the run with its

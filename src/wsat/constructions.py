@@ -32,7 +32,7 @@ from typing import Callable
 from .designs import CoverDesign, verify_cover
 from .hypergraph import Edge, Hypergraph, Pattern, edge_universe
 from .percolation import ClosureResult, clique_wsat_value, is_weakly_saturated
-from .templates import template_closure
+from .templates import _check_params, template_closure
 
 
 @dataclass(frozen=True)
@@ -57,32 +57,27 @@ class BoundCheck:
 @dataclass(frozen=True)
 class ConeSpec:
     """Clique side A = {0..size_a-1}, apex side B = the rest; the anchor set C
-    defaults to the first h vertices of A."""
+    is the first h vertices of A."""
 
     r: int
     h: int
     s: int
     size_a: int
     size_b: int
-    anchor: tuple[int, ...] | None = None
 
     def __post_init__(self):
-        if not self.h >= self.r >= self.s >= 2:
-            raise ValueError(
-                f"need h >= r >= s >= 2, got h={self.h}, r={self.r}, s={self.s}")
+        _check_params(self.r, self.h, self.s)
         if self.size_b > self.size_a:
             raise ValueError(
                 f"need size_b <= size_a, got {self.size_b} > {self.size_a}")
         if self.size_a < self.h:
             raise ValueError(f"need size_a >= h, got {self.size_a} < {self.h}")
-        anchor = self.anchor
-        if anchor is None:
-            anchor = tuple(range(self.h))
-        else:
-            anchor = tuple(sorted(anchor))
-            if len(anchor) != self.h or any(v >= self.size_a for v in anchor):
-                raise ValueError(f"anchor must be an h-subset of A, got {anchor}")
-        object.__setattr__(self, "anchor", anchor)
+        if self.size_b < 0:
+            raise ValueError(f"need size_b >= 0, got {self.size_b}")
+
+    @property
+    def anchor(self) -> tuple[int, ...]:
+        return tuple(range(self.h))
 
     @property
     def n(self) -> int:
@@ -285,9 +280,7 @@ class PercolateSpec:
     cluster_size: int
 
     def __post_init__(self):
-        if not self.h >= self.r >= self.s >= 2:
-            raise ValueError(
-                f"need h >= r >= s >= 2, got h={self.h}, r={self.r}, s={self.s}")
+        _check_params(self.r, self.h, self.s)
         if self.clusters < self.s:
             raise ValueError(
                 f"need at least s={self.s} clusters, got {self.clusters}")
@@ -369,15 +362,14 @@ def s1_construction(pattern: Pattern, n: int) -> Hypergraph:
 class MainSpec:
     """Parameters of the composite construction.
 
-    m must be the (s-1)-st power of the cluster size c = ceil(m1^(1/(s-1))),
-    n a multiple of c (main_clusters derives both), and the cover a design on
-    N = n / c points with block size k = c^(s-2) and strength t = s - 1.
-    seed_graph is an m-vertex weakly saturated graph for the pattern.
+    n must be a multiple of the cluster size c = ceil(m1^(1/(s-1))), and
+    the cover a design on N = n / c points with block size k = c^(s-2) and
+    strength t = s - 1.  seed_graph is a weakly saturated graph for the
+    pattern on m = c^(s-1) vertices (main_clusters derives c and m).
     """
 
     pattern: Pattern
     n: int
-    m: int
     m1: int
     seed_graph: Hypergraph
     cover: CoverDesign
@@ -423,10 +415,6 @@ def main_construction(spec: MainSpec) -> MainResult:
     pattern = spec.pattern
     r, h, s = pattern.r, pattern.h, pattern.s
     c, m, clusters = main_clusters(spec.n, spec.m1, s)
-    if spec.m != m:
-        raise ValueError(
-            f"m must be the next perfect ({s - 1})-st power of m1: "
-            f"expected {m}, got {spec.m}")
     if c < h:
         raise ValueError(f"cluster size {c} below h={h}")
     k = c ** (s - 2)
@@ -438,9 +426,9 @@ def main_construction(spec: MainSpec) -> MainResult:
     if not verify_cover(cover):
         raise ValueError("cover does not cover every t-subset")
     seed = spec.seed_graph
-    if seed.n != spec.m or seed.r != r:
+    if seed.n != m or seed.r != r:
         raise ValueError(
-            f"seed graph must have n={spec.m}, r={r}; got n={seed.n}, r={seed.r}")
+            f"seed graph must have n={m}, r={r}; got n={seed.n}, r={seed.r}")
     if not is_weakly_saturated(seed, pattern):
         raise ValueError("seed graph is not weakly saturated for the pattern")
 
@@ -466,7 +454,7 @@ def main_construction(spec: MainSpec) -> MainResult:
         extra_edge_count=len(e2),
         block_count=len(cover.blocks),
         bounds=bounds,
-        seed_ratio=seed.edge_count / spec.m ** (s - 1),
+        seed_ratio=seed.edge_count / m ** (s - 1),
         total_ratio=graph.edge_count / spec.n ** (s - 1),
         percolated=percolated,
     )

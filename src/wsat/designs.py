@@ -191,9 +191,9 @@ def verify_cover(design: CoverDesign) -> bool:
     return True
 
 
-def rodl_bound(N: int, k: int, t: int, delta=0) -> Fraction:
-    """(1 + delta) * C(N, t) / C(k, t), exactly as a rational."""
-    return (1 + Fraction(delta)) * Fraction(comb(N, t), comb(k, t))
+def rodl_bound(N: int, k: int, t: int) -> Fraction:
+    """C(N, t) / C(k, t), exactly as a rational."""
+    return Fraction(comb(N, t), comb(k, t))
 
 
 # -- text format: first line "N k t", then one block per line ----------------

@@ -10,8 +10,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from itertools import combinations
+from itertools import combinations, repeat
 from math import comb
+from operator import add, itemgetter
 
 Edge = tuple[int, ...]
 
@@ -88,12 +89,6 @@ def edge_universe(n: int, r: int) -> tuple[Edge, ...]:
 
 
 @lru_cache(maxsize=64)
-def rank_table(n: int, r: int) -> dict[Edge, int]:
-    """Edge -> colex rank lookup for the (n, r) universe (cached)."""
-    return {e: i for i, e in enumerate(edge_universe(n, r))}
-
-
-@lru_cache(maxsize=64)
 def mask_rank_table(n: int, r: int) -> dict[int, int]:
     """Vertex bitmask -> colex rank lookup for the (n, r) universe (cached).
 
@@ -132,11 +127,17 @@ class Hypergraph:
 
     @cached_property
     def mask(self) -> int:
-        """Edge set as a bitmask over colex ranks."""
-        ranks = rank_table(self.n, self.r)
+        """Edge set as a bitmask over colex ranks.  An edge's rank is the sum
+        over positions i of comb(e[i], i + 1) (edge_rank), summed here one
+        position at a time over all edges, with no universe-sized table."""
+        edges = self.edges
+        ranks = repeat(0, len(edges))
+        for i in range(self.r):
+            column = [comb(v, i + 1) for v in range(self.n)]
+            ranks = map(add, ranks, map(column.__getitem__, map(itemgetter(i), edges)))
         m = 0
-        for e in self.edges:
-            m |= 1 << ranks[e]
+        for rank in ranks:
+            m |= 1 << rank
         return m
 
     def with_edges(self, extra) -> "Hypergraph":
@@ -203,24 +204,24 @@ def graph_from_text(text: str) -> Hypergraph:
 
 @dataclass(frozen=True)
 class Pattern:
-    """A fixed target hypergraph H together with its derived quantities.
-
-    h is the vertex count and s the sparseness: the smallest size of a
-    vertex set contained in exactly one edge of H.  Build with
-    templates.make_pattern, which computes s.
+    """A fixed target hypergraph H together with its sparseness s: the
+    smallest size of a vertex set contained in exactly one edge of H.  Build
+    with templates.make_pattern, which computes s; h and r are read off the
+    graph.
     """
 
     graph: Hypergraph
-    h: int
     s: int
 
     def __post_init__(self):
-        if self.h != self.graph.n:
-            raise ValueError("pattern vertex count must match its graph")
         if not self.graph.edges:
             raise ValueError("pattern must have at least one edge")
         if not 1 <= self.s <= self.graph.r:
             raise ValueError(f"sparseness {self.s} out of range for r={self.graph.r}")
+
+    @property
+    def h(self) -> int:
+        return self.graph.n
 
     @property
     def r(self) -> int:

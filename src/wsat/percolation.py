@@ -7,7 +7,7 @@ further additions, the closure set is independent of the schedule.  Every
 closure, pattern or template, with or without a certificate, runs the one
 schedule in sweep().
 
-Witness search pins the added edge: it tries every pattern edge as the
+The witness search pins the added edge: it tries every pattern edge as the
 preimage of e under every bijection onto e, then extends to the remaining
 pattern vertices in decreasing-degree order, pruning on edge presence.  For
 closure runs the witnesses are found in the same order once per pattern, for
@@ -25,8 +25,9 @@ first satisfied witness is the one it would find.
 
 Certificates are checked by replay, which uses neither the witness index
 nor the closure.  One loop, replay_steps, is the only certificate checker:
-it reads (edge, mapping, covered_edge) triples, with the per-step checks in
-a fixed order and with fixed messages.  verify_certificate feeds it a
+it reads (edge, mapping) pairs, with the per-step checks in a fixed order
+and with fixed messages; a step's copy of H must cover the step's own edge,
+so a step carries no other edge.  verify_certificate feeds it a
 pattern certificate's steps; a template certificate reaches it through
 templates.template_mappings, which turns each step's template copy into a
 pattern embedding.  Edges are keyed by an order-free integer: with
@@ -74,18 +75,13 @@ from .hypergraph import (
 
 
 @dataclass(frozen=True)
-class Witness:
-    """An embedding of H into the host; mapping[i] hosts pattern vertex i."""
-
-    mapping: tuple[int, ...]
-    covered_edge: Edge
-
-
-@dataclass(frozen=True)
 class PatternStep:
+    """A step witnessed by an embedding of H covering edge: mapping[i]
+    hosts pattern vertex i."""
+
     edge: Edge
     phase_key: int
-    witness: Witness
+    mapping: tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -239,9 +235,10 @@ def _pinned_embeddings(pattern: Pattern, e: Edge, host_n: int, edge_present):
                 yield full
 
 
-def creates_new_copy(g: Hypergraph, pattern: Pattern, e) -> Witness | None:
-    """First witness (in search order) that g + e contains a copy of the
-    pattern covering e, or None if no such copy exists."""
+def creates_new_copy(g: Hypergraph, pattern: Pattern, e
+                     ) -> tuple[int, ...] | None:
+    """The mapping of the first embedding (in search order) of the pattern
+    into g + e covering e, or None if no such copy exists."""
     if pattern.r != g.r:
         raise ValueError(f"uniformity mismatch: pattern r={pattern.r}, graph r={g.r}")
     if pattern.h > g.n:
@@ -251,8 +248,7 @@ def creates_new_copy(g: Hypergraph, pattern: Pattern, e) -> Witness | None:
         raise ValueError(f"edge {e} is already present")
     for assignment in _pinned_embeddings(pattern, e, g.n,
                                          lambda img: img in g.edges):
-        mapping = tuple(assignment[v] for v in range(pattern.h))
-        return Witness(mapping, e)
+        return tuple(assignment[v] for v in range(pattern.h))
     return None
 
 
@@ -391,7 +387,6 @@ def witness_index(n: int, pattern: Pattern) -> WitnessIndex:
 
 
 def closure(g: Hypergraph, pattern: Pattern,
-            phase_fn: Callable[[Edge], int] | None = None,
             candidate_order: Sequence[int] | None = None) -> ClosureResult:
     """Bootstrap closure of g under the pattern, with a replayable certificate.
 
@@ -409,9 +404,7 @@ def closure(g: Hypergraph, pattern: Pattern,
         mapping = idx.first_witness(rank, mask)
         if mapping is None:
             return None
-        e = universe[rank]
-        phase = phase_fn(e) if phase_fn is not None else 0
-        return PatternStep(e, phase, Witness(mapping, e))
+        return PatternStep(universe[rank], 0, mapping)
 
     mask, steps = sweep(g.mask, idx.full_mask, order, step_for)
     cert = SaturationCertificate("pattern", g.n, g.r, tuple(steps))
@@ -443,12 +436,12 @@ class _VertexCodes(dict):
 
 def replay_steps(g: Hypergraph, pattern: Pattern, n: int, r: int,
                  steps: Iterable[tuple]) -> tuple[CertificateCheck, int]:
-    """Replay the (edge, mapping, covered_edge) steps of a pattern certificate
-    for the (n, r) universe against g; returns the verdict and the number of
-    steps read.
+    """Replay the (edge, mapping) steps of a pattern certificate for the
+    (n, r) universe against g; returns the verdict and the number of steps
+    read.
 
-    Checks, per step: the edge is well-formed and absent, the witness mapping
-    is an injective embedding of the pattern into the current graph plus the
+    Checks, per step: the edge is well-formed and absent, the mapping is an
+    injective embedding of the pattern into the current graph plus the
     step's edge, and the image covers that edge.
     """
     if n != g.n or r != g.r:
@@ -464,7 +457,7 @@ def replay_steps(g: Hypergraph, pattern: Pattern, n: int, r: int,
     first, *rest = [_getter([pe[j] for pe in pat_edges]) for j in range(r)]
     reason = None
     i = -1
-    for i, (edge, m, covered) in enumerate(steps):
+    for i, (edge, m) in enumerate(steps):
         if len(edge) != r or len(set(edge)) != r or min(edge) < 0 or max(edge) >= n:
             try:
                 canonical_edge(edge, n, r)  # raises, naming the first failed check
@@ -480,8 +473,6 @@ def replay_steps(g: Hypergraph, pattern: Pattern, n: int, r: int,
             reason = "mapping target out of range"
         elif len(set(m)) != h:
             reason = "mapping is not injective"
-        elif covered is not edge and sorted(covered) != sorted(edge):
-            reason = "witness covered_edge differs from step edge"
         if reason is not None:
             break
         codes = [*map(code, m)]
@@ -509,7 +500,7 @@ def verify_certificate(g: Hypergraph, pattern: Pattern,
     (replay_steps)."""
     if cert.kind != "pattern":
         raise ValueError(f"expected a pattern certificate, got kind={cert.kind!r}")
-    steps = ((s.edge, s.witness.mapping, s.witness.covered_edge) for s in cert.steps)
+    steps = ((s.edge, s.mapping) for s in cert.steps)
     return replay_steps(g, pattern, cert.n, cert.r, steps)[0]
 
 
@@ -534,7 +525,7 @@ def certificate_to_text(cert: SaturationCertificate) -> str:
     for step in cert.steps:
         edge = " ".join(map(str, step.edge))
         if cert.kind == "pattern":
-            witness = " ".join(f"{v}->{u}" for v, u in enumerate(step.witness.mapping))
+            witness = " ".join(f"{v}->{u}" for v, u in enumerate(step.mapping))
         else:
             w = ",".join(map(str, step.vertex_set))
             z = ",".join(map(str, step.core))
@@ -659,7 +650,7 @@ def _raw_steps(lines, kind: str, r: int) -> Iterator[tuple]:
 def certificate_from_text(text: str) -> SaturationCertificate:
     kind, n, r, raw = read_certificate((text,))
     if kind == "pattern":
-        steps = tuple(PatternStep(e, phase, Witness(m, e)) for _, e, phase, m in raw)
+        steps = tuple(PatternStep(e, phase, m) for _, e, phase, m in raw)
     else:
         steps = tuple(TemplateStep(e, phase, w, z) for _, e, phase, (w, z) in raw)
     return SaturationCertificate(kind, n, r, steps)

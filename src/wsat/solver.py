@@ -237,17 +237,18 @@ class RatioRow:
 def ratio_table(pattern: Pattern, sizes, budget: int = DEFAULT_BUDGET
                 ) -> list[RatioRow]:
     """Normalized values value / n^(s-1) across sizes, exact where the
-    universe is small enough and upper bounds elsewhere."""
+    universe is small enough and upper bounds elsewhere.  The ratio is
+    undefined at n = 0 unless s = 1, which raises ValueError."""
+    s = pattern.s
     rows = []
     for n in sizes:
-        method = "exact" if comb(n, pattern.r) <= EXACT_TABLE_UNIVERSE else "upper"
-        if method == "exact":
-            result = wsat_exact(n, pattern, budget)
-            if result.status != "exact":
-                method = "upper"
-        if method == "exact":
-            value = result.value
+        if n == 0 and s > 1:
+            raise ValueError(f"ratio value / n^(s-1) is undefined at n = 0 for s={s}")
+        result = wsat_exact(n, pattern, budget) \
+            if comb(n, pattern.r) <= EXACT_TABLE_UNIVERSE else None
+        if result is not None and result.status == "exact":
+            value, method = result.value, "exact"
         else:
-            value = wsat_upper(n, pattern)
-        rows.append(RatioRow(n, value, value / n ** (pattern.s - 1), method))
+            value, method = wsat_upper(n, pattern), "upper"
+        rows.append(RatioRow(n, value, value / n ** (s - 1), method))
     return rows

@@ -46,7 +46,6 @@ from .percolation import (
     PatternStep,
     SaturationCertificate,
     TemplateStep,
-    Witness,
     sweep,
 )
 
@@ -72,7 +71,7 @@ def sparseness(graph: Hypergraph) -> int:
 
 
 def make_pattern(graph: Hypergraph) -> Pattern:
-    return Pattern(graph, graph.n, sparseness(graph))
+    return Pattern(graph, sparseness(graph))
 
 
 def _check_params(r: int, h: int, s: int) -> None:
@@ -212,9 +211,7 @@ def template_closure(g: Hypergraph, h: int, s: int,
         phase = phase_fn(e) if phase_fn is not None else 0
         return TemplateStep(e, phase, *hit)
 
-    # g.mask would cache rank_table(n, r), a dict over the whole universe
-    start = sum(1 << i for i, e in enumerate(universe) if e in g.edges)
-    mask, steps = sweep(start, full, range(len(universe)), step_for)
+    mask, steps = sweep(g.mask, full, range(len(universe)), step_for)
     cert = SaturationCertificate("template", g.n, g.r, tuple(steps))
     return ClosureResult(graph_of_mask(g.n, g.r, mask), cert, mask == full)
 
@@ -276,6 +273,6 @@ def template_cert_to_pattern_cert(cert: SaturationCertificate, pattern: Pattern,
         if not isinstance(step, TemplateStep):
             raise ValueError(f"step {i} is not a template step")
     raw = ((st.edge, st.phase_key, st.vertex_set, st.core) for st in cert.steps)
-    steps = tuple(PatternStep(e, phase, Witness(m, e))
-                  for e, phase, m in template_mappings(pattern, cert.r, raw, rng))
+    steps = tuple(PatternStep(*step)
+                  for step in template_mappings(pattern, cert.r, raw, rng))
     return SaturationCertificate("pattern", cert.n, cert.r, steps)

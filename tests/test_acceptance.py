@@ -197,7 +197,7 @@ def test_criterion_5_main_construction():
     with criterion(5, "composite construction end to end"):
         start = time.time()
         star4 = Hypergraph(4, 2, [(0, 1), (0, 2), (0, 3)])
-        spec = MainSpec(pattern=K3, n=12, m=4, m1=4, seed_graph=star4,
+        spec = MainSpec(pattern=K3, n=12, m1=4, seed_graph=star4,
                         cover=greedy_cover(3, 1, 1))
         result = main_construction(spec)
         assert result.percolated
@@ -206,7 +206,7 @@ def test_criterion_5_main_construction():
         assert copies_bound.rhs == result.block_count * star4.edge_count
 
         gm = clique_extremal(5, 4, 2)
-        spec2 = MainSpec(pattern=K4, n=15, m=5, m1=5, seed_graph=gm,
+        spec2 = MainSpec(pattern=K4, n=15, m1=5, seed_graph=gm,
                          cover=greedy_cover(3, 1, 1))
         result2 = main_construction(spec2)
         assert result2.percolated

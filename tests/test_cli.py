@@ -188,6 +188,10 @@ def test_generate_param_errors(capsys, tmp_path):
     code, _, err = run(capsys, "generate", "cone", "--r", "2", "--s", "2", "--h", "3",
                        "--size-a", "2", "--size-b", "5", "--output", str(tmp_path))
     assert code == 64 and "size_b" in err.replace("-", "_")
+    code, out, err = run(capsys, "generate", "cone", "--r", "2", "--s", "2", "--h", "3",
+                         "--size-a", "4", "--size-b", "-1", "--output", str(tmp_path))
+    assert (code, out) == (64, "") and "size_b" in err.replace("-", "_")
+    assert "Traceback" not in err and not (tmp_path / "cone.txt").exists()
     # the cluster arithmetic of generate main names the flag at fault
     for n, m1, flag in (("0", "0", "--n"), ("12", "0", "--m1"), ("13", "4", "--n")):
         code, _, err = run(capsys, "generate", "main", "--pattern", "K3", "--n", n,
@@ -243,6 +247,14 @@ def test_wsat_table(capsys):
     # an empty range is an error, not a silent --upper
     code, out, err = run(capsys, "wsat", "6", "K3", "--table=")
     assert code == 64 and out == "" and "range" in err
+    # value / n^(s-1) is undefined at n = 0 unless s = 1
+    code, out, err = run(capsys, "wsat", "5", "K3", "--table", "0..4")
+    assert (code, out) == (64, "")
+    assert err == "wsat: error: ratio value / n^(s-1) is undefined at n = 0 for s=2\n"
+    code, out, err = run(capsys, "wsat", "1", "edge^1", "--table", "0..2")
+    assert (code, err) == (0, "")
+    assert out == ("ratio 0 0 0.000000 exact\nratio 1 0 0.000000 exact\n"
+                   "ratio 2 0 0.000000 exact\n")
 
 
 def test_verify_roundtrip_and_tamper(tmp_path, capsys):

@@ -159,7 +159,7 @@ def test_s1_construction():
 
 def test_main_construction_k3():
     cover = greedy_cover(3, 1, 1)
-    spec = MainSpec(pattern=K3, n=12, m=4, m1=4, seed_graph=STAR4, cover=cover)
+    spec = MainSpec(pattern=K3, n=12, m1=4, seed_graph=STAR4, cover=cover)
     result = main_construction(spec)
     assert result.percolated
     assert result.block_count == 3
@@ -171,7 +171,7 @@ def test_main_construction_k3():
 def test_main_construction_rejects_bad_seed():
     cover = greedy_cover(3, 1, 1)
     bad_seed = Hypergraph(4, 2, [(0, 1)])
-    spec = MainSpec(pattern=K3, n=12, m=4, m1=4, seed_graph=bad_seed, cover=cover)
+    spec = MainSpec(pattern=K3, n=12, m1=4, seed_graph=bad_seed, cover=cover)
     with pytest.raises(ValueError, match="not weakly saturated"):
         main_construction(spec)
 
@@ -180,16 +180,13 @@ def test_main_construction_named_invariant_failures():
     cover = greedy_cover(3, 1, 1)
     with pytest.raises(ValueError, match="clusters"):
         # single cluster: n = m
-        main_construction(MainSpec(pattern=K3, n=4, m=4, m1=4,
+        main_construction(MainSpec(pattern=K3, n=4, m1=4,
                                    seed_graph=STAR4, cover=greedy_cover(1, 1, 1)))
     with pytest.raises(ValueError, match="multiple"):
-        main_construction(MainSpec(pattern=K3, n=13, m=4, m1=4,
-                                   seed_graph=STAR4, cover=cover))
-    with pytest.raises(ValueError, match="perfect"):
-        main_construction(MainSpec(pattern=K3, n=12, m=5, m1=4,
+        main_construction(MainSpec(pattern=K3, n=13, m1=4,
                                    seed_graph=STAR4, cover=cover))
     with pytest.raises(ValueError, match="cover must have"):
-        main_construction(MainSpec(pattern=K3, n=12, m=4, m1=4,
+        main_construction(MainSpec(pattern=K3, n=12, m1=4,
                                    seed_graph=STAR4, cover=greedy_cover(4, 1, 1)))
 
 
@@ -210,7 +207,7 @@ def test_main_construction_s3():
     assert pattern.s == 3
     seed = clique_extremal(16, 4, 3)
     cover = greedy_cover(4, 4, 2)
-    spec = MainSpec(pattern=pattern, n=16, m=16, m1=16, seed_graph=seed, cover=cover)
+    spec = MainSpec(pattern=pattern, n=16, m1=16, seed_graph=seed, cover=cover)
     result = main_construction(spec)
     assert result.percolated
     assert all(b.holds for b in result.bounds)

@@ -92,11 +92,11 @@ def test_verify_cover_catches_missing():
 
 
 def test_rodl_bound_values():
-    assert rodl_bound(6, 3, 2, 0) == 5
-    assert rodl_bound(9, 3, 2, 0) == 12
+    assert rodl_bound(6, 3, 2) == 5
+    assert rodl_bound(9, 3, 2) == 12
     for n, t in [(6, 2), (7, 3)]:
-        assert rodl_bound(n, t, t, 0) == comb(n, t)
-    assert rodl_bound(6, 3, 2, Fraction(1, 10)) == Fraction(11, 2)
+        assert rodl_bound(n, t, t) == comb(n, t)
+    assert rodl_bound(9, 6, 2) == Fraction(12, 5)
 
 
 def test_block_count_never_exceeds_tsets():

@@ -1,6 +1,5 @@
 import random
 import sys
-from dataclasses import replace
 from itertools import combinations
 
 import pytest
@@ -14,7 +13,6 @@ from wsat import (
     PatternStep,
     SaturationCertificate,
     TemplateStep,
-    Witness,
     certificate_from_text,
     certificate_to_text,
     clique_wsat_value,
@@ -46,15 +44,15 @@ def test_creates_new_copy_examples():
     g = Hypergraph(3, 2, [(0, 1), (0, 2)])
     w = creates_new_copy(g, K3, (1, 2))
     assert w is not None
-    assert sorted(w.mapping) == [0, 1, 2]
-    assert w.covered_edge == (1, 2)
+    assert sorted(w) == [0, 1, 2]
+    assert (1, 2) in {tuple(sorted(w[v] for v in pe)) for pe in K3.graph.edges}
 
     g2 = Hypergraph(4, 2, [(0, 1)])
     assert creates_new_copy(g2, K3, (2, 3)) is None
 
     g3 = Hypergraph(5, 2, set(edge_universe(5, 2)) - {(0, 1)})
     w3 = creates_new_copy(g3, K5, (0, 1))
-    assert w3.mapping == (0, 1, 2, 3, 4)
+    assert w3 == (0, 1, 2, 3, 4)
 
 
 def test_creates_new_copy_rejects_present_edge():
@@ -108,7 +106,7 @@ def test_swapping_dependent_steps_fails():
     dependent = None
     for i, s in enumerate(steps):
         for pe in pat_edges:
-            img = tuple(sorted(s.witness.mapping[v] for v in pe))
+            img = tuple(sorted(s.mapping[v] for v in pe))
             if img != s.edge and img in added_at and added_at[img] < i:
                 dependent = (added_at[img], i)
                 break
@@ -128,7 +126,7 @@ def test_witness_missing_added_edge_fails():
     g = spanning_star(4)
     # mapping that does not cover the added edge (1, 2)
     bad = SaturationCertificate("pattern", 4, 2, (
-        PatternStep((1, 2), 0, Witness((0, 1, 3), (1, 2))),))
+        PatternStep((1, 2), 0, (0, 1, 3)),))
     check = verify_certificate(g, K3, bad)
     assert not check.ok and check.step == 0
 
@@ -137,7 +135,7 @@ def test_malformed_mapping_fails_not_raises():
     g = spanning_star(4)
     for mapping in [(0, 0, 1), (0, 1), (0, 1, 9)]:
         cert = SaturationCertificate("pattern", 4, 2, (
-            PatternStep((1, 2), 0, Witness(mapping, (1, 2))),))
+            PatternStep((1, 2), 0, mapping),))
         check = verify_certificate(g, K3, cert)
         assert not check.ok and check.step == 0
 
@@ -222,7 +220,7 @@ def test_closure_witnesses_match_direct_search():
         current = g
         for step in res.certificate.steps:
             direct = creates_new_copy(current, pat, step.edge)
-            assert direct == step.witness
+            assert direct == step.mapping
             current = current.with_edges([step.edge])
 
 
@@ -307,7 +305,7 @@ def seed_certificate_from_text(text: str) -> SaturationCertificate:
             if sorted(mapping) != list(range(len(mapping))):
                 raise FormatError(line_no, "mapping must cover pattern vertices 0..h-1")
             m = tuple(mapping[v] for v in range(len(mapping)))
-            steps.append(PatternStep(edge, phase, Witness(m, edge)))
+            steps.append(PatternStep(edge, phase, m))
         else:
             witness = fields[2]
             w_part, z_part = None, None
@@ -345,16 +343,13 @@ def seed_verify_certificate(g: Hypergraph, pattern, cert: SaturationCertificate
             return CertificateCheck(False, i, str(exc))
         if e in current:
             return CertificateCheck(False, i, f"edge {e} already present")
-        w = step.witness
-        m = w.mapping
+        m = step.mapping
         if len(m) != pattern.h:
             return CertificateCheck(False, i, "mapping has wrong length")
         if any(not 0 <= u < g.n for u in m):
             return CertificateCheck(False, i, "mapping target out of range")
         if len(set(m)) != len(m):
             return CertificateCheck(False, i, "mapping is not injective")
-        if tuple(sorted(w.covered_edge)) != e:
-            return CertificateCheck(False, i, "witness covered_edge differs from step edge")
         covered = False
         for pe in pat_edges:
             img = tuple(sorted(m[v] for v in pe))
@@ -511,12 +506,6 @@ def test_fast_paths_match_seed_on_extremal_certificates():
                 lines.insert(j // 2 + 1, "# comment")
                 lines.insert(j // 2 + 1, "   ")
                 assert_same_as_seed("\n".join(lines) + "\n", g, pattern)
-        # a covered_edge unlike the step's edge cannot be written as text
-        e, mapping = steps[1]
-        bad = list(certificate_from_text(text).steps)
-        bad[1] = PatternStep(e, 0, Witness(tuple(mapping), steps[2][0]))
-        assert not assert_same_check(g, pattern, replace(
-            certificate_from_text(text), steps=tuple(bad)))[1]
     # a pattern of one single-vertex edge: its image getter has one index
     point = make_pattern(complete_graph(1, 1))
     g = Hypergraph(4, 1, [(0,)])

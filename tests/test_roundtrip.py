@@ -10,7 +10,6 @@ from wsat import (
     PatternStep,
     SaturationCertificate,
     TemplateStep,
-    Witness,
     certificate_from_text,
     certificate_to_text,
     cover_from_text,
@@ -61,7 +60,7 @@ def pattern_certificates(draw):
     for _ in range(draw(st.integers(0, 8))):
         edge = tuple(draw(st.lists(vertices, min_size=r, max_size=r)))
         mapping = tuple(draw(st.lists(vertices, min_size=h, max_size=h)))
-        steps.append(PatternStep(edge, draw(phase_keys), Witness(mapping, edge)))
+        steps.append(PatternStep(edge, draw(phase_keys), mapping))
     return SaturationCertificate("pattern", n, r, tuple(steps))
 
 

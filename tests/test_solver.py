@@ -24,8 +24,14 @@ from wsat import (
     wsat_upper_witness,
     witness_index,
 )
-from wsat.hypergraph import edge_universe, rank_table
+from wsat.hypergraph import edge_universe
 from wsat.solver import MAX_SOLVER_UNIVERSE, _transposition_tables
+
+
+def rank_table(n, r):
+    """Edge -> colex rank, by tuple: the lookup the oracles were written with."""
+    return {e: i for i, e in enumerate(edge_universe(n, r))}
+
 
 K3 = make_pattern(complete_graph(3, 2))
 K4 = make_pattern(complete_graph(4, 2))
