@@ -375,6 +375,7 @@ generate kinds and their arguments:
   s1 --pattern P --n N
   main --pattern P --n N --m1 M1
 
+wsat wsat --table prints one row per n in N1..N2 and does not read N.
 Every command takes --output DIR (default .), --seed N (0), --threads T (1)
 and --budget N (10000000).  A flag may be cut to a unique prefix (--out DIR)
 or written --name=value; -h or --help prints this text.  A pattern is a

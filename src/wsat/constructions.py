@@ -17,6 +17,11 @@ Each generator builds the edge set of one construction:
   clique_extremal  all edges meeting a fixed (t - r)-set; matches the
                    closed-form optimum for complete patterns.
 
+The gadgets enumerate their edges rather than filter the (n, r) edge
+universe: the s-partite gadget takes the r-subsets of the union of its parts,
+the cone gadget and padding join anchor (r-j)-sets to off-anchor j-sets, and
+the percolation gadget's E1 is the r-subsets of each union of s - 1 clusters.
+
 Every generator's output is meant to percolate under the engine named in its
 contract; the numbered edge-count bounds are evaluated as exact integer
 inequalities and reported as BoundChecks, never assumed.
@@ -84,16 +89,17 @@ class ConeSpec:
         return self.size_a + self.size_b
 
 
-def _near_anchor_edges(n: int, r: int, s: int, inner: int,
-                       anchor: tuple[int, ...]) -> set[Edge]:
-    """Edges not inside {0..inner-1} with at most s - 1 vertices off the anchor."""
-    anchor_set = set(anchor)
+def _near_anchor_edges(n: int, r: int, s: int, h: int, inner: int) -> set[Edge]:
+    """Edges not inside {0..inner-1} (inner >= h) with at most s - 1 vertices
+    off the anchor {0..h-1}: an anchor (r-j)-set followed by an off-anchor
+    j-set whose largest vertex is at least inner, for 1 <= j <= s - 1.  The
+    anchor part comes first, so each concatenation is already sorted."""
     out = set()
-    for e in edge_universe(n, r):
-        if e[-1] < inner:
-            continue
-        if sum(1 for v in e if v not in anchor_set) <= s - 1:
-            out.add(e)
+    for j in range(1, s):
+        anchored = list(combinations(range(h), r - j))
+        for off in combinations(range(h, n), j):
+            if off[-1] >= inner:
+                out.update([a + off for a in anchored])
     return out
 
 
@@ -101,7 +107,7 @@ def cone_gadget(spec: ConeSpec) -> Hypergraph:
     """Complete graph on A, plus every missing edge with at most s - 1
     vertices outside the anchor (each such edge touches B)."""
     edges = set(combinations(range(spec.size_a), spec.r))
-    edges |= _near_anchor_edges(spec.n, spec.r, spec.s, spec.size_a, spec.anchor)
+    edges |= _near_anchor_edges(spec.n, spec.r, spec.s, spec.h, spec.size_a)
     return Hypergraph(spec.n, spec.r, edges)
 
 
@@ -145,9 +151,8 @@ def padded_example(g_minus: Hypergraph, k2: int, pattern: Pattern) -> Hypergraph
     if k2 == 0:
         return g_minus
     n = k1 + k2
-    anchor = tuple(range(pattern.h))
     edges = set(g_minus.edges)
-    edges |= _near_anchor_edges(n, pattern.r, pattern.s, k1, anchor)
+    edges |= _near_anchor_edges(n, pattern.r, pattern.s, pattern.h, k1)
     return Hypergraph(n, pattern.r, edges)
 
 
@@ -202,33 +207,23 @@ class SpartiteSpec:
         return tuple(p[: self.h] for p in self.parts)
 
 
-def _spartite_edges(n: int, r: int, parts, rigid_sets, h: int) -> set[Edge]:
-    """Edge set of the s-partite gadget on the given parts, inside the (n, r)
-    universe; edges leaving the union of the parts are not included."""
+def _spartite_edges(r: int, parts, rigid_sets) -> set[Edge]:
+    """Edge set of the s-partite gadget on the given parts: the r-subsets of
+    the sorted union of the parts that miss a part or have at least
+    r - s + 2 rigid vertices."""
     s = len(parts)
-    part_of = {}
-    for i, p in enumerate(parts):
-        for v in p:
-            part_of[v] = i
-    rigid = set()
-    for rs in rigid_sets:
-        rigid.update(rs)
-    edges = set()
-    for e in edge_universe(n, r):
-        if any(v not in part_of for v in e):
-            continue
-        hit = {part_of[v] for v in e}
-        if len(hit) < s:
-            edges.add(e)
-        elif sum(1 for v in e if v in rigid) >= r - s + 2:
-            edges.add(e)
-    return edges
+    part_of = {v: i for i, p in enumerate(parts) for v in p}
+    rigid = set().union(*rigid_sets)
+    need = r - s + 2
+    return {e for e in combinations(sorted(part_of), r)
+            if len(set(map(part_of.__getitem__, e))) < s
+            or len(rigid.intersection(e)) >= need}
 
 
 def spartite_gadget(spec: SpartiteSpec) -> Hypergraph:
     """All edges missing a part, plus all edges with at least r - s + 2
     rigid vertices."""
-    edges = _spartite_edges(spec.n, spec.r, spec.parts, spec.rigid, spec.h)
+    edges = _spartite_edges(spec.r, spec.parts, spec.rigid)
     return Hypergraph(spec.n, spec.r, edges)
 
 
@@ -302,20 +297,20 @@ class PercolateSpec:
 def percolate_gadget(spec: PercolateSpec) -> tuple[frozenset[Edge], frozenset[Edge]]:
     """(E1, E2): E1 = edges meeting at most s - 1 clusters; E2 = union over
     (s-1)-groups Q of the first clusters of the spartite extras on the parts
-    {cluster q : q in Q} plus the last cluster, minus what E1 already has."""
-    n, r, s = spec.n, spec.r, spec.s
-    size = spec.cluster_size
-    e1 = set()
-    for e in edge_universe(n, r):
-        if len({v // size for v in e}) <= s - 1:
-            e1.add(e)
+    {cluster q : q in Q} plus the last cluster, minus what E1 already has.
+    E1 is enumerated as the r-subsets of each union of s - 1 clusters, which
+    is sorted as the clusters are consecutive intervals."""
+    r, s = spec.r, spec.s
+    e1: set[Edge] = set()
+    for group in combinations(range(spec.clusters), s - 1):
+        e1.update(combinations([v for i in group for v in spec.cluster(i)], r))
     e2: set[Edge] = set()
     last = spec.clusters - 1
     for q_group in combinations(range(last), s - 1):
         group = tuple(q_group) + (last,)
         parts = [spec.cluster(i) for i in group]
         rigid_sets = [spec.rigid(i) for i in group]
-        extras = _spartite_edges(n, r, parts, rigid_sets, spec.h)
+        extras = _spartite_edges(r, parts, rigid_sets)
         e2 |= extras - e1
     return frozenset(e1), frozenset(e2)
 

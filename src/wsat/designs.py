@@ -76,23 +76,28 @@ def greedy_cover(N: int, k: int, t: int, seed: int = 0) -> CoverDesign:
     if not N >= k >= t >= 1:
         raise ValueError(f"need N >= k >= t >= 1, got N={N}, k={k}, t={t}")
     # uncovered[T]: bitmask of the u > max(T) with T ∪ {u} still uncovered,
-    # for each (t-1)-set T; a t-set is counted once, under T = it minus its max
+    # for each (t-1)-set T; a t-set is counted once, under T = it minus its max.
+    # At t = 2 the masks are a list indexed by the one vertex of T, and a
+    # block's (t-1)-sets are its vertices.
     full = (1 << N) - 1
-    uncovered = {T: full & -(2 << T[-1]) if T else full
-                 for T in combinations(range(N), t - 1)}
+    if t == 2:
+        uncovered = [full & -(2 << v) for v in range(N)]
+    else:
+        uncovered = {T: full & -(2 << T[-1]) if T else full
+                     for T in combinations(range(N), t - 1)}
     left = comb(N, t)
     blocks: list[tuple[int, ...]] = []
     bits = [1 << v for v in range(N)]
 
     def score(block: Sequence[int]) -> int:
         bmask = sum(map(bits.__getitem__, block))
-        return sum([(m & bmask).bit_count() for m in
-                    map(uncovered.__getitem__, combinations(block, t - 1))])
+        keys = block if t == 2 else combinations(block, t - 1)
+        return sum([(m & bmask).bit_count() for m in map(uncovered.__getitem__, keys)])
 
     def take(block: tuple[int, ...], gain: int) -> None:
         nonlocal left
         bmask = sum(map(bits.__getitem__, block))
-        for T in combinations(block, t - 1):
+        for T in (block if t == 2 else combinations(block, t - 1)):
             uncovered[T] &= ~bmask
         blocks.append(block)
         left -= gain
@@ -102,7 +107,7 @@ def greedy_cover(N: int, k: int, t: int, seed: int = 0) -> CoverDesign:
         # lazy greedy: every block enters with the most it could ever score,
         # scores only fall, so a popped block whose fresh (-score, colex key)
         # still heads the heap is the block a full rescan would choose
-        heap = [(-comb(k, t), colex_key(b)) for b in combinations(range(N), k)]
+        heap = [(-comb(k, t), b[::-1]) for b in combinations(range(N), k)]
         heapq.heapify(heap)
         while left:
             _, key = heapq.heappop(heap)
@@ -118,8 +123,10 @@ def greedy_cover(N: int, k: int, t: int, seed: int = 0) -> CoverDesign:
     # uncovered t-set so every round is guaranteed to make progress
     draw = _sampler(random.Random(seed), N, k)
     while left:
+        masks = (((v,), m) for v, m in enumerate(uncovered)) if t == 2 \
+            else uncovered.items()
         base = min((T + ((m & -m).bit_length() - 1,)
-                    for T, m in uncovered.items() if m), key=colex_key)
+                    for T, m in masks if m), key=colex_key)
         rest = [v for v in range(N) if v not in base]
         best_block = tuple(sorted(base + tuple(rest[: k - t])))
         best_score, best_key = score(best_block), colex_key(best_block)

@@ -4,15 +4,21 @@ Vertices are plain 0-based integers.  An edge is a strictly increasing tuple
 of r vertex indices; edges are ranked, enumerated and compared everywhere in
 colexicographic order (the rank grows with the largest differing element).
 All values are immutable and hashable; "mutation" means building a new value.
+
+Hypergraph checks its edges in bulk, a column at a time, and falls back to
+sorting and checking each edge (canonical_edge) only when that check fails,
+so unsorted edges are still accepted and errors name the first bad edge.  A
+graph's edge mask over colex ranks is encoded through a byte array and
+decoded (graph_of_mask) in one linear pass over the mask's binary digits.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from itertools import combinations, repeat
+from itertools import combinations, compress, repeat
 from math import comb
-from operator import add, itemgetter
+from operator import add, itemgetter, lt
 
 Edge = tuple[int, ...]
 
@@ -44,6 +50,10 @@ def check_universe(n: int, r: int) -> int:
 def colex_key(e: Edge) -> Edge:
     """Sort key realizing colex order on same-size increasing tuples."""
     return tuple(reversed(e))
+
+
+# colex_key for tuples, at C speed: the tuple reversed by a slice
+_colex_tuple_key = itemgetter(slice(None, None, -1))
 
 
 def canonical_edge(e, n: int, r: int) -> Edge:
@@ -85,7 +95,7 @@ def edge_unrank(i: int, n: int, r: int) -> Edge:
 def edge_universe(n: int, r: int) -> tuple[Edge, ...]:
     """All r-subsets of [n] in colex order (cached)."""
     check_universe(n, r)
-    return tuple(sorted(combinations(range(n), r), key=colex_key))
+    return tuple(sorted(combinations(range(n), r), key=_colex_tuple_key))
 
 
 @lru_cache(maxsize=64)
@@ -114,8 +124,13 @@ class Hypergraph:
         if self.n < 0:
             raise ValueError(f"vertex count n={self.n} must be non-negative")
         check_universe(self.n, self.r)
-        canon = frozenset(canonical_edge(e, self.n, self.r) for e in self.edges)
-        object.__setattr__(self, "edges", canon)
+        edges = self.edges
+        if type(edges) is not frozenset:
+            edges = list(edges)
+        if not _canonical_edges(edges, self.n, self.r):
+            # sort each edge and name the first bad one, as canonical_edge does
+            edges = [canonical_edge(e, self.n, self.r) for e in edges]
+        object.__setattr__(self, "edges", frozenset(edges))
 
     @property
     def edge_count(self) -> int:
@@ -123,28 +138,45 @@ class Hypergraph:
 
     @cached_property
     def sorted_edges(self) -> tuple[Edge, ...]:
-        return tuple(sorted(self.edges, key=colex_key))
+        return tuple(sorted(self.edges, key=_colex_tuple_key))
 
     @cached_property
     def mask(self) -> int:
         """Edge set as a bitmask over colex ranks.  An edge's rank is the sum
         over positions i of comb(e[i], i + 1) (edge_rank), summed here one
-        position at a time over all edges, with no universe-sized table."""
+        position at a time over all edges, with no universe-sized table; the
+        bits are set in a byte array and read as one integer."""
         edges = self.edges
         ranks = repeat(0, len(edges))
         for i in range(self.r):
             column = [comb(v, i + 1) for v in range(self.n)]
             ranks = map(add, ranks, map(column.__getitem__, map(itemgetter(i), edges)))
-        m = 0
+        buf = bytearray(comb(self.n, self.r) + 7 >> 3)
         for rank in ranks:
-            m |= 1 << rank
-        return m
+            buf[rank >> 3] |= 1 << (rank & 7)
+        return int.from_bytes(buf, "little")
 
     def with_edges(self, extra) -> "Hypergraph":
         return Hypergraph(self.n, self.r, self.edges | frozenset(map(tuple, extra)))
 
     def is_complete(self) -> bool:
         return self.edge_count == comb(self.n, self.r)
+
+
+def _canonical_edges(edges, n: int, r: int) -> bool:
+    """Whether every edge is already a strictly increasing r-tuple inside
+    [0, n), checked a column at a time: each edge a tuple of length r, each
+    column below the next, column 0 non-negative and column r-1 below n."""
+    if not edges:
+        return True
+    try:
+        if set(map(type, edges)) != {tuple} or set(map(len, edges)) != {r}:
+            return False
+        columns = [list(map(itemgetter(i), edges)) for i in range(r)]
+        return (all(all(map(lt, a, b)) for a, b in zip(columns, columns[1:]))
+                and min(columns[0]) >= 0 and max(columns[-1]) < n)
+    except TypeError:  # vertices that do not compare as integers
+        return False
 
 
 def complete_graph(n: int, r: int) -> Hypergraph:
@@ -160,8 +192,13 @@ def missing_edges(g: Hypergraph) -> list[Edge]:
 
 
 def graph_of_mask(n: int, r: int, mask: int) -> Hypergraph:
+    """The graph whose edges are the set bits of mask over colex ranks, read
+    in one pass over the mask's binary digits, lowest rank first (a negative
+    mask is read in two's complement)."""
     universe = edge_universe(n, r)
-    return Hypergraph(n, r, (universe[i] for i in range(len(universe)) if mask >> i & 1))
+    if mask < 0:
+        mask &= (1 << len(universe)) - 1
+    return Hypergraph(n, r, compress(universe, map("1".__eq__, reversed(bin(mask)[2:]))))
 
 
 # -- text format: first line "n r", then one edge per line, '#' comments -----

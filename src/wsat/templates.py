@@ -104,12 +104,11 @@ def _link_map(edges) -> dict[int, int]:
 
 
 def _link_add(link: dict[int, int], e: Edge) -> None:
-    emask = 0
-    for v in e:
-        emask |= 1 << v
-    for v in e:
-        bit = 1 << v
-        link[emask ^ bit] = link.get(emask ^ bit, 0) | bit
+    bits = [1 << v for v in e]
+    emask = sum(bits)
+    for bit in bits:
+        rest = emask ^ bit
+        link[rest] = link.get(rest, 0) | bit
 
 
 @lru_cache(maxsize=64)
@@ -130,7 +129,10 @@ def _find_template_copy(link: dict[int, int], r: int, e: Edge, h: int, s: int
     e - {z}, z ∈ Z, and when v joins, link[Q ∪ {v}] is ANDed in for every
     (r-2)-subset Q of W with Z ⊄ Q.  The condition is closed under shrinking
     W, so the first pair in this order is returned, and None only when no
-    pair exists.
+    pair exists.  With h = r + 1 the one vertex to add is the lowest set bit
+    of a core's candidate mask, and the subsets of W that growing a copy
+    further needs are built only when h - r >= 2; the last vertex of a copy
+    is likewise the lowest candidate left, taken without a further call.
     """
     if h == r:
         # W = e: its one r-subset is e, which contains Z; e[:s] is the
@@ -139,40 +141,46 @@ def _find_template_copy(link: dict[int, int], r: int, e: Edge, h: int, s: int
     bits = [1 << v for v in e]
     emask = sum(bits)
     # the j-subsets of W, as bitmasks, for j = 0..r-2
-    subsets = [list(map(sum, combinations(bits, j))) for j in range(r - 1)]
+    subsets = [list(map(sum, combinations(bits, j))) for j in range(r - 1)] \
+        if h - r >= 2 else None
+
+    def grow(chosen: list[int], subs: list[list[int]], mask: int
+             ) -> list[int] | None:
+        need = h - r - len(chosen)  # at least 2
+        while mask.bit_count() >= need:
+            low = mask & -mask
+            mask ^= low
+            # mask now holds the candidates above v; keep those that
+            # complete every new (r-1)-set Q ∪ {v} to an edge
+            rest = mask
+            for q in subs[r - 2]:
+                if q & zmask != zmask:
+                    rest &= link.get(q | low, 0)
+                    if not rest:
+                        break
+            if need == 2:
+                # the copy is complete with the lowest candidate above v
+                if rest:
+                    return chosen + [low.bit_length() - 1,
+                                     (rest & -rest).bit_length() - 1]
+            elif rest.bit_count() >= need - 1:
+                grown = [subs[0]] + [subs[j] + [q | low for q in subs[j - 1]]
+                                     for j in range(1, r - 1)]
+                found = grow(chosen + [low.bit_length() - 1], grown, rest)
+                if found is not None:
+                    return found
+        return None
 
     for positions in _core_positions(r, s):
         zbits = [bits[p] for p in positions]
-        zmask = sum(zbits)
+        zmask = sum(zbits)  # the core tried, read by grow
         mask = ~emask
         for zbit in zbits:
             mask &= link.get(emask ^ zbit, 0)
-
-        def grow(chosen: list[int], subs: list[list[int]], mask: int
-                 ) -> list[int] | None:
-            need = h - r - len(chosen)
-            while mask.bit_count() >= need:
-                low = mask & -mask
-                mask ^= low
-                if need == 1:
-                    return chosen + [low.bit_length() - 1]
-                # mask now holds the candidates above v; keep those that
-                # complete every new (r-1)-set Q ∪ {v} to an edge
-                rest = mask
-                for q in subs[r - 2]:
-                    if q & zmask != zmask:
-                        rest &= link.get(q | low, 0)
-                        if not rest:
-                            break
-                if rest.bit_count() >= need - 1:
-                    grown = [subs[0]] + [subs[j] + [q | low for q in subs[j - 1]]
-                                         for j in range(1, r - 1)]
-                    found = grow(chosen + [low.bit_length() - 1], grown, rest)
-                    if found is not None:
-                        return found
-            return None
-
-        found = grow([], subsets, mask)
+        if h == r + 1:
+            found = [(mask & -mask).bit_length() - 1] if mask else None
+        else:
+            found = grow([], subsets, mask)
         if found is not None:
             return tuple(sorted(e + tuple(found))), tuple([e[p] for p in positions])
     return None

@@ -1,3 +1,4 @@
+from itertools import combinations
 from math import comb
 
 import pytest
@@ -28,6 +29,8 @@ from wsat import (
     spartite_gadget,
     template_closure,
 )
+from wsat.constructions import _near_anchor_edges, _spartite_edges
+from wsat.hypergraph import edge_universe
 
 K3 = make_pattern(complete_graph(3, 2))
 K4 = make_pattern(complete_graph(4, 2))
@@ -250,3 +253,120 @@ def test_gadget_outputs_reverify_under_template_closure():
     ps = PercolateSpec(r=3, h=4, s=2, clusters=3, cluster_size=4)
     g3, _, result3, bound3 = check_percolate(ps)
     assert result3.percolated and bound3.holds
+
+
+# -- the universe-filtering gadget builders, kept as oracles --------------------
+#
+# The gadgets enumerate their edges; these are the builders that scanned the
+# whole C(n, r) universe and kept the edges passing each gadget's test.
+
+def oracle_near_anchor_edges(n: int, r: int, s: int, inner: int,
+                             anchor: tuple[int, ...]) -> set:
+    """Edges not inside {0..inner-1} with at most s - 1 vertices off the anchor."""
+    anchor_set = set(anchor)
+    out = set()
+    for e in edge_universe(n, r):
+        if e[-1] < inner:
+            continue
+        if sum(1 for v in e if v not in anchor_set) <= s - 1:
+            out.add(e)
+    return out
+
+
+def oracle_spartite_edges(n: int, r: int, parts, rigid_sets, h: int) -> set:
+    """Edge set of the s-partite gadget on the given parts, inside the (n, r)
+    universe; edges leaving the union of the parts are not included."""
+    s = len(parts)
+    part_of = {}
+    for i, p in enumerate(parts):
+        for v in p:
+            part_of[v] = i
+    rigid = set()
+    for rs in rigid_sets:
+        rigid.update(rs)
+    edges = set()
+    for e in edge_universe(n, r):
+        if any(v not in part_of for v in e):
+            continue
+        hit = {part_of[v] for v in e}
+        if len(hit) < s:
+            edges.add(e)
+        elif sum(1 for v in e if v in rigid) >= r - s + 2:
+            edges.add(e)
+    return edges
+
+
+def oracle_percolate_gadget(spec: PercolateSpec):
+    """(E1, E2): E1 = edges meeting at most s - 1 clusters; E2 = union over
+    (s-1)-groups Q of the first clusters of the spartite extras on the parts
+    {cluster q : q in Q} plus the last cluster, minus what E1 already has."""
+    n, r, s = spec.n, spec.r, spec.s
+    size = spec.cluster_size
+    e1 = set()
+    for e in edge_universe(n, r):
+        if len({v // size for v in e}) <= s - 1:
+            e1.add(e)
+    e2 = set()
+    last = spec.clusters - 1
+    for q_group in combinations(range(last), s - 1):
+        group = tuple(q_group) + (last,)
+        parts = [spec.cluster(i) for i in group]
+        rigid_sets = [spec.rigid(i) for i in group]
+        extras = oracle_spartite_edges(n, r, parts, rigid_sets, spec.h)
+        e2 |= extras - e1
+    return frozenset(e1), frozenset(e2)
+
+
+RS_GRID = [(r, s) for r in range(2, 5) for s in range(2, r + 1)]
+
+
+@pytest.mark.parametrize("r,s", RS_GRID)
+def test_spartite_edges_match_universe_filter(r, s):
+    for h in (r, r + 1):
+        # uneven part sizes, largest first, last and in the middle
+        for extra in ((2, 0, 1, 3), (0, 1, 3, 0), (1, 3, 0, 2)):
+            spec = SpartiteSpec(r=r, h=h, part_sizes=[h + x for x in extra[:s]])
+            expected = oracle_spartite_edges(spec.n, r, spec.parts, spec.rigid, h)
+            assert _spartite_edges(r, spec.parts, spec.rigid) == expected
+            assert spartite_gadget(spec).edges == expected
+    # parts that are not intervals, with vertices left out of every part
+    n = 3 * s + 4
+    parts = [tuple(range(i, n - 1, s)) for i in range(s)]
+    rigid = [p[: r - 1] for p in parts]
+    assert _spartite_edges(r, parts, rigid) == \
+        oracle_spartite_edges(n, r, parts, rigid, r - 1)
+
+
+@pytest.mark.parametrize("r,s", RS_GRID)
+def test_near_anchor_edges_match_universe_filter(r, s):
+    for h in range(r, r + 3):
+        for inner in range(h, h + 4):
+            for n in range(inner, inner + 5):
+                assert _near_anchor_edges(n, r, s, h, inner) == \
+                    oracle_near_anchor_edges(n, r, s, inner, tuple(range(h)))
+
+
+@pytest.mark.parametrize("r,s", RS_GRID)
+def test_percolate_gadget_matches_universe_filter(r, s):
+    for h in (r, r + 1):
+        for clusters in (s, s + 1, s + 2):
+            for size in (h, h + 1):
+                if comb(clusters * size, r) > 30_000:
+                    continue
+                spec = PercolateSpec(r=r, h=h, s=s, clusters=clusters,
+                                     cluster_size=size)
+                assert percolate_gadget(spec) == oracle_percolate_gadget(spec)
+
+
+def test_gadgets_match_universe_filter_at_workload_size():
+    spec = SpartiteSpec(r=3, h=5, part_sizes=(12, 12, 12))
+    assert spartite_gadget(spec).edges == \
+        oracle_spartite_edges(spec.n, 3, spec.parts, spec.rigid, 5)
+    cone = ConeSpec(r=3, s=2, h=6, size_a=20, size_b=15)
+    assert _near_anchor_edges(cone.n, 3, 2, 6, 20) == \
+        oracle_near_anchor_edges(cone.n, 3, 2, 20, cone.anchor)
+    cone = ConeSpec(r=3, s=3, h=4, size_a=16, size_b=12)
+    assert _near_anchor_edges(cone.n, 3, 3, 4, 16) == \
+        oracle_near_anchor_edges(cone.n, 3, 3, 16, cone.anchor)
+    perc = PercolateSpec(r=3, h=4, s=3, clusters=6, cluster_size=5)
+    assert percolate_gadget(perc) == oracle_percolate_gadget(perc)

@@ -2,6 +2,8 @@ import random
 from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wsat import (
     FormatError,
@@ -11,9 +13,11 @@ from wsat import (
     edge_universe,
     edge_unrank,
     graph_from_text,
+    graph_of_mask,
     graph_to_text,
     missing_edges,
 )
+from wsat.hypergraph import canonical_edge
 
 
 def test_rank_examples():
@@ -128,3 +132,99 @@ def test_text_comments_and_errors():
         graph_from_text("4 2\n0 9\n")
     with pytest.raises(FormatError):
         graph_from_text("4\n")
+
+
+# -- bulk edge validation and the mask codec against per-edge oracles ----------
+
+def per_edge_edges(n, r, edges):
+    """Hypergraph's edge set as canonical_edge gives it edge by edge: the
+    frozenset, or the message of the first ValueError."""
+    try:
+        return frozenset(canonical_edge(e, n, r) for e in edges)
+    except ValueError as exc:
+        return str(exc)
+
+
+def graph_edges(n, r, edges):
+    try:
+        return Hypergraph(n, r, edges).edges
+    except ValueError as exc:
+        return str(exc)
+
+
+@st.composite
+def edge_lists(draw):
+    n = draw(st.integers(0, 7))
+    r = draw(st.integers(1, 4))
+    # mostly in range, some negative or >= n, some of the wrong length
+    vertex = st.integers(-2, n + 1) if draw(st.booleans()) else st.integers(0, max(n - 1, 0))
+    size = st.sampled_from([r, r, r, r - 1, r + 1]) if draw(st.booleans()) else st.just(r)
+    edge = size.flatmap(lambda k: st.lists(vertex, min_size=k, max_size=k))
+    edges = draw(st.lists(edge, max_size=12))
+    if draw(st.booleans()):  # already canonical, with duplicates
+        edges = [sorted(set(e)) for e in edges if len(set(e)) == r]
+        edges += edges[:3]
+    return n, r, [tuple(e) for e in edges]
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(edge_lists(), st.sampled_from(["list", "tuple", "set", "frozenset",
+                                      "generator", "lists"]))
+def test_bulk_edge_check_matches_canonical_edge(case, container):
+    n, r, edges = case
+    make = {"list": list, "tuple": tuple, "set": set, "frozenset": frozenset,
+            "generator": lambda es: (e for e in es),
+            "lists": lambda es: [list(e) for e in es]}[container]
+    if container in ("set", "frozenset"):
+        # both sides iterate the one container, so the first bad edge agrees
+        shared = make(edges)
+        assert graph_edges(n, r, shared) == per_edge_edges(n, r, shared)
+    else:
+        assert graph_edges(n, r, make(edges)) == per_edge_edges(n, r, make(edges))
+
+
+def test_bulk_edge_check_examples():
+    assert Hypergraph(5, 3, [(2, 1, 0), (0, 1, 2), (1, 3, 4)]).edges == \
+        {(0, 1, 2), (1, 3, 4)}
+    for edges, message in [
+            ([(0, 1), (2, 2)], "edge (2, 2) has a repeated vertex"),
+            ([(0, 1), (3, 0, 1)], "edge (0, 1, 3) does not have 2 vertices"),
+            ([(0, 1), (-1, 2)], "edge (-1, 2) is out of range for n=4"),
+            ([(0, 1), (1, 4)], "edge (1, 4) is out of range for n=4"),
+            ([(0, 1), ("a", 2)], None)]:
+        with pytest.raises((ValueError, TypeError)) as exc:
+            Hypergraph(4, 2, edges)
+        if message is not None:
+            assert str(exc.value) == message
+        else:
+            assert exc.type is TypeError
+
+
+def shifting_mask(g):
+    m = 0
+    for e in g.edges:
+        m |= 1 << edge_rank(e, g.n)
+    return m
+
+
+def shifting_decode(n, r, mask):
+    universe = edge_universe(n, r)
+    return frozenset(universe[i] for i in range(len(universe)) if mask >> i & 1)
+
+
+@pytest.mark.parametrize("n,r", [(1, 1), (5, 2), (9, 4), (100, 2), (40, 3), (24, 4)])
+def test_mask_codec_matches_shifting_loops(n, r):
+    size = comb(n, r)
+    rng = random.Random(n * 10 + r)
+    masks = [0, (1 << size) - 1,
+             sum(1 << i for i in range(size) if rng.random() < 0.02),
+             sum(1 << i for i in range(size) if rng.random() < 0.98),
+             1 << (size - 1)]
+    for mask in masks:
+        g = graph_of_mask(n, r, mask)
+        assert g.edges == shifting_decode(n, r, mask)
+        assert Hypergraph(n, r, set(g.edges)).mask == shifting_mask(g) == mask
+    # bits above the universe are ignored, and a negative mask is read in
+    # two's complement, as the shifting loop reads them
+    assert graph_of_mask(n, r, -1).edges == shifting_decode(n, r, -1)
+    assert graph_of_mask(n, r, 1 << size).edges == frozenset()
