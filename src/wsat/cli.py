@@ -42,12 +42,7 @@ from .percolation import (
     read_certificate,
     replay_steps,
 )
-from .solver import (
-    EXACT_TABLE_UNIVERSE,
-    ratio_table,
-    wsat_exact,
-    wsat_upper_witness,
-)
+from .solver import exact_or_upper, ratio_table, wsat_exact, wsat_upper_witness
 from .templates import (
     make_pattern,
     template,
@@ -212,12 +207,7 @@ def _gen_main(args):
     s = pattern.s
     c, m, clusters = cons.main_clusters(args.n, args.m1, s)
     cover = greedy_cover(clusters, c ** (s - 2), s - 1, seed=args.seed)
-    seed_result = wsat_exact(m, pattern, args.budget) \
-        if math.comb(m, pattern.r) <= EXACT_TABLE_UNIVERSE else None
-    if seed_result is not None and seed_result.status == "exact":
-        seed_graph = seed_result.witness
-    else:
-        _, seed_graph = wsat_upper_witness(m, pattern)
+    seed_graph = exact_or_upper(m, pattern, args.budget)[0]
     spec = cons.MainSpec(pattern=pattern, n=args.n, m1=args.m1,
                          seed_graph=seed_graph, cover=cover)
     result = cons.main_construction(spec)
@@ -336,12 +326,10 @@ def cmd_verify(args) -> int:
     g = load_graph(args.graph)
     pattern = load_pattern(args.pattern)
     with open_input(args.certificate) as file:
-        kind, n, r, raw = read_certificate(file)
-        if kind == "pattern":
-            steps = ((e, m) for _, e, _, m in raw)
-        else:
-            steps = ((e, m) for e, _, m in template_mappings(
-                pattern, r, ((e, phase, w, z) for _, e, phase, (w, z) in raw)))
+        kind, n, r, steps = read_certificate(file)
+        # a template header for another graph gets the pattern kind's verdict
+        if kind == "template" and (n, r) == (g.n, g.r):
+            steps = template_mappings(pattern, r, steps)
         # replay each step as it is read, and read on after a failure: a
         # malformed later line or template step still ends the run with its
         # FormatError or ValueError

@@ -5,7 +5,7 @@ pattern H whose image covers e.  The closure adds addable edges until no
 missing edge is addable; since a witness for an addable edge survives any
 further additions, the closure set is independent of the schedule.  Every
 closure, pattern or template, with or without a certificate, runs the one
-schedule in sweep().
+schedule in sweep(); a ClosureResult keeps the start graph and certificate.
 
 The witness search pins the added edge: it tries every pattern edge as the
 preimage of e under every bijection onto e, then extends to the remaining
@@ -24,11 +24,13 @@ the complement, so each edge's witnesses keep the direct search's order: the
 first satisfied witness is the one it would find.
 
 Certificates are checked by replay, which uses neither the witness index
-nor the closure.  One loop, replay_steps, is the only certificate checker:
-it reads (edge, mapping) pairs, with the per-step checks in a fixed order
-and with fixed messages; a step's copy of H must cover the step's own edge,
-so a step carries no other edge.  verify_certificate feeds it a
-pattern certificate's steps; a template certificate reaches it through
+nor the closure.  A step is one tuple from engine to text to replay:
+PatternStep and TemplateStep are named tuples whose fields follow their
+text line.  One loop, replay_steps, is the only certificate checker:
+it reads (edge, phase_key, mapping) steps, with the per-step checks in a
+fixed order and with fixed messages; a step's copy of H must cover the
+step's own edge, so a step carries no other edge.  verify_certificate feeds
+it a pattern certificate's steps; a template certificate reaches it through
 templates.template_mappings, which turns each step's template copy into a
 pattern embedding.  Edges are keyed by an order-free integer: with
 M = r*n^r + 1 and code(v) = sum over j = 1..r of v^j * M^(j-1), the key of
@@ -41,10 +43,10 @@ its mapping's codes, with no sort; only a failure message builds a sorted
 edge.
 
 The text parser (read_certificate) reads text chunks, such as the lines of
-an open file, and returns the header and a generator of raw steps, from
-which certificate_from_text builds the dataclasses.  wsat verify feeds the
-generator, through template_mappings for a template certificate, straight
-into replay_steps, so it holds neither the whole text nor any step object.
+an open file, and returns the header and a generator of plain step tuples,
+which certificate_from_text makes named.  wsat verify feeds the generator,
+through template_mappings for a template certificate, straight into
+replay_steps, so it holds neither the whole text nor any step object.
 A pattern step line written exactly as certificate_to_text writes it is
 matched by one regular expression, built from the first step's edge size
 and mapping length.  Every other line goes through the per-token checks,
@@ -56,11 +58,11 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import lru_cache
-from itertools import chain, permutations
+from functools import cached_property, lru_cache
+from itertools import chain, permutations, starmap
 from math import comb
 from operator import add, itemgetter
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .hypergraph import (
     Edge,
@@ -69,24 +71,22 @@ from .hypergraph import (
     Pattern,
     canonical_edge,
     edge_universe,
-    graph_of_mask,
     mask_rank_table,
 )
 
 
-@dataclass(frozen=True)
-class PatternStep:
+class PatternStep(NamedTuple):
     """A step witnessed by an embedding of H covering edge: mapping[i]
-    hosts pattern vertex i."""
+    hosts pattern vertex i.  Equal to the plain tuple of its fields."""
 
     edge: Edge
     phase_key: int
     mapping: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class TemplateStep:
-    """A step witnessed by a template copy: core ⊆ edge ⊆ vertex_set."""
+class TemplateStep(NamedTuple):
+    """A step witnessed by a template copy: core ⊆ edge ⊆ vertex_set.
+    Equal to the plain tuple of its fields."""
 
     edge: Edge
     phase_key: int
@@ -118,9 +118,20 @@ class SaturationCertificate:
 
 @dataclass(frozen=True)
 class ClosureResult:
-    closure: Hypergraph
+    """The start graph and the certificate a closure engine computed; closure
+    (built when first read) and percolated are derived from them."""
+
+    graph: Hypergraph
     certificate: SaturationCertificate
-    percolated: bool
+
+    @cached_property
+    def closure(self) -> Hypergraph:
+        return self.graph.with_edges([step.edge for step in self.certificate.steps])
+
+    @property
+    def percolated(self) -> bool:
+        g = self.graph
+        return g.edge_count + len(self.certificate) == comb(g.n, g.r)
 
 
 @dataclass(frozen=True)
@@ -406,10 +417,8 @@ def closure(g: Hypergraph, pattern: Pattern,
             return None
         return PatternStep(universe[rank], 0, mapping)
 
-    mask, steps = sweep(g.mask, idx.full_mask, order, step_for)
-    cert = SaturationCertificate("pattern", g.n, g.r, tuple(steps))
-    closed = graph_of_mask(g.n, g.r, mask)
-    return ClosureResult(closed, cert, mask == idx.full_mask)
+    steps = tuple(sweep(g.mask, idx.full_mask, order, step_for)[1])
+    return ClosureResult(g, SaturationCertificate("pattern", g.n, g.r, steps))
 
 
 def is_weakly_saturated(g: Hypergraph, pattern: Pattern) -> bool:
@@ -436,9 +445,9 @@ class _VertexCodes(dict):
 
 def replay_steps(g: Hypergraph, pattern: Pattern, n: int, r: int,
                  steps: Iterable[tuple]) -> tuple[CertificateCheck, int]:
-    """Replay the (edge, mapping) steps of a pattern certificate for the
-    (n, r) universe against g; returns the verdict and the number of steps
-    read.
+    """Replay the (edge, phase_key, mapping) steps of a pattern certificate
+    for the (n, r) universe against g; returns the verdict and the number of
+    steps read (none when n, r are not g's).
 
     Checks, per step: the edge is well-formed and absent, the mapping is an
     injective embedding of the pattern into the current graph plus the
@@ -457,7 +466,7 @@ def replay_steps(g: Hypergraph, pattern: Pattern, n: int, r: int,
     first, *rest = [_getter([pe[j] for pe in pat_edges]) for j in range(r)]
     reason = None
     i = -1
-    for i, (edge, m) in enumerate(steps):
+    for i, (edge, _, m) in enumerate(steps):
         if len(edge) != r or len(set(edge)) != r or min(edge) < 0 or max(edge) >= n:
             try:
                 canonical_edge(edge, n, r)  # raises, naming the first failed check
@@ -500,8 +509,7 @@ def verify_certificate(g: Hypergraph, pattern: Pattern,
     (replay_steps)."""
     if cert.kind != "pattern":
         raise ValueError(f"expected a pattern certificate, got kind={cert.kind!r}")
-    steps = ((s.edge, s.mapping) for s in cert.steps)
-    return replay_steps(g, pattern, cert.n, cert.r, steps)[0]
+    return replay_steps(g, pattern, cert.n, cert.r, cert.steps)[0]
 
 
 def clique_wsat_value(n: int, t: int, r: int) -> int:
@@ -572,10 +580,10 @@ def _parse_mapping(text: str, line_no: int) -> tuple[int, ...]:
 def read_certificate(chunks: Iterable[str]) -> tuple[str, int, int, Iterator[tuple]]:
     """The header (kind, n, r) of a certificate text, given as an iterable
     of text chunks (the lines of an open file, or (text,)), and a generator
-    of its raw steps (line number, edge, phase, witness): the witness is a
-    mapping for a pattern certificate, a (vertex_set, core) pair for a
-    template one.  Each chunk is split with str.splitlines, so the lines of
-    a file opened with universal newlines give the lines of its whole text.
+    of its steps as plain tuples: (edge, phase_key, mapping) for a pattern
+    certificate, (edge, phase_key, vertex_set, core) for a template one.
+    Each chunk is split with str.splitlines, so the lines of a file opened
+    with universal newlines give the lines of its whole text.
     A malformed header raises at once, a malformed step line when the
     generator reaches it."""
     lines = enumerate(chain.from_iterable(map(str.splitlines, chunks)), start=1)
@@ -612,7 +620,7 @@ def _raw_steps(lines, kind: str, r: int) -> Iterator[tuple]:
             except KeyError:
                 number.update(zip(digits, map(int, digits)))
                 values = [*map(number.__getitem__, digits)]
-            yield line_no, tuple(values[:r]), values[r], tuple(values[r + 1:])
+            yield tuple(values[:r]), values[r], tuple(values[r + 1:])
             continue
         line = raw.strip()
         if not line or line[0] == "#":
@@ -633,7 +641,7 @@ def _raw_steps(lines, kind: str, r: int) -> Iterator[tuple]:
             # vertices, so its size is bounded by this line's
             if written is None and len(edge) == r:
                 written = _written_step(r, len(m))
-            yield line_no, edge, phase, m
+            yield edge, phase, m
         else:
             w_part, z_part = None, None
             for tok in witness.split():
@@ -643,14 +651,11 @@ def _raw_steps(lines, kind: str, r: int) -> Iterator[tuple]:
                     z_part = tok[3:-1]
             if w_part is None or z_part is None:
                 raise FormatError(line_no, "template witness must be 'W={...} Z={...}'")
-            yield line_no, edge, phase, (_parse_int_list(w_part, line_no),
-                                         _parse_int_list(z_part, line_no))
+            yield (edge, phase, _parse_int_list(w_part, line_no),
+                   _parse_int_list(z_part, line_no))
 
 
 def certificate_from_text(text: str) -> SaturationCertificate:
-    kind, n, r, raw = read_certificate((text,))
-    if kind == "pattern":
-        steps = tuple(PatternStep(e, phase, m) for _, e, phase, m in raw)
-    else:
-        steps = tuple(TemplateStep(e, phase, w, z) for _, e, phase, (w, z) in raw)
-    return SaturationCertificate(kind, n, r, steps)
+    kind, n, r, steps = read_certificate((text,))
+    step = PatternStep if kind == "pattern" else TemplateStep
+    return SaturationCertificate(kind, n, r, tuple(starmap(step, steps)))

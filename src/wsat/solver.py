@@ -45,7 +45,7 @@ from .percolation import (
 
 DEFAULT_BUDGET = 10_000_000
 MAX_SOLVER_UNIVERSE = 30
-EXACT_TABLE_UNIVERSE = 20  # ratio_table switches to upper bounds beyond this
+EXACT_TABLE_UNIVERSE = 20  # exact_or_upper switches to upper bounds beyond this
 
 
 @dataclass(frozen=True)
@@ -226,6 +226,17 @@ def wsat_upper(n: int, pattern: Pattern) -> int:
     return wsat_upper_witness(n, pattern)[0]
 
 
+def exact_or_upper(n: int, pattern: Pattern, budget: int = DEFAULT_BUDGET
+                   ) -> tuple[Hypergraph, str]:
+    """wsat_exact's witness and "exact" if C(n, r) <= EXACT_TABLE_UNIVERSE and
+    the search ends within budget, else wsat_upper_witness's and "upper"."""
+    if comb(n, pattern.r) <= EXACT_TABLE_UNIVERSE:
+        result = wsat_exact(n, pattern, budget)
+        if result.status == "exact":
+            return result.witness, "exact"
+    return wsat_upper_witness(n, pattern)[1], "upper"
+
+
 @dataclass(frozen=True)
 class RatioRow:
     n: int
@@ -244,11 +255,7 @@ def ratio_table(pattern: Pattern, sizes, budget: int = DEFAULT_BUDGET
     for n in sizes:
         if n == 0 and s > 1:
             raise ValueError(f"ratio value / n^(s-1) is undefined at n = 0 for s={s}")
-        result = wsat_exact(n, pattern, budget) \
-            if comb(n, pattern.r) <= EXACT_TABLE_UNIVERSE else None
-        if result is not None and result.status == "exact":
-            value, method = result.value, "exact"
-        else:
-            value, method = wsat_upper(n, pattern), "upper"
+        witness, method = exact_or_upper(n, pattern, budget)
+        value = witness.edge_count
         rows.append(RatioRow(n, value, value / n ** (s - 1), method))
     return rows

@@ -8,8 +8,9 @@ fresh template copy; any graph saturated this way is weakly H-saturated for
 every H with h vertices and sparseness s >= 2.
 
 There is one certificate checker, percolation.replay_steps.  A template
-certificate reaches it through template_mappings, which turns each step's
-copy (W, Z) into a pattern embedding for H, step by step.  Against the
+certificate reaches it through template_mappings, which turns each
+(edge, phase_key, vertex_set, core) step into the (edge, phase_key,
+mapping) step of a pattern embedding for H, step by step.  Against the
 template graph itself (H = T(r, h, s), whose sparseness witness is the core
 and whose unique edge is the special edge) the replay checks exactly that
 every r-subset of W not containing Z is present and the edge is new.
@@ -29,7 +30,7 @@ from __future__ import annotations
 
 import random
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, starmap
 from typing import Callable, Iterable, Iterator
 
 from .hypergraph import (
@@ -39,7 +40,6 @@ from .hypergraph import (
     canonical_edge,
     colex_key,
     edge_universe,
-    graph_of_mask,
 )
 from .percolation import (
     ClosureResult,
@@ -219,9 +219,8 @@ def template_closure(g: Hypergraph, h: int, s: int,
         phase = phase_fn(e) if phase_fn is not None else 0
         return TemplateStep(e, phase, *hit)
 
-    mask, steps = sweep(g.mask, full, range(len(universe)), step_for)
-    cert = SaturationCertificate("template", g.n, g.r, tuple(steps))
-    return ClosureResult(graph_of_mask(g.n, g.r, mask), cert, mask == full)
+    steps = tuple(sweep(g.mask, full, range(len(universe)), step_for)[1])
+    return ClosureResult(g, SaturationCertificate("template", g.n, g.r, steps))
 
 
 def template_mappings(pattern: Pattern, r: int, steps: Iterable[tuple],
@@ -280,7 +279,6 @@ def template_cert_to_pattern_cert(cert: SaturationCertificate, pattern: Pattern,
     for i, step in enumerate(cert.steps):
         if not isinstance(step, TemplateStep):
             raise ValueError(f"step {i} is not a template step")
-    raw = ((st.edge, st.phase_key, st.vertex_set, st.core) for st in cert.steps)
-    steps = tuple(PatternStep(*step)
-                  for step in template_mappings(pattern, cert.r, raw, rng))
-    return SaturationCertificate("pattern", cert.n, cert.r, steps)
+    steps = template_mappings(pattern, cert.r, cert.steps, rng)
+    return SaturationCertificate("pattern", cert.n, cert.r,
+                                 tuple(starmap(PatternStep, steps)))

@@ -325,9 +325,14 @@ def verify_inputs(tmp_path_factory):
 def expected_verify(g, pattern, text):
     """(exit code, stdout) of wsat verify by the materialized path: parse the
     whole certificate, convert a template one, then replay it with
-    verify_certificate.  A conversion ValueError is exit 64."""
+    verify_certificate.  A template header for another graph gets the
+    pattern kind's verdict, before any conversion; a conversion ValueError
+    is exit 64."""
     cert = certificate_from_text(text)
     if cert.kind == "template":
+        if (cert.n, cert.r) != (g.n, g.r):
+            return 1, (f"invalid at step None: certificate is for n={cert.n} "
+                       f"r={cert.r}, graph has n={g.n} r={g.r}\n")
         try:
             cert = template_cert_to_pattern_cert(cert, pattern)
         except ValueError:
@@ -397,6 +402,26 @@ def test_streamed_verify_matches_the_materialized_path(tmp_path, capsys):
     assert code == 0 and len(template_lines) > 1
     (code, _, err), _ = verify(*template_lines, "0 1 | 0 | W={0,1}", graph=tpath)
     assert code == 64 and f"line {len(template_lines) + 1}:" in err
+
+
+@pytest.mark.parametrize("kind,steps", [
+    ("pattern", ""),
+    ("pattern", "0 1 2 | 0 | 0->0 1->1 2->2\n"),
+    ("template", ""),
+    ("template", "0 1 2 | 0 | W={0,1,2} Z={0,1}\n"),
+    ("template", "1 2 3 | 0 | W={1,2,3} Z={1,4,5}\n"),  # would fail conversion
+])
+def test_verify_certificate_for_another_r_is_a_negative_verdict(tmp_path, capsys,
+                                                              kind, steps):
+    """A header for r=3 against a 2-graph, with a pattern of the graph's r:
+    the same verdict for either kind, with or without steps."""
+    graph = write_graph(tmp_path / "star.txt", STAR4)
+    text = f"CERT {kind} 4 3\n{steps}"
+    (tmp_path / "c.cert").write_text(text)
+    code, out, err = run(capsys, "verify", graph, "K3", str(tmp_path / "c.cert"))
+    assert (code, out, err) == (1, "invalid at step None: certificate is for "
+                                   "n=4 r=3, graph has n=4 r=2\n", "")
+    assert (code, out) == expected_verify(STAR4, parse_pattern_token("K3"), text)
 
 
 @pytest.mark.parametrize("step,reason", [

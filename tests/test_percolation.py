@@ -25,8 +25,9 @@ from wsat import (
     template_closure,
     template_minus,
     verify_certificate,
+    witness_index,
 )
-from wsat.hypergraph import canonical_edge
+from wsat.hypergraph import canonical_edge, graph_of_mask
 
 K3 = make_pattern(complete_graph(3, 2))
 K4 = make_pattern(complete_graph(4, 2))
@@ -584,6 +585,10 @@ def test_closure_is_extensive_idempotent_monotone_and_replays(case):
     assert len(again.certificate) == 0 and again.closure == res.closure
     assert res.closure.edges <= closure(bigger, pattern).closure.edges
     assert verify_certificate(g, pattern, res.certificate)
+    # the derived fields against the certificate-free close
+    closed = witness_index(g.n, pattern).close(g.mask)
+    assert res.closure == graph_of_mask(g.n, g.r, closed)
+    assert res.percolated == is_weakly_saturated(g, pattern)
 
 
 # -- the replay's order-free edge keys ------------------------------------------

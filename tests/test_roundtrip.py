@@ -18,6 +18,7 @@ from wsat import (
     graph_from_text,
     graph_to_text,
 )
+from wsat.percolation import read_certificate
 
 ROUNDTRIP = settings(max_examples=150, deadline=None, derandomize=True)
 
@@ -102,6 +103,8 @@ def test_pattern_certificate_text_roundtrip(cert):
     back = certificate_from_text(text)
     assert back == cert
     assert certificate_to_text(back) == text
+    # the parser yields each step as the plain tuple of its fields
+    assert list(read_certificate((text,))[3]) == list(cert.steps)
 
 
 @ROUNDTRIP
@@ -111,3 +114,4 @@ def test_template_certificate_text_roundtrip(cert):
     back = certificate_from_text(text)
     assert back == cert
     assert certificate_to_text(back) == text
+    assert list(read_certificate((text,))[3]) == list(cert.steps)

@@ -25,7 +25,7 @@ from wsat import (
     witness_index,
 )
 from wsat.hypergraph import edge_universe
-from wsat.solver import MAX_SOLVER_UNIVERSE, _transposition_tables
+from wsat.solver import MAX_SOLVER_UNIVERSE, _transposition_tables, exact_or_upper
 
 
 def rank_table(n, r):
@@ -243,6 +243,13 @@ def test_ratio_table_k3():
     for row, want in zip(rows, expected):
         assert abs(row.ratio - want) < 1e-12
     assert [row.method for row in rows] == ["exact"] * 4 + ["upper"] * 2
+
+
+def test_exact_or_upper_decides_in_one_place():
+    assert exact_or_upper(6, K3) == (wsat_exact(6, K3).witness, "exact")
+    # out of budget, or a universe above EXACT_TABLE_UNIVERSE (C(7, 2) = 21)
+    assert exact_or_upper(6, K3, budget=10) == (wsat_upper_witness(6, K3)[1], "upper")
+    assert exact_or_upper(7, K3) == (wsat_upper_witness(7, K3)[1], "upper")
 
 
 def test_ratio_table_single_edge_all_zero():
