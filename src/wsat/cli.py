@@ -22,6 +22,7 @@ import hashlib
 import math
 import re
 import sys
+from functools import partial
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -326,18 +327,15 @@ def cmd_verify(args) -> int:
     g = load_graph(args.graph)
     pattern = load_pattern(args.pattern)
     with open_input(args.certificate) as file:
-        kind, n, r, steps = read_certificate(file)
+        kind, n, r, steps = read_certificate(iter(partial(file.read, 1 << 16), ""))
         # a template header for another graph gets the pattern kind's verdict
         if kind == "template" and (n, r) == (g.n, g.r):
             steps = template_mappings(pattern, r, steps)
-        # replay each step as it is read, and read on after a failure: a
-        # malformed later line or template step still ends the run with its
-        # FormatError or ValueError
-        try:
-            check, count = replay_steps(g, pattern, n, r, steps)
-        finally:
-            for _ in steps:
-                pass
+        check, count = replay_steps(g, pattern, n, r, steps)
+        # read on after a verdict: a malformed later line or template step
+        # still ends the run with its FormatError or ValueError
+        for _ in steps:
+            pass
     if check.ok:
         print(f"valid steps={count}")
         return EXIT_OK

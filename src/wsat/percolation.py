@@ -26,24 +26,28 @@ first satisfied witness is the one it would find.
 Certificates are checked by replay, which uses neither the witness index
 nor the closure.  A step is one tuple from engine to text to replay:
 PatternStep and TemplateStep are named tuples whose fields follow their
-text line.  One loop, replay_steps, is the only certificate checker:
-it reads (edge, phase_key, mapping) steps, with the per-step checks in a
-fixed order and with fixed messages; a step's copy of H must cover the
-step's own edge, so a step carries no other edge.  verify_certificate feeds
-it a pattern certificate's steps; a template certificate reaches it through
+text line.  One function, replay_steps, is the only certificate checker:
+it reads (edge, phase_key, mapping) steps in blocks of BLOCK.  A bulk check
+(_accept_block) accepts a block whose every step passes, with column
+operations over the whole block; a block it does not accept is replayed
+from its start by the per-step loop, with the checks in a fixed order and
+with fixed messages, and only that loop builds a verdict's step and
+reason.  A step's copy of H must cover the step's own edge, so a step
+carries no other edge.  verify_certificate feeds replay_steps a pattern
+certificate's steps; a template certificate reaches it through
 templates.template_mappings, which turns each step's template copy into a
 pattern embedding.  Edges are keyed by an order-free integer: with
 M = r*n^r + 1 and code(v) = sum over j = 1..r of v^j * M^(j-1), the key of
 an r-set S is the sum of its vertices' codes.  Its base-M digits are the
 power sums p_1..p_r of S, with no carries since p_j <= r*(n-1)^j < M, and
-by Newton's identities the power sums of an r-set determine it, so the key
-is injective on r-sets.  Codes are computed for the vertices that occur,
-and a step's image keys are summed from per-position column getters over
-its mapping's codes, with no sort; only a failure message builds a sorted
-edge.
+by Newton's identities the power sums of r numbers determine them, so the
+key is injective on r-sets, and on multisets of r vertices too.  Codes are
+computed for the vertices that occur, and image keys are summed from
+columns of their mapping's codes, with no sort; only a failure message
+builds a sorted edge.
 
-The text parser (read_certificate) reads text chunks, such as the lines of
-an open file, and returns the header and a generator of plain step tuples,
+The text parser (read_certificate) reads text chunks, such as 64 KiB blocks
+of an open file, and returns the header and a generator of plain step tuples,
 which certificate_from_text makes named.  wsat verify feeds the generator,
 through template_mappings for a template certificate, straight into
 replay_steps, so it holds neither the whole text nor any step object.
@@ -59,7 +63,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import chain, permutations, starmap
+from itertools import chain, islice, permutations, repeat, starmap
 from math import comb
 from operator import add, itemgetter
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
@@ -443,15 +447,86 @@ class _VertexCodes(dict):
         return code
 
 
+# steps that replay_steps reads and checks at once
+BLOCK = 256
+
+
+def _add_columns(columns: list) -> list:
+    """The elementwise sum of equally long columns."""
+    first, *rest = columns
+    for column in rest:
+        first = map(add, first, column)
+    return [*first]
+
+
+def _accept_block(block: list, n: int, r: int, h: int, code, pat_edges,
+                  current: set) -> bool:
+    """Add the keys of a block's edges to current and return True when
+    every step of the block passes replay in order; else leave current as
+    it was and return False.
+
+    The conditions are tested on the whole block with zip, map, slices and
+    set and dict operations: three fields per step, r-vertex edges and
+    h-vertex mappings, vertices in [0, n), injective mappings, edge keys
+    absent from current, an image of each step equal to its edge and none
+    equal to the edge of the same or a later step, and every image in
+    current once the block's edges are.  Two checks of the loop follow:
+    the edge keys are distinct, and an edge's vertices are distinct, since
+    its key is an image's, the key of an r-set, and keys are injective on
+    multisets of r vertices in [0, n) as on sets (power sums determine a
+    multiset too).
+    """
+    if {*map(len, block)} != {3}:
+        return False
+    edges, _, maps = zip(*block)
+    if ({*map(len, edges)} != {r} or {*map(len, maps)} != {h}
+            or {*map(len, map(set, maps))} != {h}):
+        return False
+    edge_vertices = [*chain.from_iterable(edges)]
+    map_vertices = [*chain.from_iterable(maps)]
+    vertices = {*edge_vertices, *map_vertices}
+    if min(vertices) < 0 or max(vertices) >= n:
+        return False
+    edge_codes = [*map(code, edge_vertices)]
+    keys = _add_columns([edge_codes[j::r] for j in range(r)])
+    key_set = set(keys)
+    if not current.isdisjoint(key_set):
+        return False
+    map_codes = [*map(code, map_vertices)]
+    targets = [map_codes[v::h] for v in range(h)]  # column v: the codes of m[v]
+    images = [_add_columns([targets[v] for v in pe]) for pe in pat_edges]
+    # with at[key] its step and -1 for an image outside the block, a step's
+    # largest image position is its own index exactly when an image is its
+    # edge and none is a later step's; at keeps the last step of a repeated
+    # key, so the earlier step fails; a column with no block key adds -1s
+    at = dict(zip(keys, range(len(keys))))
+    positions = [map(at.get, image, repeat(-1)) for image in images
+                 if not key_set.isdisjoint(image)]
+    if not positions or ([*map(max, repeat(-1, len(keys)), *positions)]
+                         != [*range(len(keys))]):
+        return False
+    current.update(key_set)
+    if all(map(current.issuperset, images)):
+        return True
+    current.difference_update(key_set)
+    return False
+
+
 def replay_steps(g: Hypergraph, pattern: Pattern, n: int, r: int,
                  steps: Iterable[tuple]) -> tuple[CertificateCheck, int]:
     """Replay the (edge, phase_key, mapping) steps of a pattern certificate
     for the (n, r) universe against g; returns the verdict and the number of
-    steps read (none when n, r are not g's).
+    steps replayed, the failing one included (none when n, r are not g's).
 
     Checks, per step: the edge is well-formed and absent, the mapping is an
     injective embedding of the pattern into the current graph plus the
     step's edge, and the image covers that edge.
+
+    Steps are read in blocks of BLOCK.  _accept_block accepts a block whose
+    steps all pass, at C speed; a block it does not accept is replayed from
+    the state at its start by the per-step loop, which alone builds a
+    failure's step and reason.  So up to BLOCK - 1 steps past a failing one
+    are read, and an exception the steps raise there propagates.
     """
     if n != g.n or r != g.r:
         return CertificateCheck(False, None, f"certificate is for n={n} r={r}, "
@@ -464,43 +539,53 @@ def replay_steps(g: Hypergraph, pattern: Pattern, n: int, r: int,
     current = {sum(map(code, e)) for e in g.edges}
     # column j reads the code of the j-th vertex of every pattern edge image
     first, *rest = [_getter([pe[j] for pe in pat_edges]) for j in range(r)]
-    reason = None
-    i = -1
-    for i, (edge, _, m) in enumerate(steps):
-        if len(edge) != r or len(set(edge)) != r or min(edge) < 0 or max(edge) >= n:
-            try:
-                canonical_edge(edge, n, r)  # raises, naming the first failed check
-            except ValueError as exc:
-                reason = str(exc)
+    steps = iter(steps)
+    count = 0  # steps in the blocks replayed so far
+    while block := [*islice(steps, BLOCK)]:
+        try:
+            accepted = _accept_block(block, n, r, h, code, pat_edges, current)
+        except (TypeError, ValueError):
+            accepted = False  # a step of another shape: the loop judges it
+        if accepted:
+            count += len(block)
+            continue
+        reason = None
+        for i, (edge, _, m) in enumerate(block, count):
+            if len(edge) != r or len(set(edge)) != r or min(edge) < 0 or max(edge) >= n:
+                try:
+                    canonical_edge(edge, n, r)  # raises, naming the first failed check
+                except ValueError as exc:
+                    reason = str(exc)
+                    break
+            key = sum(map(code, edge))
+            if key in current:
+                reason = f"edge {tuple(sorted(edge))} already present"
+            elif len(m) != h:
+                reason = "mapping has wrong length"
+            elif min(m) < 0 or max(m) >= n:
+                reason = "mapping target out of range"
+            elif len(set(m)) != h:
+                reason = "mapping is not injective"
+            if reason is not None:
                 break
-        key = sum(map(code, edge))
-        if key in current:
-            reason = f"edge {tuple(sorted(edge))} already present"
-        elif len(m) != h:
-            reason = "mapping has wrong length"
-        elif min(m) < 0 or max(m) >= n:
-            reason = "mapping target out of range"
-        elif len(set(m)) != h:
-            reason = "mapping is not injective"
+            codes = [*map(code, m)]
+            images = first(codes)
+            for column in rest:
+                images = map(add, images, column(codes))
+            images = [*images]
+            current.add(key)
+            if not current.issuperset(images):
+                # the first absent image in pattern-edge order, e itself now present
+                k = next(k for k, img in enumerate(images) if img not in current)
+                reason = f"image edge {tuple(sorted(m[v] for v in pat_edges[k]))} absent"
+                break
+            if key not in images:
+                reason = "witness image does not cover the added edge"
+                break
         if reason is not None:
-            break
-        codes = [*map(code, m)]
-        images = first(codes)
-        for column in rest:
-            images = map(add, images, column(codes))
-        images = [*images]
-        current.add(key)
-        if not current.issuperset(images):
-            # the first absent image in pattern-edge order, e itself now present
-            k = next(k for k, img in enumerate(images) if img not in current)
-            reason = f"image edge {tuple(sorted(m[v] for v in pat_edges[k]))} absent"
-            break
-        if key not in images:
-            reason = "witness image does not cover the added edge"
-            break
-    else:
-        return CertificateCheck(True), i + 1
-    return CertificateCheck(False, i, reason), i + 1
+            return CertificateCheck(False, i, reason), i + 1
+        count += len(block)
+    return CertificateCheck(True), count
 
 
 def verify_certificate(g: Hypergraph, pattern: Pattern,
@@ -577,16 +662,39 @@ def _parse_mapping(text: str, line_no: int) -> tuple[int, ...]:
     return tuple(mapping[v] for v in range(len(mapping)))
 
 
+# the characters at which str.splitlines ends a line, but "\r", which ends
+# one only when no "\n" follows it
+_LINE_ENDS = "\n\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
+
+
+def _chunk_lines(chunks: Iterable[str]) -> Iterator[list[str]]:
+    """The lines of the text that chunks join into, one list per chunk, as
+    the whole text's splitlines() gives them.  A chunk's last line is
+    carried into the next chunk unless a line end that nothing can extend
+    closes it, so a line or a "\r\n" split across chunks is joined."""
+    carry = ""
+    for chunk in chunks:
+        text = carry + chunk
+        lines = text.splitlines()
+        if text[-1:] in _LINE_ENDS:  # "" is in it too: an empty text has no line
+            carry = ""
+        else:
+            carry = lines.pop() + ("\r" if text[-1] == "\r" else "")
+        yield lines
+    yield carry.splitlines()
+
+
 def read_certificate(chunks: Iterable[str]) -> tuple[str, int, int, Iterator[tuple]]:
     """The header (kind, n, r) of a certificate text, given as an iterable
-    of text chunks (the lines of an open file, or (text,)), and a generator
-    of its steps as plain tuples: (edge, phase_key, mapping) for a pattern
-    certificate, (edge, phase_key, vertex_set, core) for a template one.
-    Each chunk is split with str.splitlines, so the lines of a file opened
-    with universal newlines give the lines of its whole text.
+    of text chunks split anywhere (blocks read from an open file, its lines,
+    or (text,)), and a generator of its steps as plain tuples: (edge,
+    phase_key, mapping) for a pattern certificate, (edge, phase_key,
+    vertex_set, core) for a template one.  Lines and line numbers are those
+    of the whole text's splitlines(), and no more than one chunk and one
+    line are held at a time.
     A malformed header raises at once, a malformed step line when the
     generator reaches it."""
-    lines = enumerate(chain.from_iterable(map(str.splitlines, chunks)), start=1)
+    lines = enumerate(chain.from_iterable(_chunk_lines(chunks)), start=1)
     for line_no, raw in lines:
         line = raw.strip()
         if line and line[0] != "#":

@@ -277,7 +277,7 @@ def template_cert_to_pattern_cert(cert: SaturationCertificate, pattern: Pattern,
     if cert.kind != "template":
         raise ValueError(f"expected a template certificate, got kind={cert.kind!r}")
     for i, step in enumerate(cert.steps):
-        if not isinstance(step, TemplateStep):
+        if len(step) != 4:
             raise ValueError(f"step {i} is not a template step")
     steps = template_mappings(pattern, cert.r, cert.steps, rng)
     return SaturationCertificate("pattern", cert.n, cert.r,

@@ -424,6 +424,22 @@ def test_verify_certificate_for_another_r_is_a_negative_verdict(tmp_path, capsys
     assert (code, out) == expected_verify(STAR4, parse_pattern_token("K3"), text)
 
 
+@pytest.mark.parametrize("kind,steps", [
+    ("pattern", ""),
+    ("pattern", "0 1 | 0 | 0->0 1->1 2->2 3->3\n"),
+    ("template", ""),
+    ("template", "1 2 | 0 | W={0,1,2,3} Z={1,2}\n"),
+])
+def test_verify_pattern_of_another_r_names_the_graph(tmp_path, capsys, kind, steps):
+    """A 3-uniform pattern against a 2-graph, with a header for the graph:
+    one usage error for either kind, naming the pattern's and the graph's r."""
+    graph = write_graph(tmp_path / "star.txt", STAR4)
+    (tmp_path / "c.cert").write_text(f"CERT {kind} 4 2\n{steps}")
+    code, out, err = run(capsys, "verify", graph, "K4^3", str(tmp_path / "c.cert"))
+    assert (code, out, err) == (64, "", "wsat: error: uniformity mismatch: "
+                                        "pattern r=3, graph r=2\n")
+
+
 @pytest.mark.parametrize("step,reason", [
     ("3 4 | 0 | W={3,3,4} Z={3,4}", "W must be an h-set, got (3, 3, 4)"),
     ("3 4 | 0 | W={0,3,4} Z={0,4}", "need Z ⊆ edge ⊆ W"),

@@ -1,11 +1,12 @@
 import random
 import sys
-from itertools import combinations
+from itertools import chain, combinations, starmap
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import wsat.percolation as percolation
 from wsat import (
     CertificateCheck,
     FormatError,
@@ -28,6 +29,7 @@ from wsat import (
     witness_index,
 )
 from wsat.hypergraph import canonical_edge, graph_of_mask
+from wsat.percolation import _chunk_lines, read_certificate, replay_steps
 
 K3 = make_pattern(complete_graph(3, 2))
 K4 = make_pattern(complete_graph(4, 2))
@@ -589,6 +591,121 @@ def test_closure_is_extensive_idempotent_monotone_and_replays(case):
     closed = witness_index(g.n, pattern).close(g.mask)
     assert res.closure == graph_of_mask(g.n, g.r, closed)
     assert res.percolated == is_weakly_saturated(g, pattern)
+
+
+# -- block replay: the bulk check and its per-step fallback ---------------------
+
+def test_block_boundaries_match_seed_on_long_extremal_certificates(monkeypatch):
+    """Every corruption at the last step of a block, the first step of the
+    next and in a later block; the bulk check both accepts blocks and
+    leaves some to the per-step loop."""
+    accepted = []
+    real = percolation._accept_block
+
+    def counting(*args):
+        accepted.append(real(*args))
+        return accepted[-1]
+
+    monkeypatch.setattr(percolation, "_accept_block", counting)
+    rng = random.Random(7)
+    block = percolation.BLOCK
+    for n, t, r in [(40, 4, 2), (41, 5, 2)]:
+        g, pattern, steps = _extremal(n, t, r, rng)
+        assert len(steps) > 2 * block
+        text = _cert_text(n, r, steps)
+        assert assert_same_as_seed(text, g, pattern)[0] == "ok"
+        for j in (block - 1, block, 2 * block + 5):
+            for _, corrupt in _step_corruptions(g, steps, j):
+                lines = text.splitlines()
+                if isinstance(corrupt, str):
+                    lines[j + 1] = corrupt
+                else:
+                    lines[j + 1] = _cert_text(n, r, [corrupt]).splitlines()[1]
+                assert_same_as_seed("\n".join(lines) + "\n", g, pattern)
+    assert True in accepted and False in accepted
+
+
+def test_bulk_check_leaves_a_lone_failure_to_the_loop(monkeypatch):
+    """Steps that fail one check whose failure no image shows: a pendant
+    edge out of range, a mapping that sends two non-adjacent pattern
+    vertices to one vertex, and a step with a fourth field; and a vertex
+    the bulk check cannot compare, after a failing step."""
+    g = Hypergraph(6, 2, [(0, 1), (0, 2), (1, 2)])
+    good = [((0, 3), 0, (0, 1, 2, 3)), ((0, 4), 0, (0, 1, 2, 4))]
+    later = [((0, 5), 0, (0, 1, 2, 5))]
+    for bad in [[((0, 6), 0, (0, 1, 2, 6))], [((-1, 0), 0, (0, 1, 2, -1))],
+                [((3, 4), 0, (0, 3, 4, 3))],
+                [((0, 1), 0, (0, 1, 2, 3)), ((None, 5), 0, (0, 1, 2, 5))]]:
+        steps = tuple(starmap(PatternStep, good + bad + later))
+        cert = SaturationCertificate("pattern", 6, 2, steps)
+        check = assert_same_check(g, TRI_PENDANT, cert)[1]
+        assert not check and check.step == 2
+    loop = []
+    for block in (percolation.BLOCK, 1):
+        monkeypatch.setattr(percolation, "BLOCK", block)
+        steps = good + [((3, 4), 0, (0, 3, 4, 2), 0)] + later
+        loop.append(_outcome(replay_steps, g, TRI_PENDANT, 6, 2, steps))
+    assert loop[0] == loop[1] == ("value error", "too many values to unpack (expected 3)")
+
+
+@pytest.mark.parametrize("block", [1, 2, 3])
+def test_differential_tests_hold_for_small_blocks(monkeypatch, block):
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(percolation, "BLOCK", block)
+        test_fast_paths_match_seed_on_closure_test_certificates(monkeypatch)
+        test_fast_paths_match_seed_on_mutated_certificates()
+
+
+def test_replay_reads_ahead_within_a_block(monkeypatch):
+    """The steps of a block are read before any is judged: an exception the
+    steps raise after a failing step in the same block propagates."""
+    g = spanning_star(4)
+
+    def steps():
+        yield (0, 1), 0, (0, 1, 2)  # (0, 1) is present: the step fails
+        raise RuntimeError("read past the failing step")
+
+    with pytest.raises(RuntimeError, match="read past the failing step"):
+        replay_steps(g, K3, 4, 2, steps())
+    monkeypatch.setattr(percolation, "BLOCK", 1)
+    assert replay_steps(g, K3, 4, 2, steps()) == (
+        CertificateCheck(False, 0, "edge (0, 1) already present"), 1)
+
+
+def _cut(text, cuts):
+    """text split at the given offsets (taken modulo len(text) + 1)."""
+    points = sorted({c % (len(text) + 1) for c in cuts})
+    return [text[a:b] for a, b in zip([0] + points, points + [len(text)])]
+
+
+LINE_BREAKS = "\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.text(alphabet="ab " + LINE_BREAKS + "\r\n"),
+       st.lists(st.integers(min_value=0, max_value=64), max_size=12))
+def test_chunked_lines_are_the_whole_texts_lines(text, cuts):
+    assert [*chain.from_iterable(_chunk_lines(_cut(text, cuts)))] == text.splitlines()
+
+
+def test_a_crlf_split_across_chunks_ends_one_line():
+    for chunks in [["a\r", "\nb"], ["a\r", "", "\n", "b\r"], ["\r", "\n\r", "\n"]]:
+        text = "".join(chunks)
+        assert [*chain.from_iterable(_chunk_lines(chunks))] == text.splitlines()
+
+
+def _read_all(chunks):
+    kind, n, r, steps = read_certificate(chunks)
+    return kind, n, r, [*steps]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.sampled_from(MUTATION_BASES).flatmap(lambda base: mutated_text(base[2])),
+       st.sampled_from(["\n", "\r\n", "\r"]),
+       st.lists(st.integers(min_value=0), max_size=12))
+def test_certificate_read_in_chunks_matches_the_whole_text(text, newline, cuts):
+    text = text.replace("\n", newline)
+    assert _outcome(_read_all, _cut(text, cuts)) == _outcome(_read_all, (text,))
 
 
 # -- the replay's order-free edge keys ------------------------------------------

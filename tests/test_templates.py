@@ -175,6 +175,21 @@ def test_conversion_pipeline_k4():
     assert is_weakly_saturated(bigger, K4)
 
 
+def test_conversion_accepts_plain_template_steps():
+    g = template_minus(2, 4, 2)
+    res = template_closure(g, 4, 2)
+    K4 = make_pattern(complete_graph(4, 2))
+    steps = tuple(map(tuple, res.certificate.steps))
+    plain = SaturationCertificate("template", g.n, g.r, steps)
+    converted = template_cert_to_pattern_cert(plain, K4)
+    assert converted == template_cert_to_pattern_cert(res.certificate, K4)
+    assert verify_certificate(g, K4, converted)
+    for step in (steps[0][:3], steps[0] + (0,)):
+        cert = SaturationCertificate("template", g.n, g.r, steps + (step,))
+        with pytest.raises(ValueError, match=f"^step {len(steps)} is not a template step$"):
+            template_cert_to_pattern_cert(cert, K4)
+
+
 def test_conversion_with_randomized_completion():
     g = template_minus(3, 5, 2)
     base = Hypergraph(6, 3, g.edges)
