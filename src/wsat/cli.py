@@ -43,7 +43,8 @@ from .percolation import (
     read_certificate,
     replay_steps,
 )
-from .solver import exact_or_upper, ratio_table, wsat_exact, wsat_upper_witness
+from .solver import (DEFAULT_BUDGET, exact_or_upper, ratio_table, wsat_exact,
+                     wsat_upper_witness)
 from .templates import (
     make_pattern,
     template,
@@ -84,10 +85,11 @@ def parse_pattern_token(token: str) -> Pattern:
 
 
 def open_input(path_str: str):
-    """An input file opened as text; a missing or unreadable one (a
-    directory, say) is a usage error naming the path."""
+    """An input file opened as UTF-8 text, each invalid byte read as U+FFFD so
+    that its line fails to parse; a missing or unreadable file (a directory,
+    say) is a usage error naming the path."""
     try:
-        return open(path_str)
+        return open(path_str, encoding="utf-8", errors="replace")
     except FileNotFoundError:
         raise CLIError(f"no such file: {path_str}") from None
     except OSError as exc:
@@ -363,7 +365,7 @@ generate kinds and their arguments:
 
 wsat wsat --table prints one row per n in N1..N2 and does not read N.
 Every command takes --output DIR (default .), --seed N (0), --threads T (1)
-and --budget N (10000000).  A flag may be cut to a unique prefix (--out DIR)
+and --budget N ({DEFAULT_BUDGET}).  A flag may be cut to a unique prefix (--out DIR)
 or written --name=value; -h or --help prints this text.  A pattern is a
 graph file or one of {PATTERN_SHORTHANDS}.
 Exit codes: 0 success, 1 negative verdict, 2 inconclusive, 64 usage error.
@@ -380,7 +382,7 @@ def _generate_kind(token: str) -> str:
 # flag -> (type, arity, default); arity 0 is a switch, which defaults to
 # False.  --help maps to None: it names no attribute.
 COMMON_FLAGS = {"--output": (str, 1, "."), "--seed": (int, 1, 0),
-                "--threads": (int, 1, 1), "--budget": (int, 1, 10_000_000),
+                "--threads": (int, 1, 1), "--budget": (int, 1, DEFAULT_BUDGET),
                 "--help": None}
 _INT = (int, 1, None)
 # verb -> (positionals, flags); a positional is (name, type, count), count

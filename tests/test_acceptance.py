@@ -11,9 +11,9 @@ from itertools import combinations
 from math import comb
 from pathlib import Path
 
-from wsat import (
+from wsat.cli import main as cli_main
+from wsat.constructions import (
     ConeSpec,
-    Hypergraph,
     MainSpec,
     PercolateSpec,
     SpartiteSpec,
@@ -21,25 +21,25 @@ from wsat import (
     check_percolate,
     check_spartite,
     clique_extremal,
-    clique_wsat_value,
-    closure,
-    complete_graph,
-    edge_universe,
-    greedy_cover,
-    is_weakly_saturated,
     main_construction,
-    make_pattern,
     padded_example,
     padding_bound,
-    rodl_bound,
+)
+from wsat.designs import greedy_cover, rodl_bound, verify_cover
+from wsat.hypergraph import Hypergraph, complete_graph, edge_universe, graph_to_text
+from wsat.percolation import (
+    clique_wsat_value,
+    closure,
+    is_weakly_saturated,
+    verify_certificate,
+)
+from wsat.solver import wsat_exact
+from wsat.templates import (
+    make_pattern,
     template_cert_to_pattern_cert,
     template_closure,
     template_minus,
-    verify_certificate,
-    verify_cover,
-    wsat_exact,
 )
-from wsat.cli import main as cli_main
 
 K3 = make_pattern(complete_graph(3, 2))
 K4 = make_pattern(complete_graph(4, 2))
@@ -290,7 +290,6 @@ def _snapshot(directory: Path) -> dict[str, bytes]:
 
 def test_criterion_9_cli_determinism(tmp_path, capsys):
     with criterion(9, "CLI byte-identical reruns, 1 vs 4 threads"):
-        from wsat import graph_to_text
         star = tmp_path / "star.txt"
         star.write_text(graph_to_text(Hypergraph(4, 2, [(0, 1), (0, 2), (0, 3)])))
 

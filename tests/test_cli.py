@@ -14,21 +14,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wsat import (
-    FormatError,
-    Hypergraph,
-    certificate_from_text,
-    certificate_to_text,
-    closure,
-    complete_graph,
-    graph_from_text,
-    graph_to_text,
-    make_pattern,
-    template_cert_to_pattern_cert,
-    template_closure,
-    template_minus,
-    verify_certificate,
-)
 from wsat.cli import (
     GENERATE,
     USAGE,
@@ -38,7 +23,27 @@ from wsat.cli import (
     parse_args,
     parse_pattern_token,
 )
-from wsat.percolation import read_certificate
+from wsat.designs import CoverDesign
+from wsat.hypergraph import (
+    FormatError,
+    Hypergraph,
+    complete_graph,
+    graph_from_text,
+    graph_to_text,
+)
+from wsat.percolation import (
+    certificate_from_text,
+    certificate_to_text,
+    closure,
+    read_certificate,
+    verify_certificate,
+)
+from wsat.templates import (
+    make_pattern,
+    template_cert_to_pattern_cert,
+    template_closure,
+    template_minus,
+)
 from test_percolation import mutated_text
 
 
@@ -109,6 +114,29 @@ def test_format_error_has_line_number(tmp_path, capsys):
     assert code == 64 and "line 2" in err
 
 
+def test_undecodable_input_gets_a_line_number(tmp_path, capsys):
+    gpath = write_graph(tmp_path / "star.txt", STAR4)
+    out = str(tmp_path / "o")
+    cert = closure(STAR4, parse_pattern_token("K3")).certificate
+    cert_lines = certificate_to_text(cert).encode().split(b"\n")
+    cert_lines[2] = b"\xff" + cert_lines[2][1:]
+    bad_graph = tmp_path / "bad_graph.txt"
+    bad_graph.write_bytes(b"4 2\n0 1\n0 2\n\xff\xfe 3\n")
+    bad_pattern = tmp_path / "bad_pattern.txt"
+    bad_pattern.write_bytes(b"3 2\n0 1\n0 \xff2\n1 2\n")
+    bad_cert = tmp_path / "bad.cert"
+    bad_cert.write_bytes(b"\n".join(cert_lines))
+    for argv, line in [(["closure", str(bad_graph), "K3"], 4),
+                       (["closure", gpath, str(bad_pattern)], 3),
+                       (["verify", gpath, "K3", str(bad_cert)], 3)]:
+        code, _, err = run(capsys, *argv, "--output", out)
+        assert code == 64 and f"line {line}:" in err, err
+    # an invalid byte inside a comment line is read and skipped like any other
+    commented = tmp_path / "commented.txt"
+    commented.write_bytes(graph_to_text(STAR4).encode() + b"# \xff\n")
+    assert run(capsys, "closure", str(commented), "K3", "--output", out)[0] == 0
+
+
 def test_generate_clique_extremal(tmp_path, capsys):
     code, out, _ = run(capsys, "generate", "clique-extremal", "5", "3", "2",
                        "--output", str(tmp_path))
@@ -130,7 +158,6 @@ def test_generate_cover(tmp_path, capsys):
 def test_generate_cover_bound_failure_exits_negative(tmp_path, capsys,
                                                      monkeypatch):
     import wsat.cli as cli
-    from wsat import CoverDesign
     every = tuple(combinations(range(4), 2))
     # a valid cover with one block repeated: C(4, 2) + 1 blocks
     monkeypatch.setattr(cli, "greedy_cover", lambda N, k, t, seed=0:
@@ -274,7 +301,6 @@ def test_verify_roundtrip_and_tamper(tmp_path, capsys):
 
 
 def test_verify_template_certificate_pipeline(tmp_path, capsys):
-    from wsat import template_minus
     tm = template_minus(2, 4, 2)
     gpath = write_graph(tmp_path / "tminus.txt", tm)
     run(capsys, "closure", gpath, "--template", "4", "2", "--output", str(tmp_path))
@@ -855,14 +881,38 @@ def test_usage_names_every_verb_kind_and_flag(capsys):
     assert set(VERBS) | set(GENERATE) | flags <= words
 
 
-def test_cold_job_loads_no_argparse(tmp_path):
+def _fresh_interpreter(tmp_path, script: str) -> str:
+    """The last line script prints when run by a new interpreter in tmp_path."""
     src = str(Path(__import__("wsat").__file__).resolve().parent.parent)
-    script = ("import sys, wsat.cli\n"
-              "code = wsat.cli.main(['wsat', '5', 'K3', '--exact', '--output', 'o'])\n"
-              "print(code, [m for m in ('argparse', 'gettext', 'locale')"
-              " if m in sys.modules])\n")
     env = {**os.environ, "PYTHONPATH": src}
     done = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=env,
                           capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.splitlines()[-1] == "0 []"
+    return done.stdout.splitlines()[-1]
+
+
+def test_cold_job_loads_no_argparse(tmp_path):
+    script = ("import sys, wsat.cli\n"
+              "code = wsat.cli.main(['wsat', '5', 'K3', '--exact', '--output', 'o'])\n"
+              "print(code, [m for m in ('argparse', 'gettext', 'locale')"
+              " if m in sys.modules])\n")
+    assert _fresh_interpreter(tmp_path, script) == "0 []"
+
+
+# each module's own `from .x import` lines, closed over: what importing it loads
+IMPORT_LAYERS = {
+    "hypergraph": {"hypergraph"},
+    "percolation": {"hypergraph", "percolation"},
+    "designs": {"hypergraph", "designs"},
+    "templates": {"hypergraph", "percolation", "templates"},
+    "cli": {"hypergraph", "percolation", "designs", "templates", "constructions",
+            "solver", "cli"},
+}
+
+
+@pytest.mark.parametrize("module", IMPORT_LAYERS)
+def test_importing_a_module_loads_only_what_it_uses(tmp_path, module):
+    script = (f"import sys, wsat.{module}\n"
+              "print(sorted(m for m in sys.modules if m.split('.')[0] == 'wsat'))\n")
+    expected = sorted(["wsat"] + [f"wsat.{m}" for m in IMPORT_LAYERS[module]])
+    assert _fresh_interpreter(tmp_path, script) == str(expected)

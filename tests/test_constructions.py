@@ -3,34 +3,31 @@ from math import comb
 
 import pytest
 
-from wsat import (
+from wsat.constructions import (
     ConeSpec,
-    Hypergraph,
     MainSpec,
     PercolateSpec,
     SpartiteSpec,
+    _near_anchor_edges,
+    _spartite_edges,
     check_cone,
     check_percolate,
     check_spartite,
     clique_extremal,
     clique_extremal_bound,
-    clique_wsat_value,
-    complete_graph,
     cone_gadget,
-    greedy_cover,
-    is_weakly_saturated,
     main_clusters,
     main_construction,
-    make_pattern,
     padded_example,
     padding_bound,
     percolate_gadget,
     s1_construction,
     spartite_gadget,
-    template_closure,
 )
-from wsat.constructions import _near_anchor_edges, _spartite_edges
-from wsat.hypergraph import edge_universe
+from wsat.designs import greedy_cover
+from wsat.hypergraph import Hypergraph, complete_graph, edge_universe
+from wsat.percolation import clique_wsat_value, is_weakly_saturated
+from wsat.templates import make_pattern, template_closure
 
 K3 = make_pattern(complete_graph(3, 2))
 K4 = make_pattern(complete_graph(4, 2))

@@ -7,16 +7,15 @@ from math import comb
 import pytest
 
 import wsat.designs as designs
-from wsat import (
+from wsat.designs import (
     CoverDesign,
-    FormatError,
     cover_from_text,
     cover_to_text,
     greedy_cover,
     rodl_bound,
     verify_cover,
 )
-from wsat.hypergraph import colex_key
+from wsat.hypergraph import FormatError, colex_key
 
 
 def oracle_greedy_cover(N: int, k: int, t: int, seed: int = 0) -> CoverDesign:

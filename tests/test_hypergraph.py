@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wsat import (
+from wsat.hypergraph import (
     FormatError,
     Hypergraph,
+    canonical_edge,
     complete_graph,
     edge_rank,
     edge_universe,
@@ -17,7 +18,6 @@ from wsat import (
     graph_to_text,
     missing_edges,
 )
-from wsat.hypergraph import canonical_edge
 
 
 def test_rank_examples():

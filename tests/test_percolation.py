@@ -7,29 +7,32 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import wsat.percolation as percolation
-from wsat import (
-    CertificateCheck,
+from wsat.hypergraph import (
     FormatError,
     Hypergraph,
+    canonical_edge,
+    complete_graph,
+    edge_universe,
+    graph_of_mask,
+)
+from wsat.percolation import (
+    CertificateCheck,
     PatternStep,
     SaturationCertificate,
     TemplateStep,
+    _chunk_lines,
     certificate_from_text,
     certificate_to_text,
     clique_wsat_value,
     closure,
-    complete_graph,
     creates_new_copy,
-    edge_universe,
     is_weakly_saturated,
-    make_pattern,
-    template_closure,
-    template_minus,
+    read_certificate,
+    replay_steps,
     verify_certificate,
     witness_index,
 )
-from wsat.hypergraph import canonical_edge, graph_of_mask
-from wsat.percolation import _chunk_lines, read_certificate, replay_steps
+from wsat.templates import make_pattern, template_closure, template_minus
 
 K3 = make_pattern(complete_graph(3, 2))
 K4 = make_pattern(complete_graph(4, 2))
@@ -237,7 +240,6 @@ def test_certificate_text_roundtrip():
 
 
 def test_certificate_text_errors():
-    from wsat import FormatError
     for text, line_no in [
         ("not a cert\n", 1),
         ("CERT pattern 4 2\n0 1 | x | 0->0\n", 2),

@@ -4,21 +4,16 @@ value back."""
 
 from hypothesis import given, settings, strategies as st
 
-from wsat import (
-    CoverDesign,
-    Hypergraph,
+from wsat.designs import CoverDesign, cover_from_text, cover_to_text
+from wsat.hypergraph import Hypergraph, edge_universe, graph_from_text, graph_to_text
+from wsat.percolation import (
     PatternStep,
     SaturationCertificate,
     TemplateStep,
     certificate_from_text,
     certificate_to_text,
-    cover_from_text,
-    cover_to_text,
-    edge_universe,
-    graph_from_text,
-    graph_to_text,
+    read_certificate,
 )
-from wsat.percolation import read_certificate
 
 ROUNDTRIP = settings(max_examples=150, deadline=None, derandomize=True)
 

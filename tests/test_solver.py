@@ -7,25 +7,26 @@ from math import comb
 
 import pytest
 
-from wsat import (
-    Hypergraph,
+from wsat.constructions import padding_bound
+from wsat.hypergraph import Hypergraph, complete_graph, edge_universe, graph_of_mask
+from wsat.percolation import (
     certificate_to_text,
     clique_wsat_value,
     closure,
-    complete_graph,
-    graph_of_mask,
     is_weakly_saturated,
-    make_pattern,
-    padding_bound,
-    ratio_table,
     verify_certificate,
+    witness_index,
+)
+from wsat.solver import (
+    MAX_SOLVER_UNIVERSE,
+    _transposition_tables,
+    exact_or_upper,
+    ratio_table,
     wsat_exact,
     wsat_upper,
     wsat_upper_witness,
-    witness_index,
 )
-from wsat.hypergraph import edge_universe
-from wsat.solver import MAX_SOLVER_UNIVERSE, _transposition_tables, exact_or_upper
+from wsat.templates import make_pattern
 
 
 def rank_table(n, r):
@@ -37,6 +38,8 @@ K3 = make_pattern(complete_graph(3, 2))
 K4 = make_pattern(complete_graph(4, 2))
 K43 = make_pattern(complete_graph(4, 3))
 TRI_PENDANT = make_pattern(Hypergraph(4, 2, [(0, 1), (0, 2), (1, 2), (0, 3)]))
+C4 = make_pattern(Hypergraph(4, 2, [(0, 1), (1, 2), (2, 3), (0, 3)]))
+K4_MINUS_E = make_pattern(Hypergraph(4, 2, [(0, 1), (0, 2), (1, 2), (0, 3), (1, 3)]))
 SINGLE_EDGE = make_pattern(complete_graph(2, 2))
 EDGE_1 = make_pattern(complete_graph(1, 1))
 TWO_VERTEX_1 = make_pattern(Hypergraph(2, 1, [(0,), (1,)]))
@@ -178,6 +181,17 @@ def test_exact_k4_n7_witness():
     star = [(u, v) for v in range(3, 7) for u in (0, 1)]
     assert result.witness.edges == frozenset([(0, 1), (0, 2), (1, 2)] + star)
     assert result.witness.mask == 101599  # the blind scan's witness
+
+
+@pytest.mark.parametrize("n,pattern,value,explored", [
+    (6, K4, 9, 173), (6, C4, 6, 80), (7, C4, 7, 217), (6, K4_MINUS_E, 6, 87),
+    (5, K43, 6, 40), (6, K43, 10, 1516)])
+def test_exact_work_is_pinned(n, pattern, value, explored):
+    # explored pins the exact form of phase 1's cut (chosen ranks plus every
+    # rank from e up): a cut that left e out would return the same values and
+    # witnesses here after fewer closures, but is not proved sound
+    result = wsat_exact(n, pattern)
+    assert (result.value, result.explored) == (value, explored)
 
 
 def test_exact_k4_n8_matches_clique_formula():

@@ -5,18 +5,24 @@ from math import comb
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from wsat import (
-    CertificateCheck,
-    ConeSpec,
+from wsat.constructions import ConeSpec, check_cone
+from wsat.hypergraph import (
     Hypergraph,
+    canonical_edge,
+    colex_key,
+    complete_graph,
+    edge_universe,
+)
+from wsat.percolation import (
+    CertificateCheck,
     SaturationCertificate,
     TemplateStep,
     certificate_to_text,
-    check_cone,
-    complete_graph,
-    creates_template_copy,
-    edge_universe,
     is_weakly_saturated,
+    verify_certificate,
+)
+from wsat.templates import (
+    creates_template_copy,
     make_pattern,
     sparseness,
     sparseness_witness,
@@ -24,9 +30,7 @@ from wsat import (
     template_cert_to_pattern_cert,
     template_closure,
     template_minus,
-    verify_certificate,
 )
-from wsat.hypergraph import canonical_edge, colex_key
 
 K3 = make_pattern(complete_graph(3, 2))
 TRI_PENDANT_GRAPH = Hypergraph(4, 2, [(0, 1), (0, 2), (1, 2), (0, 3)])
@@ -140,7 +144,6 @@ def test_template_certificates_replay():
     assert verify_template_certificate(g, res.certificate, 5, 2)
     # tampering: grow the core so a required sub-edge goes missing
     steps = list(res.certificate.steps)
-    from wsat import SaturationCertificate, TemplateStep
     bad = TemplateStep(steps[0].edge, steps[0].phase_key,
                        steps[0].vertex_set, (2, 3))
     cert = SaturationCertificate("template", g.n, g.r, (bad,) + tuple(steps[1:]))

@@ -5,16 +5,16 @@ import random
 from hypothesis import given, settings, strategies as st
 
 import wsat.percolation as percolation
-from wsat import (
-    Hypergraph,
+from wsat.hypergraph import Hypergraph, complete_graph, edge_universe
+from wsat.percolation import (
+    WitnessIndex,
+    _base_witnesses,
+    _pinned_embeddings,
     certificate_to_text,
     closure,
-    complete_graph,
     creates_new_copy,
-    edge_universe,
-    make_pattern,
 )
-from wsat.percolation import WitnessIndex, _base_witnesses, _pinned_embeddings
+from wsat.templates import make_pattern
 
 
 def rank_table(n, r):
