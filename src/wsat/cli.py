@@ -1,7 +1,8 @@
 """Command-line surface: generate, close, solve, verify, tabulate.
 
 Exit codes: 0 success, 1 negative verdict (not percolated / invalid
-certificate), 2 inconclusive (budget exhausted), 64 usage or input error.
+certificate), 2 inconclusive (budget or memory exhausted), 64 usage or
+input error.
 Runs with identical arguments produce byte-identical files and stdout; the
 --threads flag is accepted for compatibility but the engines are serial and
 their schedule is fixed, so it cannot affect any output.  Every generate
@@ -515,6 +516,9 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"wsat: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except MemoryError:
+        print("wsat: error: out of memory", file=sys.stderr)
+        return EXIT_INCONCLUSIVE
 
 
 if __name__ == "__main__":

@@ -75,22 +75,6 @@ def edge_rank(e: Edge, n: int) -> int:
     return sum(comb(v, i + 1) for i, v in enumerate(vs))
 
 
-def edge_unrank(i: int, n: int, r: int) -> Edge:
-    """Inverse of edge_rank: the edge of colex rank i among r-subsets of [n]."""
-    if not 0 <= i < comb(n, r):
-        raise ValueError(f"rank {i} out of range for C({n},{r})")
-    out = []
-    rest = i
-    for k in range(r, 0, -1):
-        # largest v with C(v, k) <= rest
-        v = k - 1
-        while comb(v + 1, k) <= rest:
-            v += 1
-        out.append(v)
-        rest -= comb(v, k)
-    return tuple(reversed(out))
-
-
 @lru_cache(maxsize=64)
 def edge_universe(n: int, r: int) -> tuple[Edge, ...]:
     """All r-subsets of [n] in colex order (cached)."""
@@ -184,11 +168,6 @@ def complete_graph(n: int, r: int) -> Hypergraph:
     if n < r:
         raise ValueError(f"complete graph needs n >= r, got n={n}, r={r}")
     return Hypergraph(n, r, edge_universe(n, r))
-
-
-def missing_edges(g: Hypergraph) -> list[Edge]:
-    """Edges of the complete (n, r) universe absent from g, in colex order."""
-    return [e for e in edge_universe(g.n, g.r) if e not in g.edges]
 
 
 def graph_of_mask(n: int, r: int, mask: int) -> Hypergraph:

@@ -5,7 +5,8 @@ pattern H whose image covers e.  The closure adds addable edges until no
 missing edge is addable; since a witness for an addable edge survives any
 further additions, the closure set is independent of the schedule.  Every
 closure, pattern or template, with or without a certificate, runs the one
-schedule in sweep(); a ClosureResult keeps the start graph and certificate.
+schedule in sweep(), which scans colex ranks only: no other order is
+offered.  A ClosureResult keeps the start graph and certificate.
 
 The witness search pins the added edge: it tries every pattern edge as the
 preimage of e under every bijection onto e, then extends to the remaining
@@ -150,14 +151,15 @@ class CertificateCheck:
         return self.ok
 
 
-def sweep(mask: int, full: int, order: Sequence[int],
+def sweep(mask: int, full: int,
           step_for: Callable[[int, int], object | None]) -> tuple[int, list]:
-    """The canonical schedule: scan the ranks missing from mask in order (a
-    colex range unless closure is given a candidate_order), add a rank at
-    once when step_for(rank, mask) returns a step rather than None, and
-    repeat full sweeps until one adds nothing or mask is full.  Returns the
-    final mask and the steps in order, so certificates are deterministic."""
+    """The one schedule of every closure: scan the ranks missing from mask
+    in colex order, add a rank at once when step_for(rank, mask) returns a
+    step rather than None, and repeat full sweeps until one adds nothing or
+    mask is full.  Returns the final mask and the steps in order, so
+    certificates are deterministic."""
     steps = []
+    order = range(full.bit_length())
     while mask != full:
         start = mask
         for rank in order:
@@ -392,7 +394,7 @@ class WitnessIndex:
                     return True
             return None
 
-        return sweep(mask, self.full_mask, range(self.universe), addable)[0]
+        return sweep(mask, self.full_mask, addable)[0]
 
 
 @lru_cache(maxsize=64)
@@ -401,19 +403,12 @@ def witness_index(n: int, pattern: Pattern) -> WitnessIndex:
     return WitnessIndex(n, pattern)
 
 
-def closure(g: Hypergraph, pattern: Pattern,
-            candidate_order: Sequence[int] | None = None) -> ClosureResult:
-    """Bootstrap closure of g under the pattern, with a replayable certificate.
-
-    candidate_order (a permutation of the universe ranks) overrides the colex
-    scan order; the closure edge set does not depend on it, only the
-    certificate does.  Exposed for the order-independence checks.
-    """
+def closure(g: Hypergraph, pattern: Pattern) -> ClosureResult:
+    """Bootstrap closure of g under the pattern, with a replayable certificate."""
     if pattern.r != g.r:
         raise ValueError(f"uniformity mismatch: pattern r={pattern.r}, graph r={g.r}")
     idx = witness_index(g.n, pattern)
     universe = edge_universe(g.n, g.r)
-    order = range(idx.universe) if candidate_order is None else candidate_order
 
     def step_for(rank: int, mask: int) -> PatternStep | None:
         mapping = idx.first_witness(rank, mask)
@@ -421,7 +416,7 @@ def closure(g: Hypergraph, pattern: Pattern,
             return None
         return PatternStep(universe[rank], 0, mapping)
 
-    steps = tuple(sweep(g.mask, idx.full_mask, order, step_for)[1])
+    steps = tuple(sweep(g.mask, idx.full_mask, step_for)[1])
     return ClosureResult(g, SaturationCertificate("pattern", g.n, g.r, steps))
 
 

@@ -222,10 +222,6 @@ def wsat_upper_witness(n: int, pattern: Pattern) -> tuple[int, Hypergraph]:
     return best.edge_count, best
 
 
-def wsat_upper(n: int, pattern: Pattern) -> int:
-    return wsat_upper_witness(n, pattern)[0]
-
-
 def exact_or_upper(n: int, pattern: Pattern, budget: int = DEFAULT_BUDGET
                    ) -> tuple[Hypergraph, str]:
     """wsat_exact's witness and "exact" if C(n, r) <= EXACT_TABLE_UNIVERSE and

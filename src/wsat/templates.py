@@ -28,7 +28,6 @@ copy and the certificates are the same.
 
 from __future__ import annotations
 
-import random
 from functools import lru_cache
 from itertools import combinations, starmap
 from typing import Callable, Iterable, Iterator
@@ -37,7 +36,6 @@ from .hypergraph import (
     Edge,
     Hypergraph,
     Pattern,
-    canonical_edge,
     colex_key,
     edge_universe,
 )
@@ -120,7 +118,9 @@ def _core_positions(r: int, s: int) -> tuple[tuple[int, ...], ...]:
 
 def _find_template_copy(link: dict[int, int], r: int, e: Edge, h: int, s: int
                         ) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
-    """Core search used by creates_template_copy and template_closure.
+    """The template-copy search of template_closure: the first (W, Z) with
+    Z ⊆ e ⊆ W, |W| = h, |Z| = s, such that every r-subset of W not
+    containing Z is an edge of the graph whose link map is given.
 
     Cores Z ⊆ e are tried in colex order; W is grown from e by adding
     vertices in increasing index.  A vertex v may join W when R ∪ {v} is an
@@ -186,19 +186,6 @@ def _find_template_copy(link: dict[int, int], r: int, e: Edge, h: int, s: int
     return None
 
 
-def creates_template_copy(g: Hypergraph, e, h: int, s: int
-                          ) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
-    """Search for (W, Z) with Z ⊆ e ⊆ W, |W| = h, |Z| = s, such that every
-    r-subset of W not containing Z is an edge of g; None if no pair exists."""
-    _check_params(g.r, h, s)
-    if g.n < h:
-        raise ValueError(f"need at least h={h} vertices, graph has n={g.n}")
-    e = canonical_edge(e, g.n, g.r)
-    if e in g.edges:
-        raise ValueError(f"edge {e} is already present")
-    return _find_template_copy(_link_map(g.edges), g.r, e, h, s)
-
-
 def template_closure(g: Hypergraph, h: int, s: int,
                      phase_fn: Callable[[Edge], int] | None = None) -> ClosureResult:
     """Template saturation closure under percolation.sweep, each added edge
@@ -219,22 +206,21 @@ def template_closure(g: Hypergraph, h: int, s: int,
         phase = phase_fn(e) if phase_fn is not None else 0
         return TemplateStep(e, phase, *hit)
 
-    steps = tuple(sweep(g.mask, full, range(len(universe)), step_for)[1])
+    steps = tuple(sweep(g.mask, full, step_for)[1])
     return ClosureResult(g, SaturationCertificate("template", g.n, g.r, steps))
 
 
-def template_mappings(pattern: Pattern, r: int, steps: Iterable[tuple],
-                      rng: random.Random | None = None) -> Iterator[tuple]:
+def template_mappings(pattern: Pattern, r: int, steps: Iterable[tuple]
+                      ) -> Iterator[tuple]:
     """Convert the (edge, phase_key, vertex_set, core) steps of a template
     certificate on r-sets into (edge, phase_key, mapping) steps for H.
 
     Uses a sparseness witness S of H and its unique containing edge: each
     step's template copy (W, Z) yields an embedding of H into W sending S
     onto Z and the unique edge onto the step's added edge.  Any bijection
-    between the three blocks works; the default pairs sorted blocks
-    ascending, and rng (when given) shuffles the pairings instead.  A step
-    whose W is not an h-set or Z not an s-set, or without Z ⊆ edge ⊆ W,
-    raises ValueError; the edge's form, the ranges and edge presence are
+    between the three blocks works; sorted blocks are paired ascending.  A
+    step whose W is not an h-set or Z not an s-set, or without Z ⊆ edge ⊆
+    W, raises ValueError; the edge's form, the ranges and edge presence are
     left to replay_steps.
     """
     if pattern.s < 2:
@@ -262,15 +248,12 @@ def template_mappings(pattern: Pattern, r: int, steps: Iterable[tuple],
             raise ValueError(f"step {i}: need Z ⊆ edge ⊆ W")
         mapping = [0] * h
         for src, targets in zip(sources, (sorted(z), sorted(e - z), sorted(w - e))):
-            if rng is not None:
-                rng.shuffle(targets)
             for v, u in zip(src, targets):
                 mapping[v] = u
         yield tuple(sorted(edge)), phase_key, tuple(mapping)
 
 
-def template_cert_to_pattern_cert(cert: SaturationCertificate, pattern: Pattern,
-                                  rng: random.Random | None = None
+def template_cert_to_pattern_cert(cert: SaturationCertificate, pattern: Pattern
                                   ) -> SaturationCertificate:
     """Convert a template certificate into a pattern certificate for H, step
     by step through template_mappings."""
@@ -279,6 +262,6 @@ def template_cert_to_pattern_cert(cert: SaturationCertificate, pattern: Pattern,
     for i, step in enumerate(cert.steps):
         if len(step) != 4:
             raise ValueError(f"step {i} is not a template step")
-    steps = template_mappings(pattern, cert.r, cert.steps, rng)
+    steps = template_mappings(pattern, cert.r, cert.steps)
     return SaturationCertificate("pattern", cert.n, cert.r,
                                  tuple(starmap(PatternStep, steps)))

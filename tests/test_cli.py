@@ -3,6 +3,7 @@ import hashlib
 import io
 import os
 import re
+import resource
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
@@ -263,6 +264,26 @@ def test_wsat_budget_exit_code(tmp_path, capsys):
     code, out, _ = run(capsys, "wsat", "6", "K3", "--exact", "--budget", "5",
                        "--output", str(tmp_path))
     assert code == 2 and "inconclusive" in out
+
+
+def _cap_address_space():
+    """Run in the child before exec: a 200 MB address space, so the
+    C(120, 3) and C(200, 3) universes below cannot be built."""
+    limit = 200 << 20
+    resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+
+@pytest.mark.parametrize("argv", [["closure", "one.txt", "K4^3", "--budget", "10"],
+                                  ["wsat", "200", "K4^3", "--upper"]])
+def test_out_of_memory_is_inconclusive(tmp_path, argv):
+    (tmp_path / "one.txt").write_text("120 3\n0 1 2\n")
+    src = str(Path(__import__("wsat").__file__).resolve().parent.parent)
+    done = subprocess.run(
+        [sys.executable, "-c", "import sys, wsat.cli; sys.exit(wsat.cli.main())", *argv],
+        cwd=tmp_path, env={**os.environ, "PYTHONPATH": src},
+        preexec_fn=_cap_address_space, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 2, done.stderr
+    assert done.stderr == "wsat: error: out of memory\n"  # and no traceback
 
 
 def test_wsat_table(capsys):

@@ -23,7 +23,6 @@ from wsat.solver import (
     exact_or_upper,
     ratio_table,
     wsat_exact,
-    wsat_upper,
     wsat_upper_witness,
 )
 from wsat.templates import make_pattern
@@ -225,9 +224,9 @@ def test_solver_universe_limit():
 
 
 def test_upper_bounds():
-    assert wsat_upper(6, TRI_PENDANT) == 6  # clique on h=4 vertices
-    assert wsat_upper(6, K3) == 5
-    assert wsat_upper(4, K4) == comb(4, 2) - 1
+    assert wsat_upper_witness(6, TRI_PENDANT)[0] == 6  # clique on h=4 vertices
+    assert wsat_upper_witness(6, K3)[0] == 5
+    assert wsat_upper_witness(4, K4)[0] == comb(4, 2) - 1
     value, witness = wsat_upper_witness(6, K3)
     assert witness.edge_count == value
     assert is_weakly_saturated(witness, K3)
@@ -237,7 +236,7 @@ def test_exact_below_upper():
     for n, pattern in [(4, K3), (5, K3), (6, K3), (5, K4), (5, K43),
                        (5, TRI_PENDANT), (4, SINGLE_EDGE)]:
         exact = wsat_exact(n, pattern).value
-        assert exact <= wsat_upper(n, pattern)
+        assert exact <= wsat_upper_witness(n, pattern)[0]
 
 
 def test_padding_inequality_with_exact_values():

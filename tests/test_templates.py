@@ -21,8 +21,8 @@ from wsat.percolation import (
     is_weakly_saturated,
     verify_certificate,
 )
+import wsat.templates as templates
 from wsat.templates import (
-    creates_template_copy,
     make_pattern,
     sparseness,
     sparseness_witness,
@@ -102,18 +102,21 @@ def test_template_param_validation():
         template_minus(2, 4, 1)
 
 
-def test_creates_template_copy_examples():
+def template_copy(g: Hypergraph, e, h: int, s: int):
+    """template_closure's search for a template copy with e as its special
+    edge, run on g's link map."""
+    return templates._find_template_copy(templates._link_map(g.edges), g.r, e, h, s)
+
+
+def test_template_copy_examples():
     g = Hypergraph(4, 2, set(edge_universe(4, 2)) - {(0, 1)})
-    assert creates_template_copy(g, (0, 1), 4, 2) == ((0, 1, 2, 3), (0, 1))
+    assert template_copy(g, (0, 1), 4, 2) == ((0, 1, 2, 3), (0, 1))
 
     empty = Hypergraph(5, 2)
-    assert creates_template_copy(empty, (0, 1), 4, 2) is None
+    assert template_copy(empty, (0, 1), 4, 2) is None
 
     tm = template_minus(3, 5, 2)
-    assert creates_template_copy(tm, (0, 1, 4), 5, 2) == ((0, 1, 2, 3, 4), (0, 1))
-
-    with pytest.raises(ValueError):
-        creates_template_copy(g, (0, 2), 4, 2)  # edge present
+    assert template_copy(tm, (0, 1, 4), 5, 2) == ((0, 1, 2, 3, 4), (0, 1))
 
 
 @pytest.mark.parametrize("r,h,s,s_prime", [(2, 4, 2, 2), (3, 5, 2, 3),
@@ -204,10 +207,27 @@ def test_conversion_with_randomized_completion():
     # whose core pair lies only in the special edge
     pat = make_pattern(template(3, 5, 2)[0])
     assert pat.s == 2
+    # the conversion pairs the three blocks of the sparseness witness
+    # ascending; any other bijection within each block must verify too
+    witness_set, witness_edge = sparseness_witness(pat.graph)
+    blocks = [sorted(witness_set), sorted(set(witness_edge) - set(witness_set)),
+              sorted(set(range(pat.h)) - set(witness_edge))]
+    converted = template_cert_to_pattern_cert(res.certificate, pat)
+    assert verify_certificate(host, pat, converted)
     for seed in range(5):
-        converted = template_cert_to_pattern_cert(res.certificate, pat,
-                                                  rng=random.Random(seed))
-        assert verify_certificate(host, pat, converted)
+        rng = random.Random(seed)
+        steps = []
+        for step in converted.steps:
+            mapping = list(step.mapping)
+            for block in blocks:
+                targets = [mapping[v] for v in block]
+                rng.shuffle(targets)
+                for v, u in zip(block, targets):
+                    mapping[v] = u
+            steps.append(step._replace(mapping=tuple(mapping)))
+        assert steps != list(converted.steps)
+        shuffled = SaturationCertificate("pattern", host.n, host.r, tuple(steps))
+        assert verify_certificate(host, pat, shuffled)
 
 
 def _random_pattern(rng):
@@ -289,7 +309,8 @@ def verify_template_certificate(g: Hypergraph, cert: SaturationCertificate,
 # -- the set-based template search, kept as the oracle for the link-mask one --
 
 def _find_template_copy(edges, n: int, r: int, e, h: int, s: int):
-    """Core search used by creates_template_copy and template_closure.
+    """The set-based search for a template copy (W, Z) with e as its
+    special edge.
 
     Cores Z ⊆ e are tried in colex order; W is grown from e by scanning
     vertices in increasing index with exact incremental pruning (the
@@ -381,7 +402,7 @@ def test_template_closure_matches_set_based_search():
     assert 0 < percolated < len(cases)
 
 
-def test_creates_template_copy_matches_set_based_search():
+def test_template_copy_matches_set_based_search():
     tm = template_minus(3, 5, 2)
     rng = random.Random(4)
     graphs = [
@@ -396,7 +417,7 @@ def test_creates_template_copy_matches_set_based_search():
     for g, h, s in graphs:
         for e in edge_universe(g.n, g.r):
             if e not in g.edges:
-                assert creates_template_copy(g, e, h, s) == \
+                assert template_copy(g, e, h, s) == \
                     _find_template_copy(g.edges, g.n, g.r, e, h, s), (g, e, h, s)
 
 
