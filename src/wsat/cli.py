@@ -316,7 +316,8 @@ def cmd_wsat(args) -> int:
         value, witness, cert = result.value, result.witness, result.certificate
         status = "exact"
     else:
-        value, witness = wsat_upper_witness(args.n, pattern)
+        witness = wsat_upper_witness(args.n, pattern)
+        value = witness.edge_count
         cert = closure(witness, pattern).certificate
         status = "upper"
     print(f"wsat {args.n} {pattern.r} {hh} {value} {status}")

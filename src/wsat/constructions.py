@@ -32,7 +32,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 from math import comb
-from typing import Callable
 
 from .designs import CoverDesign, verify_cover
 from .hypergraph import Edge, Hypergraph, Pattern, edge_universe
@@ -118,14 +117,9 @@ def cone_bound(spec: ConeSpec, g: Hypergraph) -> BoundCheck:
     return BoundCheck("cone_extra_edges", extra, rhs)
 
 
-def cone_phase(spec: ConeSpec) -> Callable[[Edge], int]:
-    anchor = set(spec.anchor)
-    return lambda e: sum(1 for v in e if v not in anchor)
-
-
 def check_cone(spec: ConeSpec) -> tuple[Hypergraph, ClosureResult, BoundCheck]:
     g = cone_gadget(spec)
-    result = template_closure(g, spec.h, spec.s, phase_fn=cone_phase(spec))
+    result = template_closure(g, spec.h, spec.s)
     return g, result, cone_bound(spec, g)
 
 
@@ -227,37 +221,9 @@ def spartite_gadget(spec: SpartiteSpec) -> Hypergraph:
     return Hypergraph(spec.n, spec.r, edges)
 
 
-def spartite_phase(spec: SpartiteSpec) -> Callable[[Edge], int]:
-    """Induction measure: edges with exactly s - 1 loose vertices are keyed by
-    the smallest fully-rigid per-part intersection; edges with more loose
-    vertices are keyed by r + loose count, keeping the two stages ordered."""
-    parts = spec.parts
-    rigid_sets = [set(rs) for rs in spec.rigid]
-    loose = set()
-    for p, rs in zip(parts, spec.rigid):
-        loose.update(set(p) - set(rs))
-    s = spec.s
-
-    def phase(e: Edge) -> int:
-        lam = sum(1 for v in e if v in loose)
-        if lam <= s - 2:
-            return 0
-        if lam == s - 1:
-            rho = None
-            for p, rs in zip(parts, rigid_sets):
-                inter = [v for v in e if v in p]
-                if all(v in rs for v in inter):
-                    size = len(inter)
-                    rho = size if rho is None else min(rho, size)
-            return rho if rho is not None else 0
-        return spec.r + lam
-
-    return phase
-
-
 def check_spartite(spec: SpartiteSpec) -> tuple[Hypergraph, ClosureResult]:
     g = spartite_gadget(spec)
-    result = template_closure(g, spec.h, spec.s, phase_fn=spartite_phase(spec))
+    result = template_closure(g, spec.h, spec.s)
     return g, result
 
 
@@ -323,18 +289,13 @@ def percolate_bound(spec: PercolateSpec, e2: frozenset[Edge]) -> BoundCheck:
     return BoundCheck("percolate_extra_edges", len(e2), rhs)
 
 
-def percolate_phase(spec: PercolateSpec) -> Callable[[Edge], int]:
-    last = set(spec.cluster(spec.clusters - 1))
-    return lambda e: sum(1 for v in e if v not in last)
-
-
 def check_percolate(spec: PercolateSpec
                     ) -> tuple[Hypergraph, frozenset[Edge], ClosureResult, BoundCheck]:
     """The gadget graph E1 ∪ E2, its extras E2, its template closure and the
     bound on E2."""
     e1, e2 = percolate_gadget(spec)
     g = Hypergraph(spec.n, spec.r, e1 | e2)
-    result = template_closure(g, spec.h, spec.s, phase_fn=percolate_phase(spec))
+    result = template_closure(g, spec.h, spec.s)
     return g, e2, result, percolate_bound(spec, e2)
 
 

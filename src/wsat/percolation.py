@@ -103,9 +103,8 @@ class TemplateStep(NamedTuple):
 class SaturationCertificate:
     """An ordered, machine-checkable record of a saturation process.
 
-    phase_key carries the induction measure of whichever staged construction
-    produced the step (0 when not applicable); it is descriptive metadata and
-    plays no role in verification.
+    Every certificate the library writes has phase key 0 in each step; the
+    parser reads any integer there, and replay ignores it.
     """
 
     kind: str  # "pattern" | "template"
@@ -342,8 +341,6 @@ class WitnessIndex:
     """
 
     def __init__(self, n: int, pattern: Pattern):
-        self.n = n
-        self.pattern = pattern
         r = pattern.r
         universe = edge_universe(n, r)
         self.universe = len(universe)

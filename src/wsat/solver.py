@@ -194,9 +194,9 @@ def wsat_exact(n: int, pattern: Pattern, budget: int = DEFAULT_BUDGET
     return WsatResult(refuted + 1, witness, cert, explored, "exact")
 
 
-def wsat_upper_witness(n: int, pattern: Pattern) -> tuple[int, Hypergraph]:
-    """Best engine-verified upper bound among the generator pipelines, with
-    the graph achieving it."""
+def wsat_upper_witness(n: int, pattern: Pattern) -> Hypergraph:
+    """The graph of the best engine-verified upper bound among the generator
+    pipelines."""
     r, h, s = pattern.r, pattern.h, pattern.s
     candidates: list[Hypergraph] = []
     if n >= r:
@@ -219,7 +219,7 @@ def wsat_upper_witness(n: int, pattern: Pattern) -> tuple[int, Hypergraph]:
             if best is None or g.edge_count < best.edge_count:
                 best = g
     assert best is not None  # the complete graph always qualifies
-    return best.edge_count, best
+    return best
 
 
 def exact_or_upper(n: int, pattern: Pattern, budget: int = DEFAULT_BUDGET
@@ -230,7 +230,7 @@ def exact_or_upper(n: int, pattern: Pattern, budget: int = DEFAULT_BUDGET
         result = wsat_exact(n, pattern, budget)
         if result.status == "exact":
             return result.witness, "exact"
-    return wsat_upper_witness(n, pattern)[1], "upper"
+    return wsat_upper_witness(n, pattern), "upper"
 
 
 @dataclass(frozen=True)

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import combinations, starmap
-from typing import Callable, Iterable, Iterator
+from typing import Iterable, Iterator
 
 from .hypergraph import (
     Edge,
@@ -186,8 +186,7 @@ def _find_template_copy(link: dict[int, int], r: int, e: Edge, h: int, s: int
     return None
 
 
-def template_closure(g: Hypergraph, h: int, s: int,
-                     phase_fn: Callable[[Edge], int] | None = None) -> ClosureResult:
+def template_closure(g: Hypergraph, h: int, s: int) -> ClosureResult:
     """Template saturation closure under percolation.sweep, each added edge
     witnessed by a fresh template copy in which it is the special edge."""
     _check_params(g.r, h, s)
@@ -203,8 +202,7 @@ def template_closure(g: Hypergraph, h: int, s: int,
         if hit is None:
             return None
         _link_add(link, e)  # sweep adds e at once
-        phase = phase_fn(e) if phase_fn is not None else 0
-        return TemplateStep(e, phase, *hit)
+        return TemplateStep(e, 0, *hit)
 
     steps = tuple(sweep(g.mask, full, step_for)[1])
     return ClosureResult(g, SaturationCertificate("template", g.n, g.r, steps))

@@ -7,7 +7,6 @@ report lines alongside the pytest verdicts.
 import random
 import time
 from contextlib import contextmanager
-from itertools import combinations
 from math import comb
 from pathlib import Path
 
@@ -28,7 +27,6 @@ from wsat.constructions import (
 from wsat.designs import greedy_cover, rodl_bound, verify_cover
 from wsat.hypergraph import Hypergraph, complete_graph, edge_universe, graph_to_text
 from wsat.percolation import (
-    clique_wsat_value,
     closure,
     is_weakly_saturated,
     verify_certificate,

@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from wsat import constructions as cons
 from wsat.cli import (
     GENERATE,
     USAGE,
@@ -333,6 +334,32 @@ def test_verify_template_certificate_pipeline(tmp_path, capsys):
     code, _, err = run(capsys, "verify", gpath, "K3",
                        str(tmp_path / "closure.cert"))
     assert code == 64
+
+
+# the library closure behind each golden template gadget; all three have
+# h = 3 and s = 2
+TEMPLATE_GADGETS = {
+    "cone": lambda: cons.check_cone(cons.ConeSpec(r=2, h=3, s=2, size_a=4,
+                                                  size_b=2))[1],
+    "spartite": lambda: cons.check_spartite(cons.SpartiteSpec(
+        r=2, h=3, part_sizes=(4, 4)))[1],
+    "percolate": lambda: cons.check_percolate(cons.PercolateSpec(
+        r=2, h=3, s=2, clusters=3, cluster_size=3))[2],
+}
+
+
+@pytest.mark.parametrize("kind", sorted(TEMPLATE_GADGETS))
+def test_gadget_closure_has_one_certificate(tmp_path, capsys, kind):
+    out = str(tmp_path)
+    assert run(capsys, *GOLDEN_COMMANDS[kind], "--output", out)[0] == 0
+    assert run(capsys, "generate", "template", "2", "3", "2", "--output", out)[0] == 0
+    gpath = str(tmp_path / f"{kind}.txt")
+    assert run(capsys, "closure", gpath, "--template", "3", "2", "--output", out)[0] == 0
+    cert = tmp_path / "closure.cert"
+    assert cert.read_text() == certificate_to_text(TEMPLATE_GADGETS[kind]().certificate)
+    code, stdout, _ = run(capsys, "verify", gpath, str(tmp_path / "template.txt"),
+                          str(cert))
+    assert code == 0 and stdout.startswith("valid")
 
 
 def test_malformed_certificate_is_usage_error(tmp_path, capsys):

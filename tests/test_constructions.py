@@ -27,7 +27,7 @@ from wsat.constructions import (
 from wsat.designs import greedy_cover
 from wsat.hypergraph import Hypergraph, complete_graph, edge_universe
 from wsat.percolation import clique_wsat_value, is_weakly_saturated
-from wsat.templates import make_pattern, template_closure
+from wsat.templates import make_pattern
 
 K3 = make_pattern(complete_graph(3, 2))
 K4 = make_pattern(complete_graph(4, 2))
@@ -54,14 +54,6 @@ def test_cone_empty_apex_side():
         ConeSpec(r=2, h=3, s=2, size_a=3, size_b=4)  # apex side too big
     with pytest.raises(ValueError):
         ConeSpec(r=2, h=5, s=2, size_a=4, size_b=1)  # A smaller than h
-
-
-def test_cone_phase_keys_recorded():
-    spec = ConeSpec(r=2, h=3, s=2, size_a=4, size_b=2)
-    _, result, _ = check_cone(spec)
-    anchor = set(spec.anchor)
-    for step in result.certificate.steps:
-        assert step.phase_key == sum(1 for v in step.edge if v not in anchor)
 
 
 def test_padded_example():

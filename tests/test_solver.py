@@ -7,7 +7,6 @@ from math import comb
 
 import pytest
 
-from wsat.constructions import padding_bound
 from wsat.hypergraph import Hypergraph, complete_graph, edge_universe, graph_of_mask
 from wsat.percolation import (
     certificate_to_text,
@@ -224,19 +223,17 @@ def test_solver_universe_limit():
 
 
 def test_upper_bounds():
-    assert wsat_upper_witness(6, TRI_PENDANT)[0] == 6  # clique on h=4 vertices
-    assert wsat_upper_witness(6, K3)[0] == 5
-    assert wsat_upper_witness(4, K4)[0] == comb(4, 2) - 1
-    value, witness = wsat_upper_witness(6, K3)
-    assert witness.edge_count == value
-    assert is_weakly_saturated(witness, K3)
+    assert wsat_upper_witness(6, TRI_PENDANT).edge_count == 6  # clique on h=4 vertices
+    assert wsat_upper_witness(6, K3).edge_count == 5
+    assert wsat_upper_witness(4, K4).edge_count == comb(4, 2) - 1
+    assert is_weakly_saturated(wsat_upper_witness(6, K3), K3)
 
 
 def test_exact_below_upper():
     for n, pattern in [(4, K3), (5, K3), (6, K3), (5, K4), (5, K43),
                        (5, TRI_PENDANT), (4, SINGLE_EDGE)]:
         exact = wsat_exact(n, pattern).value
-        assert exact <= wsat_upper_witness(n, pattern)[0]
+        assert exact <= wsat_upper_witness(n, pattern).edge_count
 
 
 def test_padding_inequality_with_exact_values():
@@ -261,8 +258,8 @@ def test_ratio_table_k3():
 def test_exact_or_upper_decides_in_one_place():
     assert exact_or_upper(6, K3) == (wsat_exact(6, K3).witness, "exact")
     # out of budget, or a universe above EXACT_TABLE_UNIVERSE (C(7, 2) = 21)
-    assert exact_or_upper(6, K3, budget=10) == (wsat_upper_witness(6, K3)[1], "upper")
-    assert exact_or_upper(7, K3) == (wsat_upper_witness(7, K3)[1], "upper")
+    assert exact_or_upper(6, K3, budget=10) == (wsat_upper_witness(6, K3), "upper")
+    assert exact_or_upper(7, K3) == (wsat_upper_witness(7, K3), "upper")
 
 
 def test_ratio_table_single_edge_all_zero():

@@ -1,5 +1,5 @@
 import random
-from itertools import combinations, permutations
+from itertools import combinations
 from math import comb
 
 import pytest
@@ -349,7 +349,7 @@ def _find_template_copy(edges, n: int, r: int, e, h: int, s: int):
     return None
 
 
-def oracle_template_closure(g: Hypergraph, h: int, s: int, phase_fn=None):
+def oracle_template_closure(g: Hypergraph, h: int, s: int):
     """The colex sweep to a fixed point over the set-based search."""
     universe = edge_universe(g.n, g.r)
     current = set(g.edges)
@@ -362,8 +362,7 @@ def oracle_template_closure(g: Hypergraph, h: int, s: int, phase_fn=None):
             hit = _find_template_copy(current, g.n, g.r, e, h, s)
             if hit is not None:
                 w, core = hit
-                phase = phase_fn(e) if phase_fn is not None else 0
-                steps.append(TemplateStep(e, phase, w, core))
+                steps.append(TemplateStep(e, 0, w, core))
                 current.add(e)
                 added = True
         if not added:
@@ -391,9 +390,8 @@ def test_template_closure_matches_set_based_search():
     assert sum(1 for g, h, s in cases if h == g.r) >= 20
     percolated = 0
     for g, h, s in cases:
-        res = template_closure(g, h, s, phase_fn=lambda e: sum(e) % 3)
-        cert, closed, ok = oracle_template_closure(g, h, s,
-                                                   phase_fn=lambda e: sum(e) % 3)
+        res = template_closure(g, h, s)
+        cert, closed, ok = oracle_template_closure(g, h, s)
         assert certificate_to_text(res.certificate) == certificate_to_text(cert), \
             (g, h, s)
         assert res.closure.edges == closed

@@ -47,8 +47,6 @@ class OracleWitnessIndex(WitnessIndex):
     _mappings[rank] lists every entry's mapping, read through _mapping."""
 
     def __init__(self, n, pattern):
-        self.n = n
-        self.pattern = pattern
         universe = edge_universe(n, pattern.r)
         ranks = rank_table(n, pattern.r)
         self.universe = len(universe)
