@@ -176,8 +176,7 @@ def _gen_cone(args):
 
 
 def _gen_spartite(args):
-    sizes = tuple(int(tok) for tok in args.part_sizes.split(","))
-    spec = cons.SpartiteSpec(r=args.r, h=args.h, part_sizes=sizes)
+    spec = cons.SpartiteSpec(r=args.r, h=args.h, part_sizes=args.part_sizes)
     g, result = cons.check_spartite(spec)
     return ({"spartite.txt": g},
             f"generate spartite n={g.n} r={g.r} edges={g.edge_count} "
@@ -374,6 +373,10 @@ Exit codes: 0 success, 1 negative verdict, 2 inconclusive, 64 usage error.
 """
 
 
+def _int_list(token: str) -> tuple[int, ...]:
+    return tuple(map(int, token.split(",")))
+
+
 def _generate_kind(token: str) -> str:
     if token not in GENERATE:
         raise CLIError(f"argument kind: invalid choice {token!r} "
@@ -395,7 +398,7 @@ VERBS = {
     "generate": ((("kind", _generate_kind, 1), ("params", int, "*")),
                  {**COMMON_FLAGS, "--r": _INT, "--s": _INT, "--h": _INT,
                   "--size-a": _INT, "--size-b": _INT, "--l": _INT, "--t": _INT,
-                  "--n": _INT, "--m1": _INT, "--part-sizes": (str, 1, None),
+                  "--n": _INT, "--m1": _INT, "--part-sizes": (_int_list, 1, None),
                   "--pattern": (str, 1, None)}),
     "wsat": ((("n", int, 1), ("pattern", str, 1)),
              {**COMMON_FLAGS, "--exact": (bool, 0, False),

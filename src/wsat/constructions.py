@@ -80,10 +80,6 @@ class ConeSpec:
             raise ValueError(f"need size_b >= 0, got {self.size_b}")
 
     @property
-    def anchor(self) -> tuple[int, ...]:
-        return tuple(range(self.h))
-
-    @property
     def n(self) -> int:
         return self.size_a + self.size_b
 

@@ -36,15 +36,14 @@ class FormatError(ValueError):
         self.line_no = line_no
 
 
-def check_universe(n: int, r: int) -> int:
-    """Return C(n, r), rejecting universes larger than MAX_UNIVERSE."""
+def check_universe(n: int, r: int) -> None:
+    """Reject universes larger than MAX_UNIVERSE."""
     size = comb(n, r)
     if size > MAX_UNIVERSE:
         raise ValueError(
             f"edge universe C({n},{r}) = {size} exceeds the configured "
             f"limit {MAX_UNIVERSE}"
         )
-    return size
 
 
 def colex_key(e: Edge) -> Edge:

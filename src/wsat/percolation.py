@@ -26,26 +26,26 @@ first satisfied witness is the one it would find.
 
 Certificates are checked by replay, which uses neither the witness index
 nor the closure.  A step is one tuple from engine to text to replay:
-PatternStep and TemplateStep are named tuples whose fields follow their
-text line.  One function, replay_steps, is the only certificate checker:
-it reads (edge, phase_key, mapping) steps in blocks of BLOCK.  A bulk check
-(_accept_block) accepts a block whose every step passes, with column
-operations over the whole block; a block it does not accept is replayed
-from its start by the per-step loop, with the checks in a fixed order and
-with fixed messages, and only that loop builds a verdict's step and
-reason.  A step's copy of H must cover the step's own edge, so a step
-carries no other edge.  verify_certificate feeds replay_steps a pattern
-certificate's steps; a template certificate reaches it through
-templates.template_mappings, which turns each step's template copy into a
-pattern embedding.  Edges are keyed by an order-free integer: with
-M = r*n^r + 1 and code(v) = sum over j = 1..r of v^j * M^(j-1), the key of
-an r-set S is the sum of its vertices' codes.  Its base-M digits are the
-power sums p_1..p_r of S, with no carries since p_j <= r*(n-1)^j < M, and
-by Newton's identities the power sums of r numbers determine them, so the
-key is injective on r-sets, and on multisets of r vertices too.  Codes are
-computed for the vertices that occur, and image keys are summed from
-columns of their mapping's codes, with no sort; only a failure message
-builds a sorted edge.
+PatternStep (edge, mapping) and TemplateStep (edge, vertex_set, core) are
+named tuples of an added edge and the copy that certifies it; the text
+line's middle column, the phase key, is known only to the text format.  One
+function, replay_steps, is the only certificate checker: it reads (edge,
+mapping) steps in blocks of BLOCK.  A bulk check (_accept_block) accepts a
+block whose every step passes, with column operations over the whole block;
+a block it does not accept is replayed from its start by the per-step loop,
+with the checks in a fixed order and with fixed messages, and only that
+loop builds a verdict's step and reason.  A step's copy of H must cover the
+step's own edge, so a step carries no other edge.  verify_certificate feeds
+replay_steps a pattern certificate's steps; a template certificate reaches
+it through templates.template_mappings, which turns each step's template
+copy into a pattern embedding.  Edges are keyed by an order-free integer:
+with M = r*n^r + 1 and code(v) = sum over j = 1..r of v^j * M^(j-1), the
+key of an r-set S is the sum of its vertices' codes.  Its base-M digits are
+the power sums p_1..p_r of S, with no carries since p_j <= r*(n-1)^j < M,
+and by Newton's identities the power sums of r numbers determine them, so
+the key is injective on r-sets, and on multisets of r vertices too.  Codes
+are computed for the vertices that occur, and image keys are sums of their
+mapping's codes, with no sort; only a failure message builds a sorted edge.
 
 The text parser (read_certificate) reads text chunks, such as 64 KiB blocks
 of an open file, and returns the header and a generator of plain step tuples,
@@ -85,7 +85,6 @@ class PatternStep(NamedTuple):
     hosts pattern vertex i.  Equal to the plain tuple of its fields."""
 
     edge: Edge
-    phase_key: int
     mapping: tuple[int, ...]
 
 
@@ -94,17 +93,14 @@ class TemplateStep(NamedTuple):
     Equal to the plain tuple of its fields."""
 
     edge: Edge
-    phase_key: int
     vertex_set: tuple[int, ...]
     core: tuple[int, ...]
 
 
 @dataclass(frozen=True)
 class SaturationCertificate:
-    """An ordered, machine-checkable record of a saturation process.
-
-    Every certificate the library writes has phase key 0 in each step; the
-    parser reads any integer there, and replay ignores it.
+    """An ordered, machine-checkable record of a saturation process: each
+    step is an added edge and the copy of H (or template copy) it creates.
     """
 
     kind: str  # "pattern" | "template"
@@ -193,8 +189,7 @@ def _pattern_search_order(pattern: Pattern):
     return pat_edges, orders
 
 
-def _extend_embeddings(pattern, pinned, free_order, assignment, host_n,
-                       edge_present):
+def _extend_embeddings(pattern, free_order, assignment, host_n, edge_present):
     """Yield completed assignments extending `assignment` (a dict).
 
     Candidates for each free vertex are scanned in increasing host index;
@@ -246,7 +241,7 @@ def _pinned_embeddings(pattern: Pattern, e: Edge, host_n: int, edge_present):
         for assigned in permutations(e):
             assignment = dict(zip(pinned, assigned))
             # the pinned edge maps exactly onto e; nothing to check yet
-            for full in _extend_embeddings(pattern, pinned, free_orders[pinned],
+            for full in _extend_embeddings(pattern, free_orders[pinned],
                                            assignment, host_n, present):
                 yield full
 
@@ -411,7 +406,7 @@ def closure(g: Hypergraph, pattern: Pattern) -> ClosureResult:
         mapping = idx.first_witness(rank, mask)
         if mapping is None:
             return None
-        return PatternStep(universe[rank], 0, mapping)
+        return PatternStep(universe[rank], mapping)
 
     steps = tuple(sweep(g.mask, idx.full_mask, step_for)[1])
     return ClosureResult(g, SaturationCertificate("pattern", g.n, g.r, steps))
@@ -458,7 +453,7 @@ def _accept_block(block: list, n: int, r: int, h: int, code, pat_edges,
     it was and return False.
 
     The conditions are tested on the whole block with zip, map, slices and
-    set and dict operations: three fields per step, r-vertex edges and
+    set and dict operations: two fields per step, r-vertex edges and
     h-vertex mappings, vertices in [0, n), injective mappings, edge keys
     absent from current, an image of each step equal to its edge and none
     equal to the edge of the same or a later step, and every image in
@@ -468,9 +463,9 @@ def _accept_block(block: list, n: int, r: int, h: int, code, pat_edges,
     multisets of r vertices in [0, n) as on sets (power sums determine a
     multiset too).
     """
-    if {*map(len, block)} != {3}:
+    if {*map(len, block)} != {2}:
         return False
-    edges, _, maps = zip(*block)
+    edges, maps = zip(*block)
     if ({*map(len, edges)} != {r} or {*map(len, maps)} != {h}
             or {*map(len, map(set, maps))} != {h}):
         return False
@@ -506,9 +501,9 @@ def _accept_block(block: list, n: int, r: int, h: int, code, pat_edges,
 
 def replay_steps(g: Hypergraph, pattern: Pattern, n: int, r: int,
                  steps: Iterable[tuple]) -> tuple[CertificateCheck, int]:
-    """Replay the (edge, phase_key, mapping) steps of a pattern certificate
-    for the (n, r) universe against g; returns the verdict and the number of
-    steps replayed, the failing one included (none when n, r are not g's).
+    """Replay the (edge, mapping) steps of a pattern certificate for the
+    (n, r) universe against g; returns the verdict and the number of steps
+    replayed, the failing one included (none when n, r are not g's).
 
     Checks, per step: the edge is well-formed and absent, the mapping is an
     injective embedding of the pattern into the current graph plus the
@@ -529,8 +524,6 @@ def replay_steps(g: Hypergraph, pattern: Pattern, n: int, r: int,
     pat_edges = pattern.graph.sorted_edges
     code = _VertexCodes(n, r).__getitem__
     current = {sum(map(code, e)) for e in g.edges}
-    # column j reads the code of the j-th vertex of every pattern edge image
-    first, *rest = [_getter([pe[j] for pe in pat_edges]) for j in range(r)]
     steps = iter(steps)
     count = 0  # steps in the blocks replayed so far
     while block := [*islice(steps, BLOCK)]:
@@ -542,7 +535,7 @@ def replay_steps(g: Hypergraph, pattern: Pattern, n: int, r: int,
             count += len(block)
             continue
         reason = None
-        for i, (edge, _, m) in enumerate(block, count):
+        for i, (edge, m) in enumerate(block, count):
             if len(edge) != r or len(set(edge)) != r or min(edge) < 0 or max(edge) >= n:
                 try:
                     canonical_edge(edge, n, r)  # raises, naming the first failed check
@@ -561,10 +554,7 @@ def replay_steps(g: Hypergraph, pattern: Pattern, n: int, r: int,
             if reason is not None:
                 break
             codes = [*map(code, m)]
-            images = first(codes)
-            for column in rest:
-                images = map(add, images, column(codes))
-            images = [*images]
+            images = [sum(map(codes.__getitem__, pe)) for pe in pat_edges]
             current.add(key)
             if not current.issuperset(images):
                 # the first absent image in pattern-edge order, e itself now present
@@ -602,6 +592,9 @@ def clique_wsat_value(n: int, t: int, r: int) -> int:
 #   CERT pattern|template <n> <r>
 #   <edge> | <phase_key> | <witness>
 #
+# The phase key is written as 0; the parser requires an integer there and
+# keeps nothing of it.
+#
 # pattern witness: "v0->u0 v1->u1 ..." over pattern vertices in order;
 # template witness: "W={...} Z={...}" with comma-separated vertex lists.
 
@@ -615,7 +608,7 @@ def certificate_to_text(cert: SaturationCertificate) -> str:
             w = ",".join(map(str, step.vertex_set))
             z = ",".join(map(str, step.core))
             witness = f"W={{{w}}} Z={{{z}}}"
-        lines.append(f"{edge} | {step.phase_key} | {witness}")
+        lines.append(f"{edge} | 0 | {witness}")
     return "\n".join(lines) + "\n"
 
 
@@ -628,10 +621,11 @@ def _parse_int_list(text: str, line_no: int) -> tuple[int, ...]:
 
 def _written_step(r: int, h: int) -> re.Pattern:
     """A pattern step line exactly as certificate_to_text writes it for an
-    r-vertex edge and an h-vertex mapping: every number is a group."""
+    r-vertex edge and an h-vertex mapping, with any integer key: every
+    number of the edge and the mapping is a group."""
     edge = " ".join(["([0-9]+)"] * r)
     mapping = " ".join(f"{v}->([0-9]+)" for v in range(h))
-    return re.compile(rf"{edge} \| (-?[0-9]+) \| {mapping}")
+    return re.compile(rf"{edge} \| -?[0-9]+ \| {mapping}")
 
 
 def _parse_mapping(text: str, line_no: int) -> tuple[int, ...]:
@@ -680,10 +674,10 @@ def read_certificate(chunks: Iterable[str]) -> tuple[str, int, int, Iterator[tup
     """The header (kind, n, r) of a certificate text, given as an iterable
     of text chunks split anywhere (blocks read from an open file, its lines,
     or (text,)), and a generator of its steps as plain tuples: (edge,
-    phase_key, mapping) for a pattern certificate, (edge, phase_key,
-    vertex_set, core) for a template one.  Lines and line numbers are those
-    of the whole text's splitlines(), and no more than one chunk and one
-    line are held at a time.
+    mapping) for a pattern certificate, (edge, vertex_set, core) for a
+    template one; each line's phase key must be an integer and is dropped.
+    Lines and line numbers are those of the whole text's splitlines(), and
+    no more than one chunk and one line are held at a time.
     A malformed header raises at once, a malformed step line when the
     generator reaches it."""
     lines = enumerate(chain.from_iterable(_chunk_lines(chunks)), start=1)
@@ -720,7 +714,7 @@ def _raw_steps(lines, kind: str, r: int) -> Iterator[tuple]:
             except KeyError:
                 number.update(zip(digits, map(int, digits)))
                 values = [*map(number.__getitem__, digits)]
-            yield tuple(values[:r]), values[r], tuple(values[r + 1:])
+            yield tuple(values[:r]), tuple(values[r:])
             continue
         line = raw.strip()
         if not line or line[0] == "#":
@@ -731,7 +725,7 @@ def _raw_steps(lines, kind: str, r: int) -> Iterator[tuple]:
         edge_text, phase_text, witness = fields
         edge = _parse_int_list(edge_text, line_no)
         try:
-            phase = int(phase_text)
+            int(phase_text)  # the key must be an integer; nothing keeps it
         except ValueError:
             raise FormatError(line_no, f"phase key {phase_text.strip()!r} "
                                        f"is not an integer") from None
@@ -741,7 +735,7 @@ def _raw_steps(lines, kind: str, r: int) -> Iterator[tuple]:
             # vertices, so its size is bounded by this line's
             if written is None and len(edge) == r:
                 written = _written_step(r, len(m))
-            yield edge, phase, m
+            yield edge, m
         else:
             w_part, z_part = None, None
             for tok in witness.split():
@@ -751,7 +745,7 @@ def _raw_steps(lines, kind: str, r: int) -> Iterator[tuple]:
                     z_part = tok[3:-1]
             if w_part is None or z_part is None:
                 raise FormatError(line_no, "template witness must be 'W={...} Z={...}'")
-            yield (edge, phase, _parse_int_list(w_part, line_no),
+            yield (edge, _parse_int_list(w_part, line_no),
                    _parse_int_list(z_part, line_no))
 
 

@@ -9,11 +9,11 @@ every H with h vertices and sparseness s >= 2.
 
 There is one certificate checker, percolation.replay_steps.  A template
 certificate reaches it through template_mappings, which turns each
-(edge, phase_key, vertex_set, core) step into the (edge, phase_key,
-mapping) step of a pattern embedding for H, step by step.  Against the
-template graph itself (H = T(r, h, s), whose sparseness witness is the core
-and whose unique edge is the special edge) the replay checks exactly that
-every r-subset of W not containing Z is present and the edge is new.
+(edge, vertex_set, core) step into the (edge, mapping) step of a pattern
+embedding for H, step by step.  Against the template graph itself
+(H = T(r, h, s), whose sparseness witness is the core and whose unique edge
+is the special edge) the replay checks exactly that every r-subset of W not
+containing Z is present and the edge is new.
 
 Canonical representatives: core = {0..s-1}, special edge = {0..r-1}.
 
@@ -202,7 +202,7 @@ def template_closure(g: Hypergraph, h: int, s: int) -> ClosureResult:
         if hit is None:
             return None
         _link_add(link, e)  # sweep adds e at once
-        return TemplateStep(e, 0, *hit)
+        return TemplateStep(e, *hit)
 
     steps = tuple(sweep(g.mask, full, step_for)[1])
     return ClosureResult(g, SaturationCertificate("template", g.n, g.r, steps))
@@ -210,8 +210,8 @@ def template_closure(g: Hypergraph, h: int, s: int) -> ClosureResult:
 
 def template_mappings(pattern: Pattern, r: int, steps: Iterable[tuple]
                       ) -> Iterator[tuple]:
-    """Convert the (edge, phase_key, vertex_set, core) steps of a template
-    certificate on r-sets into (edge, phase_key, mapping) steps for H.
+    """Convert the (edge, vertex_set, core) steps of a template certificate
+    on r-sets into (edge, mapping) steps for H.
 
     Uses a sparseness witness S of H and its unique containing edge: each
     step's template copy (W, Z) yields an embedding of H into W sending S
@@ -230,7 +230,7 @@ def template_mappings(pattern: Pattern, r: int, steps: Iterable[tuple]
     h, s = pattern.h, pattern.s
     sources = [sorted(witness_set), sorted(set(witness_edge) - set(witness_set)),
                sorted(set(range(h)) - set(witness_edge))]
-    for i, (edge, phase_key, vertex_set, core) in enumerate(steps):
+    for i, (edge, vertex_set, core) in enumerate(steps):
         w, z, e = set(vertex_set), set(core), set(edge)
         if len(vertex_set) != h:
             raise ValueError(f"step {i}: template on {len(vertex_set)} vertices, "
@@ -248,7 +248,7 @@ def template_mappings(pattern: Pattern, r: int, steps: Iterable[tuple]
         for src, targets in zip(sources, (sorted(z), sorted(e - z), sorted(w - e))):
             for v, u in zip(src, targets):
                 mapping[v] = u
-        yield tuple(sorted(edge)), phase_key, tuple(mapping)
+        yield tuple(sorted(edge)), tuple(mapping)
 
 
 def template_cert_to_pattern_cert(cert: SaturationCertificate, pattern: Pattern
@@ -258,7 +258,7 @@ def template_cert_to_pattern_cert(cert: SaturationCertificate, pattern: Pattern
     if cert.kind != "template":
         raise ValueError(f"expected a template certificate, got kind={cert.kind!r}")
     for i, step in enumerate(cert.steps):
-        if len(step) != 4:
+        if len(step) != 3:
             raise ValueError(f"step {i} is not a template step")
     steps = template_mappings(pattern, cert.r, cert.steps)
     return SaturationCertificate("pattern", cert.n, cert.r,

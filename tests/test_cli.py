@@ -21,6 +21,7 @@ from wsat.cli import (
     USAGE,
     VERBS,
     CLIError,
+    _int_list,
     main,
     parse_args,
     parse_pattern_token,
@@ -706,10 +707,15 @@ def _digest(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()[:16]
 
 
+def _golden_paths(tmp_path):
+    """The values GOLDEN_COMMANDS' placeholders take, input files written."""
+    return {"star": write_graph(tmp_path / "star.txt", STAR4),
+            "tminus": write_graph(tmp_path / "tminus.txt", template_minus(2, 4, 2)),
+            "out": str(tmp_path)}
+
+
 def test_golden_outputs(tmp_path, capsys):
-    paths = {"star": write_graph(tmp_path / "star.txt", STAR4),
-             "tminus": write_graph(tmp_path / "tminus.txt", template_minus(2, 4, 2)),
-             "out": str(tmp_path)}
+    paths = _golden_paths(tmp_path)
     seen = {}
     for name, argv in GOLDEN_COMMANDS.items():
         out_dir = tmp_path / name
@@ -720,6 +726,37 @@ def test_golden_outputs(tmp_path, capsys):
         for path in sorted(out_dir.iterdir()) if out_dir.exists() else ():
             seen[name][path.name] = _digest(path.read_bytes())
     assert seen == GOLDEN_DIGESTS
+
+
+@pytest.mark.parametrize("name, verify", [("closure", "verify"),
+                                          ("closure-template", "verify-template")])
+def test_verify_reads_any_integer_phase_key(tmp_path, capsys, name, verify):
+    """The middle column of a step line must be an integer and is read no
+    further: a golden certificate with keys 7 and -3 verifies as written,
+    and a key x is a format error naming its line."""
+    paths = _golden_paths(tmp_path)
+    code, _, _ = run(capsys, *[a.format(**paths) for a in GOLDEN_COMMANDS[name]],
+                     "--output", str(tmp_path / name))
+    assert code == 0
+    header, *steps = (tmp_path / name / "closure.cert").read_text().splitlines()
+    keyed = tmp_path / "keyed.cert"
+    argv = [a.format(**paths) for a in GOLDEN_COMMANDS[verify][:-1]] + [str(keyed)]
+
+    def verify_with(*keys):
+        lines = [header]
+        for i, line in enumerate(steps):
+            edge, _, witness = line.split(" | ")
+            lines.append(f"{edge} | {keys[i % len(keys)]} | {witness}")
+        keyed.write_text("\n".join(lines) + "\n")
+        return run(capsys, *argv)
+
+    valid = (0, f"valid steps={len(steps)}\n", "")
+    assert verify_with(0) == valid
+    assert verify_with(7, -3) == valid
+    assert verify_with(-3, 7) == valid
+    # the last step's key is x: its line follows the header and every step
+    assert verify_with(*[0] * (len(steps) - 1), "x") == (64, "", (
+        f"wsat: format error: line {len(steps) + 1}: phase key 'x' is not an integer\n"))
 
 
 GENERATE_POSITIONALS = {"template": "r h s", "clique-extremal": "n t r",
@@ -749,8 +786,9 @@ def test_generate_missing_argument_is_named(tmp_path, capsys, kind, i):
 
 # -- argv parsing ---------------------------------------------------------------
 #
-# The argparse parser the CLI used before parse_args, kept verbatim as the
-# oracle of the differential test below.
+# The argparse parser the CLI used before parse_args, kept as the oracle of
+# the differential test below; only --part-sizes has since gained the
+# converter parse_args uses.
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
@@ -782,7 +820,7 @@ def _build_parser() -> _Parser:
     for flag in ("--r", "--s", "--h", "--size-a", "--size-b", "--l", "--t",
                  "--n", "--m1"):
         p.add_argument(flag, type=int)
-    p.add_argument("--part-sizes", help="comma-separated part sizes")
+    p.add_argument("--part-sizes", type=_int_list, help="comma-separated part sizes")
     p.add_argument("--pattern")
 
     p = sub.add_parser("wsat", parents=[common],
@@ -882,6 +920,7 @@ ARGV_REJECTED = [
     ["closure", "--", "g", "K3", "--seed", "1"],
     ["closure", "--output", "--", "g", "K3"], ["--", "closure", "g", "K3"],
     ["generate", "--h"],
+    ["generate", "spartite", "--r", "3", "--h", "4", "--part-sizes", "4,x"],
 ]
 # argparse rejects positionals split by flags once it has passed an optional
 # or variadic positional; parse_args collects every positional first.  Each
@@ -919,6 +958,14 @@ def test_parse_args_matches_argparse(tmp_path, monkeypatch, capsys, argv, expect
     else:
         assert oracle == "error"
         assert vars(parse_args(argv)) == _oracle(expect)
+
+
+def test_bad_part_sizes_name_their_flag(tmp_path, capsys):
+    for sizes in ("4,x", "4,", "4;4"):
+        assert run(capsys, "generate", "spartite", "--r", "3", "--h", "4",
+                   "--part-sizes", sizes, "--output", str(tmp_path)) == (
+            64, "", f"wsat: error: argument --part-sizes: invalid value {sizes!r}\n")
+    assert not any(tmp_path.iterdir())
 
 
 def test_usage_names_every_verb_kind_and_flag(capsys):

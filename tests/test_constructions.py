@@ -353,9 +353,9 @@ def test_gadgets_match_universe_filter_at_workload_size():
         oracle_spartite_edges(spec.n, 3, spec.parts, spec.rigid, 5)
     cone = ConeSpec(r=3, s=2, h=6, size_a=20, size_b=15)
     assert _near_anchor_edges(cone.n, 3, 2, 6, 20) == \
-        oracle_near_anchor_edges(cone.n, 3, 2, 20, cone.anchor)
+        oracle_near_anchor_edges(cone.n, 3, 2, 20, tuple(range(6)))
     cone = ConeSpec(r=3, s=3, h=4, size_a=16, size_b=12)
     assert _near_anchor_edges(cone.n, 3, 3, 4, 16) == \
-        oracle_near_anchor_edges(cone.n, 3, 3, 16, cone.anchor)
+        oracle_near_anchor_edges(cone.n, 3, 3, 16, tuple(range(4)))
     perc = PercolateSpec(r=3, h=4, s=3, clusters=6, cluster_size=5)
     assert percolate_gadget(perc) == oracle_percolate_gadget(perc)

@@ -133,7 +133,7 @@ def test_witness_missing_added_edge_fails():
     g = spanning_star(4)
     # mapping that does not cover the added edge (1, 2)
     bad = SaturationCertificate("pattern", 4, 2, (
-        PatternStep((1, 2), 0, (0, 1, 3)),))
+        PatternStep((1, 2), (0, 1, 3)),))
     check = verify_certificate(g, K3, bad)
     assert not check.ok and check.step == 0
 
@@ -142,7 +142,7 @@ def test_malformed_mapping_fails_not_raises():
     g = spanning_star(4)
     for mapping in [(0, 0, 1), (0, 1), (0, 1, 9)]:
         cert = SaturationCertificate("pattern", 4, 2, (
-            PatternStep((1, 2), 0, mapping),))
+            PatternStep((1, 2), mapping),))
         check = verify_certificate(g, K3, cert)
         assert not check.ok and check.step == 0
 
@@ -181,7 +181,7 @@ def closure_in_order(g, pattern, order):
             if not mask >> rank & 1:
                 mapping = idx.first_witness(rank, mask)
                 if mapping is not None:
-                    steps.append(PatternStep(universe[rank], 0, mapping))
+                    steps.append(PatternStep(universe[rank], mapping))
                     mask |= 1 << rank
         if mask == start:
             return ClosureResult(g, SaturationCertificate("pattern", g.n, g.r,
@@ -313,7 +313,7 @@ def seed_certificate_from_text(text: str) -> SaturationCertificate:
             raise FormatError(line_no, "step must be 'edge | phase_key | witness'")
         edge = _seed_parse_int_list(fields[0], line_no)
         try:
-            phase = int(fields[1])
+            int(fields[1])
         except ValueError:
             raise FormatError(line_no, f"phase key {fields[1]!r} is not an integer") from None
         if kind == "pattern":
@@ -332,7 +332,7 @@ def seed_certificate_from_text(text: str) -> SaturationCertificate:
             if sorted(mapping) != list(range(len(mapping))):
                 raise FormatError(line_no, "mapping must cover pattern vertices 0..h-1")
             m = tuple(mapping[v] for v in range(len(mapping)))
-            steps.append(PatternStep(edge, phase, m))
+            steps.append(PatternStep(edge, m))
         else:
             witness = fields[2]
             w_part, z_part = None, None
@@ -345,7 +345,7 @@ def seed_certificate_from_text(text: str) -> SaturationCertificate:
                 raise FormatError(line_no, "template witness must be 'W={...} Z={...}'")
             w = _seed_parse_int_list(w_part, line_no)
             z = _seed_parse_int_list(z_part, line_no)
-            steps.append(TemplateStep(edge, phase, w, z))
+            steps.append(TemplateStep(edge, w, z))
     if kind is None:
         raise FormatError(1, "missing certificate header")
     return SaturationCertificate(kind, n, r, tuple(steps))
@@ -655,14 +655,14 @@ def test_block_boundaries_match_seed_on_long_extremal_certificates(monkeypatch):
 def test_bulk_check_leaves_a_lone_failure_to_the_loop(monkeypatch):
     """Steps that fail one check whose failure no image shows: a pendant
     edge out of range, a mapping that sends two non-adjacent pattern
-    vertices to one vertex, and a step with a fourth field; and a vertex
+    vertices to one vertex, and a step with a third field; and a vertex
     the bulk check cannot compare, after a failing step."""
     g = Hypergraph(6, 2, [(0, 1), (0, 2), (1, 2)])
-    good = [((0, 3), 0, (0, 1, 2, 3)), ((0, 4), 0, (0, 1, 2, 4))]
-    later = [((0, 5), 0, (0, 1, 2, 5))]
-    for bad in [[((0, 6), 0, (0, 1, 2, 6))], [((-1, 0), 0, (0, 1, 2, -1))],
-                [((3, 4), 0, (0, 3, 4, 3))],
-                [((0, 1), 0, (0, 1, 2, 3)), ((None, 5), 0, (0, 1, 2, 5))]]:
+    good = [((0, 3), (0, 1, 2, 3)), ((0, 4), (0, 1, 2, 4))]
+    later = [((0, 5), (0, 1, 2, 5))]
+    for bad in [[((0, 6), (0, 1, 2, 6))], [((-1, 0), (0, 1, 2, -1))],
+                [((3, 4), (0, 3, 4, 3))],
+                [((0, 1), (0, 1, 2, 3)), ((None, 5), (0, 1, 2, 5))]]:
         steps = tuple(starmap(PatternStep, good + bad + later))
         cert = SaturationCertificate("pattern", 6, 2, steps)
         check = assert_same_check(g, TRI_PENDANT, cert)[1]
@@ -670,9 +670,9 @@ def test_bulk_check_leaves_a_lone_failure_to_the_loop(monkeypatch):
     loop = []
     for block in (percolation.BLOCK, 1):
         monkeypatch.setattr(percolation, "BLOCK", block)
-        steps = good + [((3, 4), 0, (0, 3, 4, 2), 0)] + later
+        steps = good + [((3, 4), (0, 3, 4, 2), 0)] + later
         loop.append(_outcome(replay_steps, g, TRI_PENDANT, 6, 2, steps))
-    assert loop[0] == loop[1] == ("value error", "too many values to unpack (expected 3)")
+    assert loop[0] == loop[1] == ("value error", "too many values to unpack (expected 2)")
 
 
 @pytest.mark.parametrize("block", [1, 2, 3])
@@ -689,7 +689,7 @@ def test_replay_reads_ahead_within_a_block(monkeypatch):
     g = spanning_star(4)
 
     def steps():
-        yield (0, 1), 0, (0, 1, 2)  # (0, 1) is present: the step fails
+        yield (0, 1), (0, 1, 2)  # (0, 1) is present: the step fails
         raise RuntimeError("read past the failing step")
 
     with pytest.raises(RuntimeError, match="read past the failing step"):

@@ -147,8 +147,7 @@ def test_template_certificates_replay():
     assert verify_template_certificate(g, res.certificate, 5, 2)
     # tampering: grow the core so a required sub-edge goes missing
     steps = list(res.certificate.steps)
-    bad = TemplateStep(steps[0].edge, steps[0].phase_key,
-                       steps[0].vertex_set, (2, 3))
+    bad = TemplateStep(steps[0].edge, steps[0].vertex_set, (2, 3))
     cert = SaturationCertificate("template", g.n, g.r, (bad,) + tuple(steps[1:]))
     check = verify_template_certificate(g, cert, 5, 2)
     assert not check.ok and check.step == 0
@@ -190,7 +189,7 @@ def test_conversion_accepts_plain_template_steps():
     converted = template_cert_to_pattern_cert(plain, K4)
     assert converted == template_cert_to_pattern_cert(res.certificate, K4)
     assert verify_certificate(g, K4, converted)
-    for step in (steps[0][:3], steps[0] + (0,)):
+    for step in (steps[0][:2], steps[0] + (0,)):
         cert = SaturationCertificate("template", g.n, g.r, steps + (step,))
         with pytest.raises(ValueError, match=f"^step {len(steps)} is not a template step$"):
             template_cert_to_pattern_cert(cert, K4)
@@ -362,7 +361,7 @@ def oracle_template_closure(g: Hypergraph, h: int, s: int):
             hit = _find_template_copy(current, g.n, g.r, e, h, s)
             if hit is not None:
                 w, core = hit
-                steps.append(TemplateStep(e, 0, w, core))
+                steps.append(TemplateStep(e, w, core))
                 current.add(e)
                 added = True
         if not added:
@@ -476,7 +475,7 @@ def _wz_mutations(step: TemplateStep, n: int, rng: random.Random):
                          (replaced(w), replaced(z)), (w[:-1] + w[:1], z),
                          (w, z[:-1] + z[:1]), (w[1:], z), (w, z[1:]),
                          (w + [rng.randrange(n)], z), (w, z + [rng.randrange(n)])]:
-        yield TemplateStep(step.edge, step.phase_key, tuple(new_w), tuple(new_z))
+        yield TemplateStep(step.edge, tuple(new_w), tuple(new_z))
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
