@@ -5,20 +5,32 @@ t-subsets (ties broken toward the colex-least block), which is enough for the
 composite construction; the asymptotically optimal block count is only
 reported against, never promised.  When the candidate space C(N, k) is too
 large to enumerate per round, a seeded random sample of candidates is scored
-instead and the design is flagged as sampled.
+instead and the design is flagged as sampled.  With k = t every block covers
+its own t-subset only, so the greedy takes all of them in colex order; that
+list is returned at once, on either path.
 
-Both paths score a block from one bitmask per (t-1)-set T: the vertices
-u > max(T) for which T ∪ {u} is still uncovered, so a score is C(k, t-1)
-popcounts.  The exhaustive path is lazy greedy (Minoux 1978): a heap of
-(-score, colex key) pairs holding stale scores.  A block's score only falls
-as blocks are taken, so a popped block whose fresh score still heads the heap
-is the one a full rescan would pick, ties going to the colex-least block.
-The sampled path scores its seeded draws with the same masks.  It draws
-them with `_sampler`, which makes the getrandbits calls CPython's
-`Random.sample(range(N), k)` makes, in the same order, and returns the same
-lists without the method's per-call set-up;
-tests/test_designs.py::test_sampler_matches_random_sample pins it against
-`Random.sample` on both of its branches.
+For t <= 2 the uncovered t-subsets are kept as one bitmask per vertex v,
+nbr[v]: at t = 2 the u with {u, v} still uncovered, at t = 1 v's own bit
+while v is uncovered.  A block is then scored by adding, vertex by vertex,
+(nbr[v] & vertices so far).bit_count(), v's own bit included.  For t >= 3 the
+masks are per (t-1)-set T: the u > max(T) with T ∪ {u} still uncovered, and a
+block scores C(k, t-1) popcounts.
+
+The exhaustive path is lazy greedy (Minoux 1978): a heap of stale scores,
+each entry the int (C(k, t) - score) << N | block mask, which orders as
+(-score, colex key) does.  A block's score only falls as blocks are taken, so
+a popped block whose fresh score still heads the heap is the one a full
+rescan would pick, ties going to the colex-least block.
+
+The sampled path draws each candidate as CPython's
+`Random(seed).sample(range(N), k)` would, making the same getrandbits calls in
+the same order, from its pool branch or its set branch by the same threshold,
+and for t <= 2 adds each vertex's gain as it is drawn, in one pass; for
+t >= 3 the finished block is sorted and scored.  A candidate is kept as its
+vertex bitmask, which orders same-size blocks as colex does, so no t <= 2
+candidate is sorted unless it wins its round.
+tests/test_designs.py::test_draws_match_random_sample pins the draws against
+`Random.sample` through whole covers.
 """
 
 from __future__ import annotations
@@ -29,7 +41,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import ceil, comb, log
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .hypergraph import FormatError, colex_key
 
@@ -70,132 +82,161 @@ def _check_block(block, N: int, k: int) -> tuple[int, ...]:
     return bs
 
 
+def _members(mask: int) -> list[int]:
+    """The set bits of mask, ascending."""
+    members = []
+    while mask:
+        low = mask & -mask
+        members.append(low.bit_length() - 1)
+        mask ^= low
+    return members
+
+
 def greedy_cover(N: int, k: int, t: int, seed: int = 0) -> CoverDesign:
-    """Deterministic greedy cover; with k = t this degenerates to one block
-    per t-subset."""
+    """Deterministic greedy cover of the t-subsets of [N] by k-blocks.
+
+    Every C(N, k) block is a candidate while that count is at most
+    EXHAUSTIVE_CANDIDATE_LIMIT; beyond it, each round scores the block
+    extending the colex-least uncovered t-set plus SAMPLE_CANDIDATES_PER_ROUND
+    blocks drawn from random.Random(seed), each scored while it is drawn
+    (t <= 2).  With k = t the t-subsets are returned in colex order without
+    drawing.
+    """
     if not N >= k >= t >= 1:
         raise ValueError(f"need N >= k >= t >= 1, got N={N}, k={k}, t={t}")
-    # uncovered[T]: bitmask of the u > max(T) with T ∪ {u} still uncovered,
-    # for each (t-1)-set T; a t-set is counted once, under T = it minus its max.
-    # At t = 2 the masks are a list indexed by the one vertex of T, and a
-    # block's (t-1)-sets are its vertices.
+    exhaustive = comb(N, k) <= EXHAUSTIVE_CANDIDATE_LIMIT
+    if k == t:
+        return CoverDesign(N, k, t, tuple(sorted(combinations(range(N), t),
+                                                 key=colex_key)),
+                           sampled=not exhaustive)
+    bits = [1 << v for v in range(N)]
     full = (1 << N) - 1
-    if t == 2:
-        uncovered = [full & -(2 << v) for v in range(N)]
+    if t == 1:
+        nbr = bits[:]
+    elif t == 2:
+        nbr = [full ^ b for b in bits]
     else:
-        uncovered = {T: full & -(2 << T[-1]) if T else full
+        # a t-set is counted once, under T = it minus its max; blocks are
+        # scored once sorted, and nbr stays 0 so that drawing adds nothing
+        nbr = [0] * N
+        uncovered = {T: full & -(2 << T[-1])
                      for T in combinations(range(N), t - 1)}
     left = comb(N, t)
     blocks: list[tuple[int, ...]] = []
-    bits = [1 << v for v in range(N)]
 
-    def score(block: Sequence[int]) -> int:
-        bmask = sum(map(bits.__getitem__, block))
-        keys = block if t == 2 else combinations(block, t - 1)
-        return sum([(m & bmask).bit_count() for m in map(uncovered.__getitem__, keys)])
+    if t > 2:
+        def score(block: Sequence[int], bmask: int) -> int:
+            """Uncovered t-sets in the sorted block, of vertex mask bmask."""
+            return sum([(m & bmask).bit_count() for m in
+                        map(uncovered.__getitem__, combinations(block, t - 1))])
+    else:
+        def score(block: Sequence[int], bmask: int) -> int:
+            """Uncovered t-sets in block, of vertex mask bmask; at t = 2 each
+            pair is counted at both of its ends."""
+            return sum([(nbr[v] & bmask).bit_count() for v in block]) >> (t - 1)
 
     def take(block: tuple[int, ...], gain: int) -> None:
         nonlocal left
-        bmask = sum(map(bits.__getitem__, block))
-        for T in (block if t == 2 else combinations(block, t - 1)):
-            uncovered[T] &= ~bmask
+        keep = ~sum(map(bits.__getitem__, block))
+        if t > 2:
+            for T in combinations(block, t - 1):
+                uncovered[T] &= keep
+        else:
+            for v in block:
+                nbr[v] &= keep
         blocks.append(block)
         left -= gain
 
-    exhaustive = comb(N, k) <= EXHAUSTIVE_CANDIDATE_LIMIT
     if exhaustive:
-        # lazy greedy: every block enters with the most it could ever score,
-        # scores only fall, so a popped block whose fresh (-score, colex key)
-        # still heads the heap is the block a full rescan would choose
-        heap = [(-comb(k, t), b[::-1]) for b in combinations(range(N), k)]
+        # lazy greedy: every block enters with C(k, t), the most it could
+        # ever score; an entry is (C(k, t) - score) << N | block mask
+        top = comb(k, t)
+        block_of = {sum(map(bits.__getitem__, b)): b
+                    for b in combinations(range(N), k)}
+        heap = list(block_of)
         heapq.heapify(heap)
         while left:
-            _, key = heapq.heappop(heap)
-            block = key[::-1]
-            gain = score(block)
-            if not heap or (-gain, key) <= heap[0]:
+            bmask = heapq.heappop(heap) & full
+            block = block_of[bmask]
+            if t > 2:
+                gain = score(block, bmask)
+            else:  # score(block), inline: the hot loop of the exhaustive path
+                gain = sum([(nbr[v] & bmask).bit_count() for v in block]) >> (t - 1)
+            entry = (top - gain) << N | bmask
+            if not heap or entry <= heap[0]:
                 take(block, gain)
             elif gain:  # a block that covers nothing new never will
-                heapq.heappush(heap, (-gain, key))
+                heapq.heappush(heap, entry)
         return CoverDesign(N, k, t, tuple(blocks))
 
     # sampled variant: seeded draws, plus one block extending the colex-least
-    # uncovered t-set so every round is guaranteed to make progress
-    draw = _sampler(random.Random(seed), N, k)
-    while left:
-        masks = (((v,), m) for v, m in enumerate(uncovered)) if t == 2 \
-            else uncovered.items()
-        base = min((T + ((m & -m).bit_length() - 1,)
-                    for T, m in masks if m), key=colex_key)
-        rest = [v for v in range(N) if v not in base]
-        best_block = tuple(sorted(base + tuple(rest[: k - t])))
-        best_score, best_key = score(best_block), colex_key(best_block)
-        for _ in range(SAMPLE_CANDIDATES_PER_ROUND):
-            block = draw()
-            block.sort()
-            gain = score(block)
-            if gain >= best_score:
-                key = colex_key(block)
-                if gain > best_score or key < best_key:
-                    best_block, best_score, best_key = tuple(block), gain, key
-        take(best_block, best_score)
-    return CoverDesign(N, k, t, tuple(blocks), sampled=True)
-
-
-def _sampler(rng: random.Random, N: int, k: int) -> Callable[[], list[int]]:
-    """A function whose every call returns what rng.sample(range(N), k) would,
-    from the same rng.getrandbits calls in the same order.
-
-    Random.sample keeps a pool of the unpicked values when N is small against
-    k, and a set of the picked ones otherwise; both branches are reproduced,
-    with the same float-based threshold.  Each value below m is drawn as
-    Random._randbelow draws it: getrandbits(m.bit_length()) until it is < m.
-    """
-    getrandbits = rng.getrandbits
+    # uncovered t-set so every round is guaranteed to make progress.  Each
+    # draw is Random.sample(range(N), k)'s: its pool branch when N is small
+    # against k, its set branch otherwise, by the same float-based threshold,
+    # each value below m drawn as getrandbits(m.bit_length()) until it is < m
+    getrandbits = random.Random(seed).getrandbits
     setsize = 21
     if k > 5:
         setsize += 4 ** ceil(log(k * 3, 4))
-    if N <= setsize:
-        # pool branch: the i-th pick is pool[j], j < N - i, and the last
-        # unpicked value moves into the vacancy
-        steps = [(m, m.bit_length()) for m in range(N, N - k, -1)]
-        population = list(range(N))
-
-        def draw() -> list[int]:
-            pool = population[:]
-            result = []
-            for m, b in steps:
-                j = getrandbits(b)
-                while j >= m:
+    pooled = N <= setsize
+    steps = [(m, m.bit_length()) for m in range(N, N - k, -1)]
+    width = N.bit_length()
+    population = list(range(N))
+    while left:
+        if t > 2:
+            base = min((T + ((m & -m).bit_length() - 1,)
+                        for T, m in uncovered.items() if m), key=colex_key)
+        else:
+            # the least v with an uncovered t-set inside 0..v, then the least
+            # u with {u, v} uncovered (u = v at t = 1)
+            for v, m in enumerate(nbr):
+                m &= (2 << v) - 1
+                if m:
+                    break
+            u = (m & -m).bit_length() - 1
+            base = (u, v) if u < v else (v,)
+        rest = [v for v in range(N) if v not in base]
+        best_block = tuple(sorted(base + tuple(rest[: k - t])))
+        best = sum(map(bits.__getitem__, best_block))
+        best_score = score(best_block, best)
+        for _ in range(SAMPLE_CANDIDATES_PER_ROUND):
+            drawn = gain = 0
+            if pooled:
+                # the i-th pick is pool[j], j < N - i, and the last unpicked
+                # value moves into the vacancy
+                pool = population[:]
+                for m, b in steps:
                     j = getrandbits(b)
-                result.append(pool[j])
-                pool[j] = pool[m - 1]
-            return result
-    else:
-        # set branch: redraw a value that is out of range or already picked
-        b = N.bit_length()
-
-        def draw() -> list[int]:
-            result = []
-            picked = set()
-            for _ in range(k):
-                j = getrandbits(b)
-                while j >= N or j in picked:
-                    j = getrandbits(b)
-                picked.add(j)
-                result.append(j)
-            return result
-    return draw
+                    while j >= m:
+                        j = getrandbits(b)
+                    v = pool[j]
+                    pool[j] = pool[m - 1]
+                    drawn |= bits[v]
+                    gain += (nbr[v] & drawn).bit_count()
+            else:
+                # redraw a value that is out of range or already picked
+                for _ in steps:
+                    v = getrandbits(width)
+                    while v >= N or drawn >> v & 1:
+                        v = getrandbits(width)
+                    drawn |= bits[v]
+                    gain += (nbr[v] & drawn).bit_count()
+            if t > 2:
+                gain = score(_members(drawn), drawn)
+            # the vertex masks of two k-blocks order them as colex does
+            if gain >= best_score and (gain > best_score or drawn < best):
+                best_score, best = gain, drawn
+        take(tuple(_members(best)), best_score)
+    return CoverDesign(N, k, t, tuple(blocks), sampled=True)
 
 
 def verify_cover(design: CoverDesign) -> bool:
-    """Exhaustive check that every t-subset of [N] lies in some block."""
-    block_sets = [set(b) for b in design.blocks]
-    for sub in combinations(range(design.N), design.t):
-        ss = set(sub)
-        if not any(ss.issubset(b) for b in block_sets):
-            return False
-    return True
+    """Whether every t-subset of [N] lies in some block: the distinct
+    t-subsets of the blocks number C(N, t)."""
+    covered = set()
+    for block in design.blocks:
+        covered.update(combinations(block, design.t))
+    return len(covered) == comb(design.N, design.t)
 
 
 def rodl_bound(N: int, k: int, t: int) -> Fraction:

@@ -172,6 +172,21 @@ def test_generate_cover_bound_failure_exits_negative(tmp_path, capsys,
     assert code == 1
 
 
+def test_generate_cover_k_equals_t_finishes(tmp_path):
+    """With k = t every block covers its own t-subset only, so the cover is
+    every t-subset.  C(86, 3) = 102,340 is past the exhaustive limit: run as
+    sampled rounds, this cover would draw 10k candidates per t-subset."""
+    src = str(Path(__import__("wsat").__file__).resolve().parent.parent)
+    done = subprocess.run(
+        [sys.executable, "-c", "import sys, wsat.cli; sys.exit(wsat.cli.main())",
+         "generate", "cover", "86", "3", "3", "--output", "out"],
+        cwd=tmp_path, env={**os.environ, "PYTHONPATH": src},
+        capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith(
+        "generate cover N=86 k=3 t=3 blocks=102340 valid=true sampled=true\n")
+
+
 def test_generate_percolate(tmp_path, capsys):
     code, out, _ = run(capsys, "generate", "percolate", "--r", "2", "--s", "2",
                        "--h", "3", "--l", "3", "--t", "3", "--output", str(tmp_path))
@@ -662,6 +677,8 @@ GOLDEN_COMMANDS = {
     # Random.sample's pool branch and its set branch
     "cover-pool": ["generate", "cover", "40", "10", "1", "--seed", "3"],
     "cover-set": ["generate", "cover", "30", "5", "1", "--seed", "3"],
+    # a sampled t = 2 cover: the shape perfbench's construct workload runs
+    "cover-t2": ["generate", "cover", "22", "8", "2", "--seed", "3"],
     "exact": ["wsat", "5", "K3", "--exact"],
     "upper": ["wsat", "6", "K3", "--upper"],
 }
@@ -696,6 +713,8 @@ GOLDEN_DIGESTS = {
         "cover.txt": "696911121d0cd2d0"},
     "cover-set": {"exit": 0, "stdout": "2af0e18718c55f03",
         "cover.txt": "43df5a6b8d619d83"},
+    "cover-t2": {"exit": 0, "stdout": "9b7f257ed7e4162f",
+        "cover.txt": "ff759cc37700ebca"},
     "exact": {"exit": 0, "stdout": "54fae44516f58dd0",
         "witness.cert": "3085de5cbc2fb871", "witness.txt": "20b9fa0c7a1eb676"},
     "upper": {"exit": 0, "stdout": "fc5f3e90837e2c93",

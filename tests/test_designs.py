@@ -90,6 +90,27 @@ def test_verify_cover_catches_missing():
     assert verify_cover(every)
 
 
+def oracle_verify_cover(design: CoverDesign) -> bool:
+    """Every t-subset of [N] looked up in every block."""
+    block_sets = [set(b) for b in design.blocks]
+    return all(any(set(sub) <= b for b in block_sets)
+               for sub in combinations(range(design.N), design.t))
+
+
+def test_verify_cover_matches_subset_scan():
+    rng = random.Random(7)
+    every = tuple(combinations(range(4), 2))
+    # a repeated block counts its t-subsets once: 6 blocks, 5 pairs
+    assert not verify_cover(CoverDesign(4, 2, 2, every[1:] + every[1:2]))
+    for _ in range(300):
+        n_pts = rng.randint(1, 8)
+        k = rng.randint(1, n_pts)
+        t = rng.randint(1, k)
+        blocks = [rng.sample(range(n_pts), k) for _ in range(rng.randint(0, 12))]
+        design = CoverDesign(n_pts, k, t, tuple(blocks))
+        assert verify_cover(design) == oracle_verify_cover(design), design
+
+
 def test_rodl_bound_values():
     assert rodl_bound(6, 3, 2) == 5
     assert rodl_bound(9, 3, 2) == 12
@@ -201,12 +222,34 @@ SAMPLER_SHAPES = [(21, 5), (22, 5), (85, 6), (86, 6), (300, 30), (22, 8), (40, 1
                   (30, 5), (1, 1), (7, 1), (30, 1), (9, 9), (12, 12)]
 
 
-@pytest.mark.parametrize("n_pts, k", SAMPLER_SHAPES)
-def test_sampler_matches_random_sample(n_pts, k):
-    for seed in (0, 1, 12345):
-        fast, slow = random.Random(seed), random.Random(seed)
-        draw = designs._sampler(fast, n_pts, k)
-        drawn = [draw() for _ in range(3000)]
-        assert drawn == [slow.sample(range(n_pts), k) for _ in range(3000)]
-        # equal states: both consumed the same getrandbits output
-        assert fast.getstate() == slow.getstate(), (n_pts, k, seed)
+@pytest.mark.parametrize("n_pts, k, t", [(n_pts, k, t) for n_pts, k in SAMPLER_SHAPES
+                                         for t in (1, 2) if t <= k])
+def test_draws_match_random_sample(monkeypatch, n_pts, k, t):
+    """The sampled path draws what Random(seed).sample(range(N), k) draws:
+    its covers equal the oracle's, which calls Random.sample, and both
+    generators end in the same state.  A k = t cover draws nothing."""
+    monkeypatch.setattr(designs, "EXHAUSTIVE_CANDIDATE_LIMIT", 0)
+    monkeypatch.setattr(designs, "SAMPLE_CANDIDATES_PER_ROUND", 20)
+    made = []
+
+    class Recorded(random.Random):
+        def __init__(self, seed):
+            super().__init__(seed)
+            made.append(self)
+
+    monkeypatch.setattr(random, "Random", Recorded)
+    # the oracle rescans every uncovered t-set each round: 472 rounds of up
+    # to C(300, 2) pairs at (300, 30, 2)
+    for seed in (0, 1, 12345)[: 1 if comb(n_pts, t) > 10_000 else 3]:
+        made.clear()
+        design = designs.greedy_cover(n_pts, k, t, seed)
+        oracle = oracle_greedy_cover(n_pts, k, t, seed)
+        assert design.sampled and oracle.sampled
+        assert design.blocks == oracle.blocks, seed
+        if k == t:
+            assert len(made) == 1  # the oracle's generator alone
+        else:
+            # equal states: both consumed the same getrandbits output
+            engine, slow = made
+            assert engine.getstate() == slow.getstate(), seed
+            assert len(design.blocks) >= 2 or k == n_pts
