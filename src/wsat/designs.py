@@ -24,8 +24,9 @@ rescan would pick, ties going to the colex-least block.
 
 The sampled path draws each candidate as CPython's
 `Random(seed).sample(range(N), k)` would, making the same getrandbits calls in
-the same order, from its pool branch or its set branch by the same threshold,
-and for t <= 2 adds each vertex's gain as it is drawn, in one pass; for
+the same order, from its pool branch or its set branch by the same threshold.
+At t = 2 it adds each vertex's gain as it is drawn, in one pass; at t = 1 the
+finished draw scores one popcount against the mask of uncovered vertices; for
 t >= 3 the finished block is sorted and scored.  A candidate is kept as its
 vertex bitmask, which orders same-size blocks as colex does, so no t <= 2
 candidate is sorted unless it wins its round.
@@ -99,8 +100,8 @@ def greedy_cover(N: int, k: int, t: int, seed: int = 0) -> CoverDesign:
     EXHAUSTIVE_CANDIDATE_LIMIT; beyond it, each round scores the block
     extending the colex-least uncovered t-set plus SAMPLE_CANDIDATES_PER_ROUND
     blocks drawn from random.Random(seed), each scored while it is drawn
-    (t <= 2).  With k = t the t-subsets are returned in colex order without
-    drawing.
+    (t = 2) or once drawn.  With k = t the t-subsets are returned in colex
+    order without drawing.
     """
     if not N >= k >= t >= 1:
         raise ValueError(f"need N >= k >= t >= 1, got N={N}, k={k}, t={t}")
@@ -117,8 +118,7 @@ def greedy_cover(N: int, k: int, t: int, seed: int = 0) -> CoverDesign:
         nbr = [full ^ b for b in bits]
     else:
         # a t-set is counted once, under T = it minus its max; blocks are
-        # scored once sorted, and nbr stays 0 so that drawing adds nothing
-        nbr = [0] * N
+        # scored once sorted
         uncovered = {T: full & -(2 << T[-1])
                      for T in combinations(range(N), t - 1)}
     left = comb(N, t)
@@ -199,21 +199,35 @@ def greedy_cover(N: int, k: int, t: int, seed: int = 0) -> CoverDesign:
         best_block = tuple(sorted(base + tuple(rest[: k - t])))
         best = sum(map(bits.__getitem__, best_block))
         best_score = score(best_block, best)
+        if t == 1:
+            live = sum(nbr)  # the uncovered vertices
         for _ in range(SAMPLE_CANDIDATES_PER_ROUND):
             drawn = gain = 0
+            # at t = 2 each drawn vertex adds its gain; at t = 1 and t > 2
+            # the finished draw is scored
             if pooled:
                 # the i-th pick is pool[j], j < N - i, and the last unpicked
                 # value moves into the vacancy
                 pool = population[:]
-                for m, b in steps:
-                    j = getrandbits(b)
-                    while j >= m:
+                if t == 2:
+                    for m, b in steps:
                         j = getrandbits(b)
-                    v = pool[j]
-                    pool[j] = pool[m - 1]
-                    drawn |= bits[v]
-                    gain += (nbr[v] & drawn).bit_count()
-            else:
+                        while j >= m:
+                            j = getrandbits(b)
+                        v = pool[j]
+                        pool[j] = pool[m - 1]
+                        drawn |= bits[v]
+                        gain += (nbr[v] & drawn).bit_count()
+                else:
+                    for m, b in steps:
+                        j = getrandbits(b)
+                        while j >= m:
+                            j = getrandbits(b)
+                        drawn |= bits[pool[j]]
+                        pool[j] = pool[m - 1]
+                    gain = ((drawn & live).bit_count() if t == 1
+                            else score(_members(drawn), drawn))
+            elif t == 2:
                 # redraw a value that is out of range or already picked
                 for _ in steps:
                     v = getrandbits(width)
@@ -221,8 +235,14 @@ def greedy_cover(N: int, k: int, t: int, seed: int = 0) -> CoverDesign:
                         v = getrandbits(width)
                     drawn |= bits[v]
                     gain += (nbr[v] & drawn).bit_count()
-            if t > 2:
-                gain = score(_members(drawn), drawn)
+            else:
+                for _ in steps:
+                    v = getrandbits(width)
+                    while v >= N or drawn >> v & 1:
+                        v = getrandbits(width)
+                    drawn |= bits[v]
+                gain = ((drawn & live).bit_count() if t == 1
+                        else score(_members(drawn), drawn))
             # the vertex masks of two k-blocks order them as colex does
             if gain >= best_score and (gain > best_score or drawn < best):
                 best_score, best = gain, drawn

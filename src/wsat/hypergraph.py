@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from itertools import combinations, compress, repeat
+from itertools import chain, combinations, compress, repeat
 from math import comb
 from operator import add, itemgetter, lt
 
@@ -182,9 +182,11 @@ def graph_of_mask(n: int, r: int, mask: int) -> Hypergraph:
 # -- text format: first line "n r", then one edge per line, '#' comments -----
 
 def graph_to_text(g: Hypergraph) -> str:
-    lines = [f"{g.n} {g.r}"]
-    lines.extend(" ".join(map(str, e)) for e in g.sorted_edges)
-    return "\n".join(lines) + "\n"
+    """The header line, then one line per edge in colex order: every edge
+    line is formatted by one % over the flattened edges."""
+    edges = g.sorted_edges
+    line = " ".join(["%s"] * g.r) + "\n"
+    return f"{g.n} {g.r}\n" + line * len(edges) % tuple(chain.from_iterable(edges))
 
 
 def graph_from_text(text: str) -> Hypergraph:

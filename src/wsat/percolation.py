@@ -5,8 +5,12 @@ pattern H whose image covers e.  The closure adds addable edges until no
 missing edge is addable; since a witness for an addable edge survives any
 further additions, the closure set is independent of the schedule.  Every
 closure, pattern or template, with or without a certificate, runs the one
-schedule in sweep(), which scans colex ranks only: no other order is
-offered.  A ClosureResult keeps the start graph and certificate.
+schedule in sweep(), which scans the missing edges in colex order only: no
+other order is offered.  Its first pass visits every missing edge and each
+later pass only those the previous pass left; a closure that reads an edge
+mask (the witness index's close, the pattern closure) keeps it itself, so
+the template closure, which reads a link map instead, builds no edge mask.
+A ClosureResult keeps the start graph and certificate.
 
 The witness search pins the added edge: it tries every pattern edge as the
 preimage of e under every bijection onto e, then extends to the remaining
@@ -64,7 +68,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import chain, islice, permutations, repeat, starmap
+from itertools import (chain, compress, filterfalse, islice, permutations, repeat,
+                       starmap)
 from math import comb
 from operator import add, itemgetter
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
@@ -146,26 +151,39 @@ class CertificateCheck:
         return self.ok
 
 
-def sweep(mask: int, full: int,
-          step_for: Callable[[int, int], object | None]) -> tuple[int, list]:
-    """The one schedule of every closure: scan the ranks missing from mask
-    in colex order, add a rank at once when step_for(rank, mask) returns a
-    step rather than None, and repeat full sweeps until one adds nothing or
-    mask is full.  Returns the final mask and the steps in order, so
-    certificates are deterministic."""
+def sweep(left: list, step_for: Callable[[object], object | None]) -> list:
+    """The one schedule of every closure: visit the missing edges in left,
+    given in colex order as ranks or as edges, and add one at once when
+    step_for(item) returns a step rather than None.  Each later pass visits
+    only the items the previous pass left, until a pass adds nothing or none
+    is left.  Returns the steps in order, so certificates are deterministic;
+    a caller that reads an edge mask keeps it up to date in step_for.  A
+    pass records what it adds, as adding is the rarer outcome in the
+    exhaustive solver's closures, and what it left is sorted out only when
+    another pass follows."""
     steps = []
-    order = range(full.bit_length())
-    while mask != full:
-        start = mask
-        for rank in order:
-            if not mask >> rank & 1:
-                step = step_for(rank, mask)
-                if step is not None:
-                    steps.append(step)
-                    mask |= 1 << rank
-        if mask == start:
+    while left:
+        added = []
+        for item in left:
+            step = step_for(item)
+            if step is not None:
+                steps.append(step)
+                added.append(item)
+        if not added or len(added) == len(left):
             break
-    return mask, steps
+        left = [*filterfalse(set(added).__contains__, left)]
+    return steps
+
+
+# binary digits as bytes, with 0 where a digit is 0 (so that it is false)
+_ZERO_BYTE = bytes.maketrans(b"0", b"\0")
+
+
+def _missing_ranks(mask: int, full: int) -> list[int]:
+    """The ranks of full = 2^U - 1 that mask lacks, ascending: the set bits
+    of full ^ mask, read off its binary digits, lowest first."""
+    digits = bin(full ^ mask)[:1:-1].encode().translate(_ZERO_BYTE)
+    return [*compress(range(full.bit_length()), digits)]
 
 
 def _pattern_search_order(pattern: Pattern):
@@ -380,13 +398,16 @@ class WitnessIndex:
         """Bootstrap closure of an edge mask (no certificate bookkeeping)."""
         all_masks = self._masks
 
-        def addable(rank: int, mask: int) -> bool | None:
+        def addable(rank: int) -> bool | None:
+            nonlocal mask
             for req in all_masks[rank]:
                 if req & mask == req:
+                    mask |= 1 << rank
                     return True
             return None
 
-        return sweep(mask, self.full_mask, addable)[0]
+        sweep(_missing_ranks(mask, self.full_mask), addable)
+        return mask
 
 
 @lru_cache(maxsize=64)
@@ -401,14 +422,17 @@ def closure(g: Hypergraph, pattern: Pattern) -> ClosureResult:
         raise ValueError(f"uniformity mismatch: pattern r={pattern.r}, graph r={g.r}")
     idx = witness_index(g.n, pattern)
     universe = edge_universe(g.n, g.r)
+    mask = g.mask
 
-    def step_for(rank: int, mask: int) -> PatternStep | None:
+    def step_for(rank: int) -> PatternStep | None:
+        nonlocal mask
         mapping = idx.first_witness(rank, mask)
         if mapping is None:
             return None
+        mask |= 1 << rank
         return PatternStep(universe[rank], mapping)
 
-    steps = tuple(sweep(g.mask, idx.full_mask, step_for)[1])
+    steps = tuple(sweep(_missing_ranks(mask, idx.full_mask), step_for))
     return ClosureResult(g, SaturationCertificate("pattern", g.n, g.r, steps))
 
 

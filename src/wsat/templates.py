@@ -17,20 +17,24 @@ containing Z is present and the edge is new.
 
 Canonical representatives: core = {0..s-1}, special edge = {0..r-1}.
 
-template_closure runs percolation.sweep, searching for a template copy on
-a link map: for each (r-1)-set R, the bitmask of vertices v with R ∪ {v} an
-edge, updated with r writes per added edge.  The vertices that may extend a
-partial copy W are then an AND of link masks, narrowed as W grows.  The
-search visits (W, Z) in the order of the plain set-based search (cores in
-colex order, then vertices in increasing index), so it finds the same first
-copy and the certificates are the same.
+template_closure runs percolation.sweep over the missing edges, with one
+fused step per edge (_template_step) that searches for a template copy on a
+link map: for each (r-1)-set R, the bitmask of vertices v with R ∪ {v} an
+edge, built a column at a time and updated with r writes per added edge.
+The r lookups link[e - {x}], x ∈ e, give every core's candidate mask; the
+vertices that may extend a partial copy W are an AND of link masks, narrowed
+as W grows, and the subsets of W that narrowing needs exist only when
+h >= r + 2.  The search visits (W, Z) in the order of the plain set-based
+search (cores in colex order, then vertices in increasing index), so it
+finds the same first copy and the certificates are the same.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
-from itertools import combinations, starmap
-from typing import Iterable, Iterator
+from collections import defaultdict
+from itertools import combinations, filterfalse, starmap
+from operator import itemgetter, xor
+from typing import Callable, Iterable, Iterator
 
 from .hypergraph import (
     Edge,
@@ -92,98 +96,110 @@ def template(r: int, h: int, s: int) -> tuple[Hypergraph, Edge]:
     return minus.with_edges([special]), special
 
 
-def _link_map(edges) -> dict[int, int]:
+def _link_map(edges, n: int) -> defaultdict[int, int]:
     """For each (r-1)-set R, as a vertex bitmask, the bitmask of vertices v
-    such that R ∪ {v} is an edge."""
-    link: dict[int, int] = {}
-    for e in edges:
-        _link_add(link, e)
+    such that R ∪ {v} is an edge of the n-vertex graph.  Built a column of
+    edge vertices at a time; read with get, so that a lookup adds nothing."""
+    bits = [1 << v for v in range(n)]
+    columns = [[*map(bits.__getitem__, column)] for column in zip(*edges)]
+    link: defaultdict[int, int] = defaultdict(int)
+    if columns:
+        emasks = [*map(sum, zip(*columns))]
+        for column in columns:
+            for rest, bit in zip(map(xor, emasks, column), column):
+                link[rest] |= bit
     return link
 
 
-def _link_add(link: dict[int, int], e: Edge) -> None:
-    bits = [1 << v for v in e]
-    emask = sum(bits)
-    for bit in bits:
-        rest = emask ^ bit
-        link[rest] = link.get(rest, 0) | bit
-
-
-@lru_cache(maxsize=64)
-def _core_positions(r: int, s: int) -> tuple[tuple[int, ...], ...]:
-    """Positions of the s-subsets of an increasing r-tuple, in colex order
-    (the same for every such tuple)."""
-    return tuple(sorted(combinations(range(r), s), key=colex_key))
-
-
-def _find_template_copy(link: dict[int, int], r: int, e: Edge, h: int, s: int
-                        ) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
-    """The template-copy search of template_closure: the first (W, Z) with
-    Z ⊆ e ⊆ W, |W| = h, |Z| = s, such that every r-subset of W not
-    containing Z is an edge of the graph whose link map is given.
+def _template_step(link: defaultdict[int, int], n: int, r: int, h: int, s: int
+                   ) -> Callable[[Edge], TemplateStep | None]:
+    """The step of template_closure: for a missing edge e, the TemplateStep
+    of the first template copy (W, Z) with Z ⊆ e ⊆ W, |W| = h, |Z| = s,
+    such that every r-subset of W not containing Z is an edge of the graph
+    whose link map is given, or None when there is none.  On success e is
+    added to the link map, as sweep adds it at once.
 
     Cores Z ⊆ e are tried in colex order; W is grown from e by adding
     vertices in increasing index.  A vertex v may join W when R ∪ {v} is an
     edge for every (r-1)-subset R of W with Z ⊄ R, so the vertices that may
-    join are the AND of link[R] over those R: for W = e they are the R =
-    e - {z}, z ∈ Z, and when v joins, link[Q ∪ {v}] is ANDed in for every
-    (r-2)-subset Q of W with Z ⊄ Q.  The condition is closed under shrinking
-    W, so the first pair in this order is returned, and None only when no
-    pair exists.  With h = r + 1 the one vertex to add is the lowest set bit
-    of a core's candidate mask, and the subsets of W that growing a copy
-    further needs are built only when h - r >= 2; the last vertex of a copy
-    is likewise the lowest candidate left, taken without a further call.
+    join are the AND of link[R] over those R.  For W = e they are the R =
+    e - {z}, z ∈ Z: the r lookups link[e - {x}], x ∈ e, give every core's
+    candidate mask.  When v joins, link[Q ∪ {v}] is ANDed in for every
+    (r-2)-subset Q of W with Z ⊄ Q; the subsets of W not containing Z are
+    closed under this growth, so only they are kept, and only when
+    h >= r + 2.  The condition is closed under shrinking W, so the first
+    pair in this order is found, and None only when no pair exists.  The last
+    vertex of a copy is the lowest candidate left, taken without a further
+    level; with h = r + 1 it is the lowest bit of a core's candidate mask.
+    Everything that depends only on (r, s) is laid out once here; a call
+    searches with a loop over an explicit stack of levels (candidates left,
+    kept subsets, vertices chosen), with no nested function.
     """
-    if h == r:
-        # W = e: its one r-subset is e, which contains Z; e[:s] is the
-        # colex-first core
-        return e, e[:s]
-    bits = [1 << v for v in e]
-    emask = sum(bits)
-    # the j-subsets of W, as bitmasks, for j = 0..r-2
-    subsets = [list(map(sum, combinations(bits, j))) for j in range(r - 1)] \
-        if h - r >= 2 else None
+    bits = [1 << v for v in range(n)]
+    bit_of = bits.__getitem__
+    get = link.get
+    cores = sorted(combinations(range(r), s), key=colex_key)
+    # per core: its positions in e, and the positions of the j-subsets of e
+    # not containing it for j = 2..r-2 (as s >= 2, no smaller one does)
+    plans = [(positions, itemgetter(*positions),
+              [[q for q in combinations(range(r), j)
+                if not set(positions) <= set(q)] for j in range(2, r - 1)])
+             for positions in cores]
+    extra = h - r  # vertices a copy adds to e
 
-    def grow(chosen: list[int], subs: list[list[int]], mask: int
-             ) -> list[int] | None:
-        need = h - r - len(chosen)  # at least 2
-        while mask.bit_count() >= need:
-            low = mask & -mask
-            mask ^= low
-            # mask now holds the candidates above v; keep those that
-            # complete every new (r-1)-set Q ∪ {v} to an edge
-            rest = mask
-            for q in subs[r - 2]:
-                if q & zmask != zmask:
-                    rest &= link.get(q | low, 0)
-                    if not rest:
-                        break
-            if need == 2:
-                # the copy is complete with the lowest candidate above v
-                if rest:
-                    return chosen + [low.bit_length() - 1,
-                                     (rest & -rest).bit_length() - 1]
-            elif rest.bit_count() >= need - 1:
-                grown = [subs[0]] + [subs[j] + [q | low for q in subs[j - 1]]
-                                     for j in range(1, r - 1)]
-                found = grow(chosen + [low.bit_length() - 1], grown, rest)
-                if found is not None:
-                    return found
+    def step(e: Edge) -> TemplateStep | None:
+        if not extra:
+            # W = e: its one r-subset is e, which contains Z; e[:s] is the
+            # colex-first core
+            return TemplateStep(e, e, e[:s])
+        ebits = [*map(bit_of, e)]
+        emask = sum(ebits)
+        links = [get(emask ^ bit, 0) for bit in ebits]
+        for positions, core_of, subsets in plans:
+            mask = -1
+            for p in positions:
+                mask &= links[p]
+            if not mask:
+                continue
+            if extra == 1:
+                found = ((mask & -mask).bit_length() - 1,)
+            else:
+                found = None
+                # the j-subsets of e not containing Z, j = 0..r-2, as masks
+                subs = [[0], ebits][:r - 1] + [[sum(map(ebits.__getitem__, q))
+                                                for q in qs] for qs in subsets]
+                levels = [(mask, subs, ())]
+                while levels:
+                    mask, subs, chosen = levels.pop()
+                    need = extra - len(chosen)  # at least 2
+                    if mask.bit_count() < need:
+                        continue
+                    low = mask & -mask
+                    mask ^= low
+                    levels.append((mask, subs, chosen))
+                    # keep the candidates above v that complete every new
+                    # (r-1)-set Q ∪ {v} to an edge
+                    for q in subs[-1]:
+                        mask &= get(q | low, 0)
+                        if not mask:
+                            break
+                    v = low.bit_length() - 1
+                    if need == 2:
+                        if mask:
+                            found = chosen + (v, (mask & -mask).bit_length() - 1)
+                            break
+                    elif mask.bit_count() >= need - 1:
+                        grown = [subs[0]] + [subs[j] + [q | low for q in subs[j - 1]]
+                                             for j in range(1, r - 1)]
+                        levels.append((mask, grown, chosen + (v,)))
+                if found is None:
+                    continue
+            for bit in ebits:
+                link[emask ^ bit] |= bit
+            return TemplateStep(e, tuple(sorted(e + found)), core_of(e))
         return None
 
-    for positions in _core_positions(r, s):
-        zbits = [bits[p] for p in positions]
-        zmask = sum(zbits)  # the core tried, read by grow
-        mask = ~emask
-        for zbit in zbits:
-            mask &= link.get(emask ^ zbit, 0)
-        if h == r + 1:
-            found = [(mask & -mask).bit_length() - 1] if mask else None
-        else:
-            found = grow([], subsets, mask)
-        if found is not None:
-            return tuple(sorted(e + tuple(found))), tuple([e[p] for p in positions])
-    return None
+    return step
 
 
 def template_closure(g: Hypergraph, h: int, s: int) -> ClosureResult:
@@ -192,19 +208,10 @@ def template_closure(g: Hypergraph, h: int, s: int) -> ClosureResult:
     _check_params(g.r, h, s)
     if g.n < h:
         raise ValueError(f"need at least h={h} vertices, graph has n={g.n}")
-    universe = edge_universe(g.n, g.r)
-    full = (1 << len(universe)) - 1
-    link = _link_map(g.edges)
-
-    def step_for(rank: int, mask: int) -> TemplateStep | None:
-        e = universe[rank]
-        hit = _find_template_copy(link, g.r, e, h, s)
-        if hit is None:
-            return None
-        _link_add(link, e)  # sweep adds e at once
-        return TemplateStep(e, *hit)
-
-    steps = tuple(sweep(g.mask, full, step_for)[1])
+    edges = g.edges
+    step = _template_step(_link_map(edges, g.n), g.n, g.r, h, s)
+    missing = [*filterfalse(edges.__contains__, edge_universe(g.n, g.r))]
+    steps = tuple(sweep(missing, step))
     return ClosureResult(g, SaturationCertificate("template", g.n, g.r, steps))
 
 

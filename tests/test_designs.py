@@ -21,17 +21,25 @@ from wsat.hypergraph import FormatError, colex_key
 def oracle_greedy_cover(N: int, k: int, t: int, seed: int = 0) -> CoverDesign:
     """Full-rescan greedy: every candidate rescored every round."""
     uncovered = set(combinations(range(N), t))
+    # the t-sets in colex order, and the position of the first one that may
+    # be uncovered: covered sets only grow, so it only moves forward
+    in_order = sorted(uncovered, key=colex_key)
+    first = 0
     blocks = []
     exhaustive = comb(N, k) <= designs.EXHAUSTIVE_CANDIDATE_LIMIT
     rng = random.Random(seed)
 
     def candidates():
+        nonlocal first
         if exhaustive:
             yield from combinations(range(N), k)
             return
-        # sampled variant: seeded draws, plus one block extending an
-        # uncovered t-set so every round is guaranteed to make progress
-        base = min(uncovered, key=colex_key)
+        # sampled variant: seeded draws, plus one block extending the
+        # colex-least uncovered t-set so every round is guaranteed to make
+        # progress
+        while in_order[first] not in uncovered:
+            first += 1
+        base = in_order[first]
         rest = [v for v in range(N) if v not in base]
         yield tuple(sorted(base + tuple(rest[: k - t])))
         population = list(range(N))

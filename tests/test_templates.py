@@ -1,3 +1,4 @@
+import hashlib
 import random
 from itertools import combinations
 from math import comb
@@ -5,7 +6,14 @@ from math import comb
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from wsat.constructions import ConeSpec, check_cone
+from wsat.constructions import (
+    ConeSpec,
+    PercolateSpec,
+    SpartiteSpec,
+    check_cone,
+    check_percolate,
+    check_spartite,
+)
 from wsat.hypergraph import (
     Hypergraph,
     canonical_edge,
@@ -104,8 +112,10 @@ def test_template_param_validation():
 
 def template_copy(g: Hypergraph, e, h: int, s: int):
     """template_closure's search for a template copy with e as its special
-    edge, run on g's link map."""
-    return templates._find_template_copy(templates._link_map(g.edges), g.r, e, h, s)
+    edge, run on g's link map: (W, Z), or None."""
+    step = templates._template_step(templates._link_map(g.edges, g.n), g.n, g.r, h, s)
+    found = step(e)
+    return None if found is None else (found.vertex_set, found.core)
 
 
 def test_template_copy_examples():
@@ -498,3 +508,51 @@ def test_conversion_and_replay_match_the_direct_checker(case):
             assert ok == _replayed_against_template(g, mutant, h, s), mutant
             rejected += not ok
     assert rejected >= min(3, len(steps)) * 4  # a repeat or a dropped vertex
+
+
+# the template gadgets of perfbench's construct workload, with the sha256 of
+# each one's template certificate as certificate_to_text writes it.  wsat
+# generate prints only the verdict, so no output digest covers these steps.
+GADGET_CERTIFICATES = [
+    (PercolateSpec(r=3, s=2, h=4, clusters=5, cluster_size=5), 2058,
+     "3088ac1753466232cfac5e472662d58af7cd83fa37116d2d56a5808f7c7aa30e"),
+    (PercolateSpec(r=3, s=2, h=4, clusters=6, cluster_size=5), 3760,
+     "a2e8ddb3b3571f3af875b44439f6d3302adfd32ea38e33068faaf500e848ffa5"),
+    (PercolateSpec(r=3, s=3, h=4, clusters=6, cluster_size=5), 1380,
+     "aec45295be0c348100a7f91b9d2aca720bca8f5c26a00b8648e812b692eec2f1"),
+    (PercolateSpec(r=2, s=2, h=3, clusters=6, cluster_size=5), 330,
+     "ae8561dfdac337d69d9bc77a306fc9b5014a30dc1e709c3d95ed47d2cb5489da"),
+    (ConeSpec(r=3, s=2, h=5, size_a=18, size_b=14), 4004,
+     "a671a072386bbdb05fda7080e337de10d371156455985209c3864b95b884f258"),
+    (ConeSpec(r=3, s=2, h=6, size_a=20, size_b=15), 5180,
+     "fcfec324e3b7b6c2b239982981d335d5f57c2451a6387319e0ce8a32f676cdb2"),
+    (ConeSpec(r=4, s=2, h=5, size_a=12, size_b=8), 4270,
+     "aa45593c8a101bc9d6e61229490bdd9ed62edea288e12fe258fd6ca107ef6f59"),
+    (ConeSpec(r=3, s=3, h=4, size_a=16, size_b=12), 1804,
+     "8f2611aef6f407a9bd83a45872501cf2a50420453a8ba92aa0599662ff2e1882"),
+    (SpartiteSpec(r=3, h=4, part_sizes=(14, 14)), 2500,
+     "01f48b537d388570313416c667dd9d08f8e154a972129c2bbdd2bd365c65d56c"),
+    (SpartiteSpec(r=4, h=5, part_sizes=(9, 9)), 2608,
+     "f2649974c37d44521ce26ee72190963a50fd4cf739a636f860f121fd29b28b76"),
+    (SpartiteSpec(r=4, h=5, part_sizes=(8, 8)), 1480,
+     "47a8589f569593ab3c6e3347046f7ffbbff5d5f78b101109a3d367eb11b8ed3f"),
+    (SpartiteSpec(r=3, h=5, part_sizes=(12, 12, 12)), 1078,
+     "05735172592dc17f36d2adc8c081a368546052d81428fc207e55a4b5fe7f7deb"),
+]
+
+
+def _gadget_id(spec) -> str:
+    kind = type(spec).__name__.removesuffix("Spec").lower()
+    return "-".join([kind] + [str(v).replace(", ", ",") for v in vars(spec).values()])
+
+
+@pytest.mark.parametrize("spec, steps, digest", GADGET_CERTIFICATES,
+                         ids=[_gadget_id(spec) for spec, _, _ in GADGET_CERTIFICATES])
+def test_gadget_certificates_are_pinned(spec, steps, digest):
+    check = {PercolateSpec: lambda: check_percolate(spec)[2],
+             ConeSpec: lambda: check_cone(spec)[1],
+             SpartiteSpec: lambda: check_spartite(spec)[1]}[type(spec)]
+    res = check()
+    assert res.percolated and len(res.certificate) == steps
+    text = certificate_to_text(res.certificate)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
