@@ -168,7 +168,9 @@ def _gen_template(args):
 def _gen_cone(args):
     spec = cons.ConeSpec(r=args.r, h=args.h, s=args.s,
                          size_a=args.size_a, size_b=args.size_b)
-    g, result, bound = cons.check_cone(spec)
+    g = cons.cone_gadget(spec)
+    result = template_closure(g, spec.h, spec.s)
+    bound = cons.cone_bound(spec, g)
     return ({"cone.txt": g},
             f"generate cone n={g.n} r={g.r} edges={g.edge_count} "
             f"percolated={str(result.percolated).lower()}",
@@ -177,7 +179,8 @@ def _gen_cone(args):
 
 def _gen_spartite(args):
     spec = cons.SpartiteSpec(r=args.r, h=args.h, part_sizes=args.part_sizes)
-    g, result = cons.check_spartite(spec)
+    g = cons.spartite_gadget(spec)
+    result = template_closure(g, spec.h, spec.s)
     return ({"spartite.txt": g},
             f"generate spartite n={g.n} r={g.r} edges={g.edge_count} "
             f"percolated={str(result.percolated).lower()}", [], result.percolated)
@@ -186,8 +189,10 @@ def _gen_spartite(args):
 def _gen_percolate(args):
     spec = cons.PercolateSpec(r=args.r, h=args.h, s=args.s,
                               clusters=args.l, cluster_size=args.t)
-    g, e2, result, bound = cons.check_percolate(spec)
-    e1 = g.edges - e2
+    e1, e2 = cons.percolate_gadget(spec)
+    g = Hypergraph(spec.n, spec.r, e1 | e2)
+    result = template_closure(g, spec.h, spec.s)
+    bound = cons.percolate_bound(spec, e2)
     return ({"percolate_e1.txt": graph_to_text(Hypergraph(g.n, g.r, e1)),
              "percolate_e2.txt": graph_to_text(Hypergraph(g.n, g.r, e2)),
              "percolate.txt": g},
@@ -211,9 +216,7 @@ def _gen_main(args):
     c, m, clusters = cons.main_clusters(args.n, args.m1, s)
     cover = greedy_cover(clusters, c ** (s - 2), s - 1, seed=args.seed)
     seed_graph = exact_or_upper(m, pattern, args.budget)[0]
-    spec = cons.MainSpec(pattern=pattern, n=args.n, m1=args.m1,
-                         seed_graph=seed_graph, cover=cover)
-    result = cons.main_construction(spec)
+    result = cons.main_construction(pattern, args.n, args.m1, seed_graph, cover)
     reports = list(result.bounds)
     reports.append(f"#RATIO seed_edges_over_m^(s-1) {result.seed_ratio:.6f}")
     reports.append(f"#RATIO total_edges_over_n^(s-1) {result.total_ratio:.6f}")

@@ -17,14 +17,17 @@ Each generator builds the edge set of one construction:
   clique_extremal  all edges meeting a fixed (t - r)-set; matches the
                    closed-form optimum for complete patterns.
 
-The gadgets enumerate their edges rather than filter the (n, r) edge
-universe: the s-partite gadget takes the r-subsets of the union of its parts,
-the cone gadget and padding join anchor (r-j)-sets to off-anchor j-sets, and
-the percolation gadget's E1 is the r-subsets of each union of s - 1 clusters.
+The cone gadget and padding enumerate their extra edges, joining anchor
+(r-j)-sets to off-anchor j-sets, and the percolation gadget's E1 is the
+r-subsets of each union of s - 1 clusters.  The s-partite edges are a
+filter: _spartite_edges tests every r-subset of the union of its parts, which
+for spartite_gadget is all of [n] and for a percolation group is the union of
+its s clusters.
 
 Every generator's output is meant to percolate under the engine named in its
 contract; the numbered edge-count bounds are evaluated as exact integer
-inequalities and reported as BoundChecks, never assumed.
+inequalities and reported as BoundChecks, never assumed.  The gadgets do not
+close themselves: `wsat generate` runs template_closure(g, h, s) on each.
 """
 
 from __future__ import annotations
@@ -35,8 +38,8 @@ from math import comb
 
 from .designs import CoverDesign, verify_cover
 from .hypergraph import Edge, Hypergraph, Pattern, edge_universe
-from .percolation import ClosureResult, clique_wsat_value, is_weakly_saturated
-from .templates import _check_params, template_closure
+from .percolation import clique_wsat_value, is_weakly_saturated
+from .templates import _check_params
 
 
 @dataclass(frozen=True)
@@ -113,12 +116,6 @@ def cone_bound(spec: ConeSpec, g: Hypergraph) -> BoundCheck:
     return BoundCheck("cone_extra_edges", extra, rhs)
 
 
-def check_cone(spec: ConeSpec) -> tuple[Hypergraph, ClosureResult, BoundCheck]:
-    g = cone_gadget(spec)
-    result = template_closure(g, spec.h, spec.s)
-    return g, result, cone_bound(spec, g)
-
-
 # -- padding a smaller example ------------------------------------------------
 
 def padded_example(g_minus: Hypergraph, k2: int, pattern: Pattern) -> Hypergraph:
@@ -146,9 +143,12 @@ def padded_example(g_minus: Hypergraph, k2: int, pattern: Pattern) -> Hypergraph
     return Hypergraph(n, pattern.r, edges)
 
 
-def padding_bound(g_minus: Hypergraph, k2: int, pattern: Pattern) -> BoundCheck:
-    padded = padded_example(g_minus, k2, pattern)
+def padding_bound(g_minus: Hypergraph, padded: Hypergraph,
+                  pattern: Pattern) -> BoundCheck:
+    """Bound on the extra edges of padded = padded_example(g_minus, k2,
+    pattern), where k2 = padded.n - g_minus.n."""
     extra = padded.edge_count - g_minus.edge_count
+    k2 = padded.n - g_minus.n
     rhs = pattern.r * pattern.h ** pattern.r * g_minus.n ** (pattern.s - 2) * k2
     return BoundCheck("padding_extra_edges", extra, rhs)
 
@@ -217,12 +217,6 @@ def spartite_gadget(spec: SpartiteSpec) -> Hypergraph:
     return Hypergraph(spec.n, spec.r, edges)
 
 
-def check_spartite(spec: SpartiteSpec) -> tuple[Hypergraph, ClosureResult]:
-    g = spartite_gadget(spec)
-    result = template_closure(g, spec.h, spec.s)
-    return g, result
-
-
 # -- percolation gadget -------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -285,16 +279,6 @@ def percolate_bound(spec: PercolateSpec, e2: frozenset[Edge]) -> BoundCheck:
     return BoundCheck("percolate_extra_edges", len(e2), rhs)
 
 
-def check_percolate(spec: PercolateSpec
-                    ) -> tuple[Hypergraph, frozenset[Edge], ClosureResult, BoundCheck]:
-    """The gadget graph E1 ∪ E2, its extras E2, its template closure and the
-    bound on E2."""
-    e1, e2 = percolate_gadget(spec)
-    g = Hypergraph(spec.n, spec.r, e1 | e2)
-    result = template_closure(g, spec.h, spec.s)
-    return g, e2, result, percolate_bound(spec, e2)
-
-
 # -- sparseness-1 seed --------------------------------------------------------
 
 def s1_construction(pattern: Pattern, n: int) -> Hypergraph:
@@ -309,23 +293,6 @@ def s1_construction(pattern: Pattern, n: int) -> Hypergraph:
 
 
 # -- composite construction ---------------------------------------------------
-
-@dataclass(frozen=True)
-class MainSpec:
-    """Parameters of the composite construction.
-
-    n must be a multiple of the cluster size c = ceil(m1^(1/(s-1))), and
-    the cover a design on N = n / c points with block size k = c^(s-2) and
-    strength t = s - 1.  seed_graph is a weakly saturated graph for the
-    pattern on m = c^(s-1) vertices (main_clusters derives c and m).
-    """
-
-    pattern: Pattern
-    n: int
-    m1: int
-    seed_graph: Hypergraph
-    cover: CoverDesign
-
 
 @dataclass(frozen=True)
 class MainResult:
@@ -361,42 +328,49 @@ def main_clusters(n: int, m1: int, s: int) -> tuple[int, int, int]:
     return c, c ** (s - 1), clusters
 
 
-def main_construction(spec: MainSpec) -> MainResult:
+def main_construction(pattern: Pattern, n: int, m1: int, seed_graph: Hypergraph,
+                      cover: CoverDesign) -> MainResult:
     """Place one copy of the seed graph per cover block, union the percolation
-    gadget's extras, engine-check the result, and report the edge accounting."""
-    pattern = spec.pattern
+    gadget's extras, engine-check the result, and report the edge accounting.
+
+    n must be a multiple of the cluster size c = ceil(m1^(1/(s-1))), and
+    cover a design on N = n / c points with block size k = c^(s-2) and
+    strength t = s - 1.  seed_graph is a weakly saturated graph for the
+    pattern on m = c^(s-1) vertices (main_clusters derives c and m).  Each
+    of these conditions is checked and raises ValueError when it fails.
+    """
     r, h, s = pattern.r, pattern.h, pattern.s
-    c, m, clusters = main_clusters(spec.n, spec.m1, s)
+    c, m, clusters = main_clusters(n, m1, s)
     if c < h:
         raise ValueError(f"cluster size {c} below h={h}")
     k = c ** (s - 2)
-    cover = spec.cover
     if (cover.N, cover.k, cover.t) != (clusters, k, s - 1):
         raise ValueError(
             f"cover must have N={clusters}, k={k}, t={s - 1}; "
             f"got N={cover.N}, k={cover.k}, t={cover.t}")
     if not verify_cover(cover):
         raise ValueError("cover does not cover every t-subset")
-    seed = spec.seed_graph
-    if seed.n != m or seed.r != r:
+    if seed_graph.n != m or seed_graph.r != r:
         raise ValueError(
-            f"seed graph must have n={m}, r={r}; got n={seed.n}, r={seed.r}")
-    if not is_weakly_saturated(seed, pattern):
+            f"seed graph must have n={m}, r={r}; "
+            f"got n={seed_graph.n}, r={seed_graph.r}")
+    if not is_weakly_saturated(seed_graph, pattern):
         raise ValueError("seed graph is not weakly saturated for the pattern")
 
     cluster_vertices = [tuple(range(i * c, (i + 1) * c)) for i in range(clusters)]
     copies: set[Edge] = set()
     for block in cover.blocks:
         hosts = sorted(v for i in block for v in cluster_vertices[i])
-        for e in seed.edges:
+        for e in seed_graph.edges:
             copies.add(tuple(sorted(hosts[v] for v in e)))
 
     gspec = PercolateSpec(r=r, h=h, s=s, clusters=clusters, cluster_size=c)
     _, e2 = percolate_gadget(gspec)
-    graph = Hypergraph(spec.n, r, copies | set(e2))
+    graph = Hypergraph(n, r, copies | set(e2))
 
     bounds = (
-        BoundCheck("copies_union", len(copies), len(cover.blocks) * seed.edge_count),
+        BoundCheck("copies_union", len(copies),
+                   len(cover.blocks) * seed_graph.edge_count),
         percolate_bound(gspec, e2),
     )
     percolated = is_weakly_saturated(graph, pattern)
@@ -406,8 +380,8 @@ def main_construction(spec: MainSpec) -> MainResult:
         extra_edge_count=len(e2),
         block_count=len(cover.blocks),
         bounds=bounds,
-        seed_ratio=seed.edge_count / m ** (s - 1),
-        total_ratio=graph.edge_count / spec.n ** (s - 1),
+        seed_ratio=seed_graph.edge_count / m ** (s - 1),
+        total_ratio=graph.edge_count / n ** (s - 1),
         percolated=percolated,
     )
 

@@ -46,13 +46,9 @@ def check_universe(n: int, r: int) -> None:
         )
 
 
-def colex_key(e: Edge) -> Edge:
-    """Sort key realizing colex order on same-size increasing tuples."""
-    return tuple(reversed(e))
-
-
-# colex_key for tuples, at C speed: the tuple reversed by a slice
-_colex_tuple_key = itemgetter(slice(None, None, -1))
+# Sort key realizing colex order on same-size increasing tuples: the tuple
+# reversed by a slice, at C speed.
+colex_key = itemgetter(slice(None, None, -1))
 
 
 def canonical_edge(e, n: int, r: int) -> Edge:
@@ -78,7 +74,7 @@ def edge_rank(e: Edge, n: int) -> int:
 def edge_universe(n: int, r: int) -> tuple[Edge, ...]:
     """All r-subsets of [n] in colex order (cached)."""
     check_universe(n, r)
-    return tuple(sorted(combinations(range(n), r), key=_colex_tuple_key))
+    return tuple(sorted(combinations(range(n), r), key=colex_key))
 
 
 @lru_cache(maxsize=64)
@@ -121,7 +117,7 @@ class Hypergraph:
 
     @cached_property
     def sorted_edges(self) -> tuple[Edge, ...]:
-        return tuple(sorted(self.edges, key=_colex_tuple_key))
+        return tuple(sorted(self.edges, key=colex_key))
 
     @cached_property
     def mask(self) -> int:

@@ -13,16 +13,17 @@ from pathlib import Path
 from wsat.cli import main as cli_main
 from wsat.constructions import (
     ConeSpec,
-    MainSpec,
     PercolateSpec,
     SpartiteSpec,
-    check_cone,
-    check_percolate,
-    check_spartite,
     clique_extremal,
+    cone_bound,
+    cone_gadget,
     main_construction,
     padded_example,
     padding_bound,
+    percolate_bound,
+    percolate_gadget,
+    spartite_gadget,
 )
 from wsat.designs import greedy_cover, rodl_bound, verify_cover
 from wsat.hypergraph import Hypergraph, complete_graph, edge_universe, graph_to_text
@@ -174,20 +175,21 @@ def test_criterion_4_gadget_grid():
         assert len(CONE_GRID) >= 6 and len(SPARTITE_GRID) >= 4 \
             and len(PERCOLATE_GRID) >= 4
         for spec in CONE_GRID:
-            _, result, bound = check_cone(spec)
-            assert result.percolated, spec
-            assert bound.holds, spec
+            g = cone_gadget(spec)
+            assert template_closure(g, spec.h, spec.s).percolated, spec
+            assert cone_bound(spec, g).holds, spec
         for spec in SPARTITE_GRID:
-            _, result = check_spartite(spec)
-            assert result.percolated, spec
+            g = spartite_gadget(spec)
+            assert template_closure(g, spec.h, spec.s).percolated, spec
         for spec in PERCOLATE_GRID:
-            _, _, result, bound = check_percolate(spec)
-            assert result.percolated, spec
-            assert bound.holds, spec
+            e1, e2 = percolate_gadget(spec)
+            g = Hypergraph(spec.n, spec.r, e1 | e2)
+            assert template_closure(g, spec.h, spec.s).percolated, spec
+            assert percolate_bound(spec, e2).holds, spec
         for base, k2, pat in PADDING_GRID:
             padded = padded_example(base, k2, pat)
             assert is_weakly_saturated(padded, pat), (base, k2)
-            assert padding_bound(base, k2, pat).holds, (base, k2)
+            assert padding_bound(base, padded, pat).holds, (base, k2)
         elapsed = time.time() - start
         print(f"  criterion 4 runtime: {elapsed:.1f}s")
         assert elapsed < 300
@@ -197,18 +199,14 @@ def test_criterion_5_main_construction():
     with criterion(5, "composite construction end to end"):
         start = time.time()
         star4 = Hypergraph(4, 2, [(0, 1), (0, 2), (0, 3)])
-        spec = MainSpec(pattern=K3, n=12, m1=4, seed_graph=star4,
-                        cover=greedy_cover(3, 1, 1))
-        result = main_construction(spec)
+        result = main_construction(K3, 12, 4, star4, greedy_cover(3, 1, 1))
         assert result.percolated
         copies_bound = result.bounds[0]
         assert copies_bound.name == "copies_union" and copies_bound.holds
         assert copies_bound.rhs == result.block_count * star4.edge_count
 
         gm = clique_extremal(5, 4, 2)
-        spec2 = MainSpec(pattern=K4, n=15, m1=5, seed_graph=gm,
-                         cover=greedy_cover(3, 1, 1))
-        result2 = main_construction(spec2)
+        result2 = main_construction(K4, 15, 5, gm, greedy_cover(3, 1, 1))
         assert result2.percolated
         copies_bound2 = result2.bounds[0]
         assert copies_bound2.holds

@@ -2,6 +2,7 @@ import argparse
 import hashlib
 import io
 import os
+import pkgutil
 import re
 import resource
 import subprocess
@@ -352,15 +353,16 @@ def test_verify_template_certificate_pipeline(tmp_path, capsys):
     assert code == 64
 
 
-# the library closure behind each golden template gadget; all three have
+# the library gadget behind each golden template gadget; all three have
 # h = 3 and s = 2
 TEMPLATE_GADGETS = {
-    "cone": lambda: cons.check_cone(cons.ConeSpec(r=2, h=3, s=2, size_a=4,
-                                                  size_b=2))[1],
-    "spartite": lambda: cons.check_spartite(cons.SpartiteSpec(
-        r=2, h=3, part_sizes=(4, 4)))[1],
-    "percolate": lambda: cons.check_percolate(cons.PercolateSpec(
-        r=2, h=3, s=2, clusters=3, cluster_size=3))[2],
+    "cone": lambda: cons.cone_gadget(cons.ConeSpec(r=2, h=3, s=2, size_a=4,
+                                                   size_b=2)),
+    "spartite": lambda: cons.spartite_gadget(cons.SpartiteSpec(
+        r=2, h=3, part_sizes=(4, 4))),
+    "percolate": lambda: Hypergraph(9, 2, frozenset().union(
+        *cons.percolate_gadget(cons.PercolateSpec(r=2, h=3, s=2, clusters=3,
+                                                  cluster_size=3)))),
 }
 
 
@@ -372,7 +374,8 @@ def test_gadget_closure_has_one_certificate(tmp_path, capsys, kind):
     gpath = str(tmp_path / f"{kind}.txt")
     assert run(capsys, "closure", gpath, "--template", "3", "2", "--output", out)[0] == 0
     cert = tmp_path / "closure.cert"
-    assert cert.read_text() == certificate_to_text(TEMPLATE_GADGETS[kind]().certificate)
+    result = template_closure(TEMPLATE_GADGETS[kind](), 3, 2)
+    assert cert.read_text() == certificate_to_text(result.certificate)
     code, stdout, _ = run(capsys, "verify", gpath, str(tmp_path / "template.txt"),
                           str(cert))
     assert code == 0 and stdout.startswith("valid")
@@ -869,6 +872,15 @@ def _oracle(argv):
     except SystemExit as exc:
         assert exc.code == 0
         return "help"
+
+
+def test_console_script_is_cli_main():
+    """The `wsat` command that pip installs from pyproject.toml runs
+    wsat.cli.main (tomllib is 3.11+)."""
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = Path(__file__).resolve().parent.parent / "pyproject.toml"
+    scripts = tomllib.loads(pyproject.read_text())["project"]["scripts"]
+    assert pkgutil.resolve_name(scripts["wsat"]) is main
 
 
 def _readme_commands():

@@ -5,21 +5,19 @@ import pytest
 
 from wsat.constructions import (
     ConeSpec,
-    MainSpec,
     PercolateSpec,
     SpartiteSpec,
     _near_anchor_edges,
     _spartite_edges,
-    check_cone,
-    check_percolate,
-    check_spartite,
     clique_extremal,
     clique_extremal_bound,
+    cone_bound,
     cone_gadget,
     main_clusters,
     main_construction,
     padded_example,
     padding_bound,
+    percolate_bound,
     percolate_gadget,
     s1_construction,
     spartite_gadget,
@@ -27,7 +25,7 @@ from wsat.constructions import (
 from wsat.designs import greedy_cover
 from wsat.hypergraph import Hypergraph, complete_graph, edge_universe
 from wsat.percolation import clique_wsat_value, is_weakly_saturated
-from wsat.templates import make_pattern
+from wsat.templates import make_pattern, template_closure
 
 K3 = make_pattern(complete_graph(3, 2))
 K4 = make_pattern(complete_graph(4, 2))
@@ -41,7 +39,8 @@ def test_cone_small_example():
     g = cone_gadget(spec)
     extra = sorted(e for e in g.edges if e[-1] == 4)
     assert extra == [(0, 4), (1, 4), (2, 4)]  # apex joined to the anchor
-    _, result, bound = check_cone(spec)
+    result = template_closure(g, spec.h, spec.s)
+    bound = cone_bound(spec, g)
     assert result.percolated
     assert bound.lhs == 3 and bound.rhs == 18 and bound.holds
 
@@ -60,7 +59,7 @@ def test_padded_example():
     padded = padded_example(STAR4, 2, K3)
     assert padded.n == 6
     assert is_weakly_saturated(padded, K3)
-    bound = padding_bound(STAR4, 2, K3)
+    bound = padding_bound(STAR4, padded, K3)
     assert bound.holds and bound.rhs == 2 * 9 * 1 * 2
 
     assert padded_example(STAR4, 0, K3) == STAR4
@@ -89,8 +88,7 @@ def test_spartite_small_example():
     loose = {3, 7}
     assert missing == {e for e in complete_graph(8, 2).edges
                        if len({e[0] // 4, e[1] // 4}) == 2 and (set(e) & loose)}
-    _, result = check_spartite(spec)
-    assert result.percolated
+    assert template_closure(g, spec.h, spec.s).percolated
 
 
 def test_spartite_tight_parts_give_complete_graph():
@@ -111,8 +109,8 @@ def test_percolate_small_example():
     spec = PercolateSpec(r=2, h=3, s=2, clusters=3, cluster_size=3)
     e1, e2 = percolate_gadget(spec)
     assert len(e2) <= 2 * 27 * 2 * 1
-    g, _, result, bound = check_percolate(spec)
-    assert result.percolated and bound.holds
+    result = template_closure(Hypergraph(spec.n, 2, e1 | e2), spec.h, spec.s)
+    assert result.percolated and percolate_bound(spec, e2).holds
     # extras live on rigid pairs across a group including the last cluster
     for e in e2:
         clusters_hit = {v // 3 for v in e}
@@ -151,8 +149,7 @@ def test_s1_construction():
 
 def test_main_construction_k3():
     cover = greedy_cover(3, 1, 1)
-    spec = MainSpec(pattern=K3, n=12, m1=4, seed_graph=STAR4, cover=cover)
-    result = main_construction(spec)
+    result = main_construction(K3, 12, 4, STAR4, cover)
     assert result.percolated
     assert result.block_count == 3
     assert result.copies_edge_count == 9
@@ -163,23 +160,19 @@ def test_main_construction_k3():
 def test_main_construction_rejects_bad_seed():
     cover = greedy_cover(3, 1, 1)
     bad_seed = Hypergraph(4, 2, [(0, 1)])
-    spec = MainSpec(pattern=K3, n=12, m1=4, seed_graph=bad_seed, cover=cover)
     with pytest.raises(ValueError, match="not weakly saturated"):
-        main_construction(spec)
+        main_construction(K3, 12, 4, bad_seed, cover)
 
 
 def test_main_construction_named_invariant_failures():
     cover = greedy_cover(3, 1, 1)
     with pytest.raises(ValueError, match="clusters"):
         # single cluster: n = m
-        main_construction(MainSpec(pattern=K3, n=4, m1=4,
-                                   seed_graph=STAR4, cover=greedy_cover(1, 1, 1)))
+        main_construction(K3, 4, 4, STAR4, greedy_cover(1, 1, 1))
     with pytest.raises(ValueError, match="multiple"):
-        main_construction(MainSpec(pattern=K3, n=13, m1=4,
-                                   seed_graph=STAR4, cover=cover))
+        main_construction(K3, 13, 4, STAR4, cover)
     with pytest.raises(ValueError, match="cover must have"):
-        main_construction(MainSpec(pattern=K3, n=12, m1=4,
-                                   seed_graph=STAR4, cover=greedy_cover(4, 1, 1)))
+        main_construction(K3, 12, 4, STAR4, greedy_cover(4, 1, 1))
 
 
 def test_main_clusters():
@@ -199,8 +192,7 @@ def test_main_construction_s3():
     assert pattern.s == 3
     seed = clique_extremal(16, 4, 3)
     cover = greedy_cover(4, 4, 2)
-    spec = MainSpec(pattern=pattern, n=16, m1=16, seed_graph=seed, cover=cover)
-    result = main_construction(spec)
+    result = main_construction(pattern, 16, 16, seed, cover)
     assert result.percolated
     assert all(b.holds for b in result.bounds)
 
@@ -232,16 +224,17 @@ def test_clique_extremal_t_equals_r_is_empty():
 def test_gadget_outputs_reverify_under_template_closure():
     # a couple of r=3 instances exercising the hypergraph path
     spec = ConeSpec(r=3, h=4, s=3, size_a=5, size_b=3)
-    g, result, bound = check_cone(spec)
-    assert result.percolated and bound.holds
+    g = cone_gadget(spec)
+    assert template_closure(g, spec.h, spec.s).percolated
+    assert cone_bound(spec, g).holds
 
     sp = SpartiteSpec(r=3, h=4, part_sizes=(4, 4, 4))
-    g2, result2 = check_spartite(sp)
-    assert result2.percolated
+    assert template_closure(spartite_gadget(sp), sp.h, sp.s).percolated
 
     ps = PercolateSpec(r=3, h=4, s=2, clusters=3, cluster_size=4)
-    g3, _, result3, bound3 = check_percolate(ps)
-    assert result3.percolated and bound3.holds
+    e1, e2 = percolate_gadget(ps)
+    assert template_closure(Hypergraph(ps.n, 3, e1 | e2), ps.h, ps.s).percolated
+    assert percolate_bound(ps, e2).holds
 
 
 # -- the universe-filtering gadget builders, kept as oracles --------------------

@@ -7,6 +7,7 @@ from math import comb
 
 import pytest
 
+from wsat.constructions import clique_extremal, padded_example
 from wsat.hypergraph import Hypergraph, complete_graph, edge_universe, graph_of_mask
 from wsat.percolation import (
     certificate_to_text,
@@ -227,6 +228,27 @@ def test_upper_bounds():
     assert wsat_upper_witness(6, K3).edge_count == 5
     assert wsat_upper_witness(4, K4).edge_count == comb(4, 2) - 1
     assert is_weakly_saturated(wsat_upper_witness(6, K3), K3)
+
+
+# K4^3 - e and the tight 5-cycle C5^3, where padding half of the vertices
+# beats clique_extremal on all of them: (n, pattern, padded, clique_extremal)
+K43_MINUS_E = make_pattern(Hypergraph(4, 3, [(0, 1, 2), (0, 1, 3), (0, 2, 3)]))
+C53 = make_pattern(Hypergraph(5, 3, [(0, 1, 2), (1, 2, 3), (2, 3, 4), (0, 3, 4),
+                                     (0, 1, 4)]))
+
+
+@pytest.mark.parametrize("n, pattern, padded, extremal",
+                         [(11, K43_MINUS_E, 40, 45), (10, C53, 59, 64)],
+                         ids=["K4^3-e", "C5^3"])
+def test_upper_witness_takes_the_padded_candidate(n, pattern, padded, extremal):
+    assert pattern.s >= 2
+    k1 = max(pattern.h, -(-n // 2))
+    expected = padded_example(clique_extremal(k1, pattern.h, 3), n - k1, pattern)
+    witness = wsat_upper_witness(n, pattern)
+    assert witness == expected
+    assert witness.edge_count == padded
+    assert clique_extremal(n, pattern.h, 3).edge_count == extremal
+    assert is_weakly_saturated(witness, pattern)
 
 
 def test_exact_below_upper():

@@ -10,9 +10,9 @@ from wsat.constructions import (
     ConeSpec,
     PercolateSpec,
     SpartiteSpec,
-    check_cone,
-    check_percolate,
-    check_spartite,
+    cone_gadget,
+    percolate_gadget,
+    spartite_gadget,
 )
 from wsat.hypergraph import (
     Hypergraph,
@@ -146,8 +146,7 @@ def test_template_closure_on_complete_graph():
 
 def test_cone_output_percolates_small():
     spec = ConeSpec(r=2, h=3, s=2, size_a=5, size_b=2)
-    _, result, _ = check_cone(spec)
-    assert result.percolated
+    assert template_closure(cone_gadget(spec), spec.h, spec.s).percolated
 
 
 def test_template_certificates_replay():
@@ -549,10 +548,14 @@ def _gadget_id(spec) -> str:
 @pytest.mark.parametrize("spec, steps, digest", GADGET_CERTIFICATES,
                          ids=[_gadget_id(spec) for spec, _, _ in GADGET_CERTIFICATES])
 def test_gadget_certificates_are_pinned(spec, steps, digest):
-    check = {PercolateSpec: lambda: check_percolate(spec)[2],
-             ConeSpec: lambda: check_cone(spec)[1],
-             SpartiteSpec: lambda: check_spartite(spec)[1]}[type(spec)]
-    res = check()
+    if isinstance(spec, PercolateSpec):
+        e1, e2 = percolate_gadget(spec)
+        g = Hypergraph(spec.n, spec.r, e1 | e2)
+    elif isinstance(spec, ConeSpec):
+        g = cone_gadget(spec)
+    else:
+        g = spartite_gadget(spec)
+    res = template_closure(g, spec.h, spec.s)
     assert res.percolated and len(res.certificate) == steps
     text = certificate_to_text(res.certificate)
     assert hashlib.sha256(text.encode()).hexdigest() == digest
