@@ -70,19 +70,18 @@ def parse_pattern_token(token: str) -> Pattern:
     """Built-in pattern shorthands; anything else must be a graph file."""
     if token == "triangle+pendant":
         return make_pattern(Hypergraph(4, 2, [(0, 1), (0, 2), (1, 2), (0, 3)]))
-    m = re.fullmatch(r"K(\d+)\^(\d+)", token)
-    if m:
+    if m := re.fullmatch(r"K(\d+)\^(\d+)", token):
         t, r = int(m.group(1)), int(m.group(2))
-        return make_pattern(complete_graph(t, r))
-    m = re.fullmatch(r"K(\d+)", token)
-    if m:
-        return make_pattern(complete_graph(int(m.group(1)), 2))
-    m = re.fullmatch(r"edge\^(\d+)", token)
-    if m:
-        r = int(m.group(1))
-        return make_pattern(complete_graph(r, r))
-    raise CLIError(f"unknown pattern {token!r}; use a file or one of "
-                   f"{PATTERN_SHORTHANDS}")
+    elif m := re.fullmatch(r"K(\d+)", token):
+        t, r = int(m.group(1)), 2
+    elif m := re.fullmatch(r"edge\^(\d+)", token):
+        t = r = int(m.group(1))
+    else:
+        raise CLIError(f"unknown pattern {token!r}; use a file or one of "
+                       f"{PATTERN_SHORTHANDS}")
+    if not t >= r >= 1:
+        raise CLIError(f"pattern {token!r} has t={t}, r={r}; need t >= r >= 1")
+    return make_pattern(complete_graph(t, r))
 
 
 def open_input(path_str: str):

@@ -19,10 +19,12 @@ Each generator builds the edge set of one construction:
 
 The cone gadget and padding enumerate their extra edges, joining anchor
 (r-j)-sets to off-anchor j-sets, and the percolation gadget's E1 is the
-r-subsets of each union of s - 1 clusters.  The s-partite edges are a
-filter: _spartite_edges tests every r-subset of the union of its parts, which
-for spartite_gadget is all of [n] and for a percolation group is the union of
-its s clusters.
+r-subsets of each union of s - 1 clusters.  The s-partite edges are
+enumerated too: the r-sets that meet every part with fewer than r - s + 2
+rigid vertices (_spartite_misses) are built part by part, and the gadget is
+the r-subsets of the union of the parts without them.  spartite_gadget,
+whose parts cover [n], reads its edges off the colex universe, so its graph
+is written without a sort.
 
 Every generator's output is meant to percolate under the engine named in its
 contract; the numbered edge-count bounds are evaluated as exact integer
@@ -33,8 +35,9 @@ close themselves: `wsat generate` runs template_closure(g, h, s) on each.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import chain, combinations, filterfalse, product
 from math import comb
+from typing import Iterator
 
 from .designs import CoverDesign, verify_cover
 from .hypergraph import Edge, Hypergraph, Pattern, edge_universe
@@ -197,24 +200,43 @@ class SpartiteSpec:
         return tuple(p[: self.h] for p in self.parts)
 
 
+def _spartite_misses(r: int, parts, rigid_sets) -> Iterator[Edge]:
+    """The r-subsets of the union of the disjoint parts that meet every part
+    but have fewer than r - s + 2 rigid vertices (those in any rigid set).
+    Each part gives a nonempty combination of a of its rigid and b of its
+    other vertices; every choice of (a, b) per part with sizes summing to r
+    and rigid counts summing below r - s + 2 is expanded part by part."""
+    s = len(parts)
+    rigid = set().union(*rigid_sets)
+    sides = [([v for v in p if v in rigid], [v for v in p if v not in rigid])
+             for p in parts]
+    # a part gives 1 to r - s + 1 vertices, as every other part gives one
+    splits = [(a, k - a) for k in range(1, r - s + 2) for a in range(k + 1)]
+    for choice in product(splits, repeat=s):
+        if (sum(a + b for a, b in choice) == r
+                and sum(a for a, _ in choice) < r - s + 2):
+            pools = [combinations(side, size) for (a, b), (rig, other)
+                     in zip(choice, sides) for side, size in ((rig, a), (other, b))]
+            yield from map(tuple, map(sorted, map(chain.from_iterable,
+                                                  product(*pools))))
+
+
 def _spartite_edges(r: int, parts, rigid_sets) -> set[Edge]:
     """Edge set of the s-partite gadget on the given parts: the r-subsets of
     the sorted union of the parts that miss a part or have at least
-    r - s + 2 rigid vertices."""
-    s = len(parts)
-    part_of = {v: i for i, p in enumerate(parts) for v in p}
-    rigid = set().union(*rigid_sets)
-    need = r - s + 2
-    return {e for e in combinations(sorted(part_of), r)
-            if len(set(map(part_of.__getitem__, e))) < s
-            or len(rigid.intersection(e)) >= need}
+    r - s + 2 rigid vertices, i.e. all of them but _spartite_misses."""
+    union = sorted(set().union(*parts))
+    return set(combinations(union, r)).difference(
+        _spartite_misses(r, parts, rigid_sets))
 
 
 def spartite_gadget(spec: SpartiteSpec) -> Hypergraph:
     """All edges missing a part, plus all edges with at least r - s + 2
-    rigid vertices."""
-    edges = _spartite_edges(spec.r, spec.parts, spec.rigid)
-    return Hypergraph(spec.n, spec.r, edges)
+    rigid vertices: the colex universe of [n] without _spartite_misses, so
+    the edges come in colex order."""
+    misses = set(_spartite_misses(spec.r, spec.parts, spec.rigid))
+    return Hypergraph(spec.n, spec.r, filterfalse(
+        misses.__contains__, edge_universe(spec.n, spec.r)))
 
 
 # -- percolation gadget -------------------------------------------------------

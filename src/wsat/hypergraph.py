@@ -5,18 +5,29 @@ of r vertex indices; edges are ranked, enumerated and compared everywhere in
 colexicographic order (the rank grows with the largest differing element).
 All values are immutable and hashable; "mutation" means building a new value.
 
+Colex order comes from how the data is built, not from sorting: the
+decreasing r-tuples of [n] come from itertools.combinations in decreasing
+lex order, so each reversed, and the sequence reversed, they are the
+universe in colex order (edge_universe), and their vertex bitmasks increase
+(mask_rank_table).  Filtering the universe keeps its order, as
+complete_graph, graph_of_mask and the constructions built on it do.
+
 Hypergraph checks its edges in bulk, a column at a time, and falls back to
 sorting and checking each edge (canonical_edge) only when that check fails,
-so unsorted edges are still accepted and errors name the first bad edge.  A
-graph's edge mask over colex ranks is encoded through a byte array and
-decoded (graph_of_mask) in one linear pass over the mask's binary digits.
+so unsorted edges are still accepted and errors name the first bad edge.
+Its sorted_edges keeps edges given as a sequence (not a set) when they are
+already in strictly increasing colex order; the check runs when
+sorted_edges is first read and stops at the first pair out of order, and
+any other input is sorted.  A graph's edge mask over colex ranks is encoded
+through a byte array and decoded (graph_of_mask) in one linear pass over
+the mask's binary digits.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from itertools import chain, combinations, compress, repeat
+from itertools import chain, combinations, compress, repeat, tee
 from math import comb
 from operator import add, itemgetter, lt
 
@@ -72,21 +83,22 @@ def edge_rank(e: Edge, n: int) -> int:
 
 @lru_cache(maxsize=64)
 def edge_universe(n: int, r: int) -> tuple[Edge, ...]:
-    """All r-subsets of [n] in colex order (cached)."""
+    """All r-subsets of [n] in colex order (cached): the decreasing r-tuples
+    in decreasing lex order, each reversed, then the sequence reversed."""
     check_universe(n, r)
-    return tuple(sorted(combinations(range(n), r), key=colex_key))
+    return tuple(map(colex_key, combinations(range(n - 1, -1, -1), r)))[::-1]
 
 
 @lru_cache(maxsize=64)
 def mask_rank_table(n: int, r: int) -> dict[int, int]:
     """Vertex bitmask -> colex rank lookup for the (n, r) universe (cached).
 
-    Colex order on r-sets is the numeric order of their vertex bitmasks, so
-    the keys are inserted in rank order.
+    Colex order on r-sets is the numeric order of their vertex bitmasks: the
+    masks of the decreasing r-tuples, in reverse, are in rank order.
     """
     check_universe(n, r)
-    masks = sorted(map(sum, combinations([1 << v for v in range(n)], r)))
-    return dict(zip(masks, range(len(masks))))
+    masks = [*map(sum, combinations([1 << v for v in range(n - 1, -1, -1)], r))]
+    return dict(zip(reversed(masks), range(len(masks))))
 
 
 @dataclass(frozen=True)
@@ -104,12 +116,16 @@ class Hypergraph:
             raise ValueError(f"vertex count n={self.n} must be non-negative")
         check_universe(self.n, self.r)
         edges = self.edges
+        ordered = not isinstance(edges, (set, frozenset))
         if type(edges) is not frozenset:
             edges = list(edges)
         if not _canonical_edges(edges, self.n, self.r):
             # sort each edge and name the first bad one, as canonical_edge does
             edges = [canonical_edge(e, self.n, self.r) for e in edges]
         object.__setattr__(self, "edges", frozenset(edges))
+        if ordered:
+            # kept for sorted_edges, which drops it when first read
+            object.__setattr__(self, "_listed", edges)
 
     @property
     def edge_count(self) -> int:
@@ -117,6 +133,15 @@ class Hypergraph:
 
     @cached_property
     def sorted_edges(self) -> tuple[Edge, ...]:
+        """The edges in colex order: as given, when given as a sequence in
+        strictly increasing colex order (checked pair by pair up to the
+        first pair out of order), else sorted."""
+        listed = self.__dict__.pop("_listed", None)
+        if listed is not None:
+            keys, later = tee(map(colex_key, listed))
+            next(later, None)
+            if all(map(lt, keys, later)):
+                return tuple(listed)
         return tuple(sorted(self.edges, key=colex_key))
 
     @cached_property

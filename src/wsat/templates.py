@@ -20,7 +20,10 @@ Canonical representatives: core = {0..s-1}, special edge = {0..r-1}.
 template_closure runs percolation.sweep over the missing edges, with one
 fused step per edge (_template_step) that searches for a template copy on a
 link map: for each (r-1)-set R, the bitmask of vertices v with R ∪ {v} an
-edge, built a column at a time and updated with r writes per added edge.
+edge, updated with r writes per added edge.  The map is built, a column at
+a time, from whichever side is smaller: the present edges set their r bits
+each, or, when fewer edges are missing than present, every (r-1)-set starts
+from its full link and the missing edges clear theirs.
 The r lookups link[e - {x}], x ∈ e, give every core's candidate mask; the
 vertices that may extend a partial copy W are an AND of link masks, narrowed
 as W grows, and the subsets of W that narrowing needs exist only when
@@ -96,18 +99,26 @@ def template(r: int, h: int, s: int) -> tuple[Hypergraph, Edge]:
     return minus.with_edges([special]), special
 
 
-def _link_map(edges, n: int) -> defaultdict[int, int]:
+def _link_map(edges, missing, n: int, r: int) -> defaultdict[int, int]:
     """For each (r-1)-set R, as a vertex bitmask, the bitmask of vertices v
-    such that R ∪ {v} is an edge of the n-vertex graph.  Built a column of
-    edge vertices at a time; read with get, so that a lookup adds nothing."""
+    such that R ∪ {v} is an edge of the n-vertex r-graph with the given
+    edges and missing edges.  Each edge of the smaller side toggles its r
+    bits, a column of edge vertices at a time: from an empty map for the
+    present edges, or from every R's full link (all vertices outside R) for
+    the missing ones.  Read with get, so that a lookup adds nothing."""
     bits = [1 << v for v in range(n)]
-    columns = [[*map(bits.__getitem__, column)] for column in zip(*edges)]
     link: defaultdict[int, int] = defaultdict(int)
+    if len(missing) < len(edges):
+        full = (1 << n) - 1
+        rests = [*map(sum, combinations(bits, r - 1))]
+        link.update(zip(rests, map(full.__xor__, rests)))
+        edges = missing
+    columns = [[*map(bits.__getitem__, column)] for column in zip(*edges)]
     if columns:
         emasks = [*map(sum, zip(*columns))]
         for column in columns:
             for rest, bit in zip(map(xor, emasks, column), column):
-                link[rest] |= bit
+                link[rest] ^= bit
     return link
 
 
@@ -209,8 +220,8 @@ def template_closure(g: Hypergraph, h: int, s: int) -> ClosureResult:
     if g.n < h:
         raise ValueError(f"need at least h={h} vertices, graph has n={g.n}")
     edges = g.edges
-    step = _template_step(_link_map(edges, g.n), g.n, g.r, h, s)
     missing = [*filterfalse(edges.__contains__, edge_universe(g.n, g.r))]
+    step = _template_step(_link_map(edges, missing, g.n, g.r), g.n, g.r, h, s)
     steps = tuple(sweep(missing, step))
     return ClosureResult(g, SaturationCertificate("template", g.n, g.r, steps))
 

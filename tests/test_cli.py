@@ -75,6 +75,15 @@ def test_pattern_shorthands():
         parse_pattern_token("Q7")
 
 
+@pytest.mark.parametrize("argv", [["wsat", "5", "K0", "--exact"],
+                                  ["wsat", "5", "K1", "--exact"],
+                                  ["wsat", "4", "K3^5", "--upper"]])
+def test_shorthand_with_t_below_r_names_the_token(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 64 and out == ""
+    assert f"pattern '{argv[2]}'" in err and "Traceback" not in err
+
+
 def test_closure_command(tmp_path, capsys):
     gpath = write_graph(tmp_path / "star.txt", STAR4)
     code, out, _ = run(capsys, "closure", gpath, "K3", "--output", str(tmp_path / "o"))

@@ -1,4 +1,5 @@
 import random
+from itertools import combinations
 from math import comb
 
 import pytest
@@ -9,12 +10,14 @@ from wsat.hypergraph import (
     FormatError,
     Hypergraph,
     canonical_edge,
+    colex_key,
     complete_graph,
     edge_rank,
     edge_universe,
     graph_from_text,
     graph_of_mask,
     graph_to_text,
+    mask_rank_table,
 )
 
 
@@ -31,6 +34,21 @@ def test_rank_matches_universe_order_grid(n, r):
     assert len(universe) == comb(n, r)
     for i, e in enumerate(universe):
         assert edge_rank(e, n) == i
+
+
+UNIVERSE_GRID = [(n, r) for n in range(1, 10) for r in range(1, n + 1)] + \
+    [(0, 1), (3, 5), (20, 1), (20, 3), (16, 8), (24, 4)]
+
+
+@pytest.mark.parametrize("n,r", UNIVERSE_GRID)
+def test_universe_and_rank_table_match_sorted_constructions(n, r):
+    # built in colex order, without a sort: compare with the sorted builds
+    assert edge_universe.__wrapped__(n, r) == \
+        tuple(sorted(combinations(range(n), r), key=colex_key))
+    masks = sorted(map(sum, combinations([1 << v for v in range(n)], r)))
+    # the dict's insertion order is rank order as well
+    assert list(mask_rank_table.__wrapped__(n, r).items()) == \
+        list(zip(masks, range(len(masks))))
 
 
 def test_colex_order_grows_with_largest_element():
@@ -169,6 +187,42 @@ def test_bulk_edge_check_examples():
             assert str(exc.value) == message
         else:
             assert exc.type is TypeError
+
+
+@st.composite
+def colex_edge_lists(draw):
+    n = draw(st.integers(0, 8))
+    r = draw(st.integers(1, 4))
+    universe = edge_universe(n, r)
+    keep = draw(st.lists(st.booleans(), min_size=len(universe),
+                         max_size=len(universe)))
+    return n, r, [e for e, k in zip(universe, keep) if k]
+
+
+def lex_order(edges):
+    return sorted(edges)
+
+
+def with_repeat(edges):
+    return edges + edges[len(edges) // 2:][:1]
+
+
+def reversed_vertices(edges):
+    # each vertex tuple reversed, the edges still in colex order
+    return [e[::-1] for e in edges]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(colex_edge_lists(), st.sampled_from([
+    list, tuple, lambda es: es[::-1], lex_order, with_repeat, reversed_vertices,
+    frozenset, lambda es: (e for e in es)]))
+def test_sorted_edges_keeps_colex_input_and_sorts_the_rest(case, form):
+    n, r, edges = case
+    g = Hypergraph(n, r, form(edges))
+    same = Hypergraph(n, r, frozenset(edges))
+    assert g.sorted_edges == tuple(sorted(g.edges, key=colex_key)) == tuple(edges)
+    assert g == same and hash(g) == hash(same)
+    assert graph_to_text(g) == graph_to_text(same)
 
 
 def shifting_mask(g):

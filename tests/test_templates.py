@@ -113,9 +113,38 @@ def test_template_param_validation():
 def template_copy(g: Hypergraph, e, h: int, s: int):
     """template_closure's search for a template copy with e as its special
     edge, run on g's link map: (W, Z), or None."""
-    step = templates._template_step(templates._link_map(g.edges, g.n), g.n, g.r, h, s)
+    missing = [e for e in edge_universe(g.n, g.r) if e not in g.edges]
+    link = templates._link_map(g.edges, missing, g.n, g.r)
+    step = templates._template_step(link, g.n, g.r, h, s)
     found = step(e)
     return None if found is None else (found.vertex_set, found.core)
+
+
+def oracle_link_map(edges, n: int) -> dict[int, int]:
+    link = {}
+    for e in edges:
+        for x in e:
+            rest = sum(1 << v for v in e if v != x)
+            link[rest] = link.get(rest, 0) | 1 << x
+    return link
+
+
+@pytest.mark.parametrize("r", [2, 3, 4])
+def test_link_map_sides_agree(r):
+    """_link_map builds from the smaller side: the present edges of a sparse
+    graph, the missing edges of a dense one.  Swapping the two arguments
+    gives the complement graph's map from the other side, so every graph
+    here checks both sides against the plain per-edge map."""
+    rng = random.Random(r)
+    for n in (r, r + 1, r + 3, 9):
+        universe = edge_universe(n, r)
+        for density in (0.0, 0.1, 0.5, 0.9, 1.0):
+            present = [e for e in universe if rng.random() < density]
+            missing = [e for e in universe if e not in set(present)]
+            for edges, absent in ((present, missing), (missing, present)):
+                link = templates._link_map(edges, absent, n, r)
+                assert {k: v for k, v in link.items() if v} == \
+                    oracle_link_map(edges, n)
 
 
 def test_template_copy_examples():
