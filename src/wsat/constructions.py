@@ -19,17 +19,18 @@ Each generator builds the edge set of one construction:
 
 The cone gadget and padding enumerate their extra edges, joining anchor
 (r-j)-sets to off-anchor j-sets, and the percolation gadget's E1 is the
-r-subsets of each union of s - 1 clusters.  The s-partite edges are
-enumerated too: the r-sets that meet every part with fewer than r - s + 2
-rigid vertices (_spartite_misses) are built part by part, and the gadget is
-the r-subsets of the union of the parts without them.  spartite_gadget,
-whose parts cover [n], reads its edges off the colex universe, so its graph
-is written without a sort.
+r-subsets of each union of s - 1 clusters.  The r-sets that meet every
+part of an s-partite layout are enumerated once, part by part, and split by
+their rigid count (_spartite_split): spartite_gadget drops the side with
+fewer than r - s + 2 rigid vertices from the colex universe of [n], so its
+graph is written without a sort, and percolate_gadget takes the other side
+of each group of clusters as that group's extras.
 
 Every generator's output is meant to percolate under the engine named in its
 contract; the numbered edge-count bounds are evaluated as exact integer
-inequalities and reported as BoundChecks, never assumed.  The gadgets do not
-close themselves: `wsat generate` runs template_closure(g, h, s) on each.
+inequalities and reported as BoundChecks, never assumed.  No generator
+closes its own output: `wsat generate` runs template_closure(g, h, s) on
+each gadget and is_weakly_saturated on the pattern constructions.
 """
 
 from __future__ import annotations
@@ -200,12 +201,13 @@ class SpartiteSpec:
         return tuple(p[: self.h] for p in self.parts)
 
 
-def _spartite_misses(r: int, parts, rigid_sets) -> Iterator[Edge]:
+def _spartite_split(r: int, parts, rigid_sets, rich: bool) -> Iterator[Edge]:
     """The r-subsets of the union of the disjoint parts that meet every part
-    but have fewer than r - s + 2 rigid vertices (those in any rigid set).
-    Each part gives a nonempty combination of a of its rigid and b of its
-    other vertices; every choice of (a, b) per part with sizes summing to r
-    and rigid counts summing below r - s + 2 is expanded part by part."""
+    and have at least r - s + 2 rigid vertices (those in any rigid set) when
+    rich, fewer when not.  Each part gives a nonempty combination of a of its
+    rigid and b of its other vertices; every choice of (a, b) per part with
+    sizes summing to r and rigid counts on the asked side of r - s + 2 is
+    expanded part by part."""
     s = len(parts)
     rigid = set().union(*rigid_sets)
     sides = [([v for v in p if v in rigid], [v for v in p if v not in rigid])
@@ -214,27 +216,18 @@ def _spartite_misses(r: int, parts, rigid_sets) -> Iterator[Edge]:
     splits = [(a, k - a) for k in range(1, r - s + 2) for a in range(k + 1)]
     for choice in product(splits, repeat=s):
         if (sum(a + b for a, b in choice) == r
-                and sum(a for a, _ in choice) < r - s + 2):
+                and (sum(a for a, _ in choice) >= r - s + 2) == rich):
             pools = [combinations(side, size) for (a, b), (rig, other)
                      in zip(choice, sides) for side, size in ((rig, a), (other, b))]
             yield from map(tuple, map(sorted, map(chain.from_iterable,
                                                   product(*pools))))
 
 
-def _spartite_edges(r: int, parts, rigid_sets) -> set[Edge]:
-    """Edge set of the s-partite gadget on the given parts: the r-subsets of
-    the sorted union of the parts that miss a part or have at least
-    r - s + 2 rigid vertices, i.e. all of them but _spartite_misses."""
-    union = sorted(set().union(*parts))
-    return set(combinations(union, r)).difference(
-        _spartite_misses(r, parts, rigid_sets))
-
-
 def spartite_gadget(spec: SpartiteSpec) -> Hypergraph:
     """All edges missing a part, plus all edges with at least r - s + 2
-    rigid vertices: the colex universe of [n] without _spartite_misses, so
-    the edges come in colex order."""
-    misses = set(_spartite_misses(spec.r, spec.parts, spec.rigid))
+    rigid vertices: the colex universe of [n] without the r-sets that meet
+    every part with fewer, so the edges come in colex order."""
+    misses = set(_spartite_split(spec.r, spec.parts, spec.rigid, False))
     return Hypergraph(spec.n, spec.r, filterfalse(
         misses.__contains__, edge_universe(spec.n, spec.r)))
 
@@ -273,11 +266,14 @@ class PercolateSpec:
 
 
 def percolate_gadget(spec: PercolateSpec) -> tuple[frozenset[Edge], frozenset[Edge]]:
-    """(E1, E2): E1 = edges meeting at most s - 1 clusters; E2 = union over
-    (s-1)-groups Q of the first clusters of the spartite extras on the parts
-    {cluster q : q in Q} plus the last cluster, minus what E1 already has.
-    E1 is enumerated as the r-subsets of each union of s - 1 clusters, which
-    is sorted as the clusters are consecutive intervals."""
+    """(E1, E2): E1 = edges meeting at most s - 1 clusters; E2 = the
+    spartite edges outside E1 on each group of s clusters that includes the
+    last one.  E1 is enumerated as the r-subsets of each union of s - 1
+    clusters, which is sorted as the clusters are consecutive intervals.  A
+    group's extras are enumerated as the r-sets that meet each of its
+    clusters with at least r - s + 2 rigid vertices; each meets exactly that
+    group's clusters, so it is in no other group's extras and not in E1, and
+    E2 is their plain union."""
     r, s = spec.r, spec.s
     e1: set[Edge] = set()
     for group in combinations(range(spec.clusters), s - 1):
@@ -285,11 +281,9 @@ def percolate_gadget(spec: PercolateSpec) -> tuple[frozenset[Edge], frozenset[Ed
     e2: set[Edge] = set()
     last = spec.clusters - 1
     for q_group in combinations(range(last), s - 1):
-        group = tuple(q_group) + (last,)
-        parts = [spec.cluster(i) for i in group]
-        rigid_sets = [spec.rigid(i) for i in group]
-        extras = _spartite_edges(r, parts, rigid_sets)
-        e2 |= extras - e1
+        group = q_group + (last,)
+        e2.update(_spartite_split(r, [spec.cluster(i) for i in group],
+                                  [spec.rigid(i) for i in group], True))
     return frozenset(e1), frozenset(e2)
 
 
@@ -321,11 +315,7 @@ class MainResult:
     graph: Hypergraph
     copies_edge_count: int
     extra_edge_count: int
-    block_count: int
     bounds: tuple[BoundCheck, ...]
-    seed_ratio: float
-    total_ratio: float
-    percolated: bool
 
 
 def main_clusters(n: int, m1: int, s: int) -> tuple[int, int, int]:
@@ -353,7 +343,8 @@ def main_clusters(n: int, m1: int, s: int) -> tuple[int, int, int]:
 def main_construction(pattern: Pattern, n: int, m1: int, seed_graph: Hypergraph,
                       cover: CoverDesign) -> MainResult:
     """Place one copy of the seed graph per cover block, union the percolation
-    gadget's extras, engine-check the result, and report the edge accounting.
+    gadget's extras, and report the edge accounting with its two bounds.  The
+    result is not closed here: `wsat generate main` checks it.
 
     n must be a multiple of the cluster size c = ceil(m1^(1/(s-1))), and
     cover a design on N = n / c points with block size k = c^(s-2) and
@@ -395,17 +386,8 @@ def main_construction(pattern: Pattern, n: int, m1: int, seed_graph: Hypergraph,
                    len(cover.blocks) * seed_graph.edge_count),
         percolate_bound(gspec, e2),
     )
-    percolated = is_weakly_saturated(graph, pattern)
-    return MainResult(
-        graph=graph,
-        copies_edge_count=len(copies),
-        extra_edge_count=len(e2),
-        block_count=len(cover.blocks),
-        bounds=bounds,
-        seed_ratio=seed_graph.edge_count / m ** (s - 1),
-        total_ratio=graph.edge_count / n ** (s - 1),
-        percolated=percolated,
-    )
+    return MainResult(graph=graph, copies_edge_count=len(copies),
+                      extra_edge_count=len(e2), bounds=bounds)
 
 
 # -- clique extremal example --------------------------------------------------

@@ -199,18 +199,19 @@ def test_criterion_5_main_construction():
     with criterion(5, "composite construction end to end"):
         start = time.time()
         star4 = Hypergraph(4, 2, [(0, 1), (0, 2), (0, 3)])
-        result = main_construction(K3, 12, 4, star4, greedy_cover(3, 1, 1))
-        assert result.percolated
+        cover = greedy_cover(3, 1, 1)
+        result = main_construction(K3, 12, 4, star4, cover)
+        assert is_weakly_saturated(result.graph, K3)
         copies_bound = result.bounds[0]
         assert copies_bound.name == "copies_union" and copies_bound.holds
-        assert copies_bound.rhs == result.block_count * star4.edge_count
+        assert copies_bound.rhs == len(cover.blocks) * star4.edge_count
 
         gm = clique_extremal(5, 4, 2)
-        result2 = main_construction(K4, 15, 5, gm, greedy_cover(3, 1, 1))
-        assert result2.percolated
+        result2 = main_construction(K4, 15, 5, gm, cover)
+        assert is_weakly_saturated(result2.graph, K4)
         copies_bound2 = result2.bounds[0]
         assert copies_bound2.holds
-        assert copies_bound2.rhs == result2.block_count * gm.edge_count
+        assert copies_bound2.rhs == len(cover.blocks) * gm.edge_count
         elapsed = time.time() - start
         print(f"  criterion 5 runtime: {elapsed:.1f}s")
         assert elapsed < 300

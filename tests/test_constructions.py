@@ -8,7 +8,7 @@ from wsat.constructions import (
     PercolateSpec,
     SpartiteSpec,
     _near_anchor_edges,
-    _spartite_edges,
+    _spartite_split,
     clique_extremal,
     clique_extremal_bound,
     cone_bound,
@@ -150,11 +150,11 @@ def test_s1_construction():
 def test_main_construction_k3():
     cover = greedy_cover(3, 1, 1)
     result = main_construction(K3, 12, 4, STAR4, cover)
-    assert result.percolated
-    assert result.block_count == 3
+    assert is_weakly_saturated(result.graph, K3)
+    assert len(cover.blocks) == 3
     assert result.copies_edge_count == 9
     assert all(b.holds for b in result.bounds)
-    assert result.copies_edge_count <= result.block_count * STAR4.edge_count
+    assert result.copies_edge_count <= len(cover.blocks) * STAR4.edge_count
 
 
 def test_main_construction_rejects_bad_seed():
@@ -193,7 +193,7 @@ def test_main_construction_s3():
     seed = clique_extremal(16, 4, 3)
     cover = greedy_cover(4, 4, 2)
     result = main_construction(pattern, 16, 16, seed, cover)
-    assert result.percolated
+    assert is_weakly_saturated(result.graph, pattern)
     assert all(b.holds for b in result.bounds)
 
 
@@ -302,21 +302,36 @@ def oracle_percolate_gadget(spec: PercolateSpec):
 RS_GRID = [(r, s) for r in range(2, 5) for s in range(2, r + 1)]
 
 
+def assert_split_matches_oracle(n: int, r: int, parts, rigid_sets, h: int) -> set:
+    """Both sides of _spartite_split against the oracle: the r-sets of the
+    union that meet every part, split into the ones the oracle keeps (rich)
+    and the ones it drops (poor).  Returns the oracle's edge set."""
+    expected = oracle_spartite_edges(n, r, parts, rigid_sets, h)
+    union = set(combinations(sorted(set().union(*parts)), r))
+    meets = {e for e in union if all(set(e).intersection(p) for p in parts)}
+    rich = list(_spartite_split(r, parts, rigid_sets, True))
+    poor = list(_spartite_split(r, parts, rigid_sets, False))
+    assert len(set(rich)) == len(rich) and len(set(poor)) == len(poor)
+    assert set(rich) == meets & expected
+    assert set(poor) == meets - expected
+    assert union.difference(poor) == expected
+    return expected
+
+
 @pytest.mark.parametrize("r,s", RS_GRID)
 def test_spartite_edges_match_universe_filter(r, s):
     for h in (r, r + 1):
         # uneven part sizes, largest first, last and in the middle
         for extra in ((2, 0, 1, 3), (0, 1, 3, 0), (1, 3, 0, 2)):
             spec = SpartiteSpec(r=r, h=h, part_sizes=[h + x for x in extra[:s]])
-            expected = oracle_spartite_edges(spec.n, r, spec.parts, spec.rigid, h)
-            assert _spartite_edges(r, spec.parts, spec.rigid) == expected
+            expected = assert_split_matches_oracle(spec.n, r, spec.parts,
+                                                   spec.rigid, h)
             assert spartite_gadget(spec).edges == expected
     # parts that are not intervals, with vertices left out of every part
     n = 3 * s + 4
     parts = [tuple(range(i, n - 1, s)) for i in range(s)]
     rigid = [p[: r - 1] for p in parts]
-    assert _spartite_edges(r, parts, rigid) == \
-        oracle_spartite_edges(n, r, parts, rigid, r - 1)
+    assert_split_matches_oracle(n, r, parts, rigid, r - 1)
 
 
 @pytest.mark.parametrize("r,s", RS_GRID)
@@ -337,7 +352,19 @@ def test_percolate_gadget_matches_universe_filter(r, s):
                     continue
                 spec = PercolateSpec(r=r, h=h, s=s, clusters=clusters,
                                      cluster_size=size)
-                assert percolate_gadget(spec) == oracle_percolate_gadget(spec)
+                e1, e2 = percolate_gadget(spec)
+                assert (e1, e2) == oracle_percolate_gadget(spec)
+                # what lets E2 be a plain union of the groups' extras: they
+                # miss E1 and are pairwise disjoint across groups
+                assert not e1 & e2
+                last = clusters - 1
+                extras = [set(_spartite_split(r, [spec.cluster(i) for i in g],
+                                              [spec.rigid(i) for i in g], True))
+                          for g in (q + (last,)
+                                    for q in combinations(range(last), s - 1))]
+                for a, b in combinations(extras, 2):
+                    assert not a & b
+                assert set().union(*extras) == e2
 
 
 def test_gadgets_match_universe_filter_at_workload_size():
