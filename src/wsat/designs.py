@@ -7,7 +7,7 @@ reported against, never promised.  When the candidate space C(N, k) is too
 large to enumerate per round, a seeded random sample of candidates is scored
 instead and the design is flagged as sampled.  With k = t every block covers
 its own t-subset only, so the greedy takes all of them in colex order; that
-list is returned at once, on either path.
+list, edge_universe(N, t), is returned at once, on either path.
 
 For t <= 2 the uncovered t-subsets are kept as one bitmask per vertex v,
 nbr[v]: at t = 2 the u with {u, v} still uncovered, at t = 1 v's own bit
@@ -44,7 +44,7 @@ from itertools import combinations
 from math import ceil, comb, log
 from typing import Sequence
 
-from .hypergraph import FormatError, colex_key
+from .hypergraph import FormatError, colex_key, edge_universe, set_bits
 
 # Enumerate all C(N, k) candidate blocks per round up to this count.
 EXHAUSTIVE_CANDIDATE_LIMIT = 100_000
@@ -83,16 +83,6 @@ def _check_block(block, N: int, k: int) -> tuple[int, ...]:
     return bs
 
 
-def _members(mask: int) -> list[int]:
-    """The set bits of mask, ascending."""
-    members = []
-    while mask:
-        low = mask & -mask
-        members.append(low.bit_length() - 1)
-        mask ^= low
-    return members
-
-
 def greedy_cover(N: int, k: int, t: int, seed: int = 0) -> CoverDesign:
     """Deterministic greedy cover of the t-subsets of [N] by k-blocks.
 
@@ -107,9 +97,7 @@ def greedy_cover(N: int, k: int, t: int, seed: int = 0) -> CoverDesign:
         raise ValueError(f"need N >= k >= t >= 1, got N={N}, k={k}, t={t}")
     exhaustive = comb(N, k) <= EXHAUSTIVE_CANDIDATE_LIMIT
     if k == t:
-        return CoverDesign(N, k, t, tuple(sorted(combinations(range(N), t),
-                                                 key=colex_key)),
-                           sampled=not exhaustive)
+        return CoverDesign(N, k, t, edge_universe(N, t), sampled=not exhaustive)
     bits = [1 << v for v in range(N)]
     full = (1 << N) - 1
     if t == 1:
@@ -226,7 +214,7 @@ def greedy_cover(N: int, k: int, t: int, seed: int = 0) -> CoverDesign:
                         drawn |= bits[pool[j]]
                         pool[j] = pool[m - 1]
                     gain = ((drawn & live).bit_count() if t == 1
-                            else score(_members(drawn), drawn))
+                            else score(set_bits(drawn), drawn))
             elif t == 2:
                 # redraw a value that is out of range or already picked
                 for _ in steps:
@@ -242,11 +230,11 @@ def greedy_cover(N: int, k: int, t: int, seed: int = 0) -> CoverDesign:
                         v = getrandbits(width)
                     drawn |= bits[v]
                 gain = ((drawn & live).bit_count() if t == 1
-                        else score(_members(drawn), drawn))
+                        else score(set_bits(drawn), drawn))
             # the vertex masks of two k-blocks order them as colex does
             if gain >= best_score and (gain > best_score or drawn < best):
                 best_score, best = gain, drawn
-        take(tuple(_members(best)), best_score)
+        take(tuple(set_bits(best)), best_score)
     return CoverDesign(N, k, t, tuple(blocks), sampled=True)
 
 

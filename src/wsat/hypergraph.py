@@ -9,8 +9,10 @@ Colex order comes from how the data is built, not from sorting: the
 decreasing r-tuples of [n] come from itertools.combinations in decreasing
 lex order, so each reversed, and the sequence reversed, they are the
 universe in colex order (edge_universe), and their vertex bitmasks increase
-(mask_rank_table).  Filtering the universe keeps its order, as
-complete_graph, graph_of_mask and the constructions built on it do.
+(mask_rank_table).  edge_universe is the package's one source of
+colex-ordered k-subsets: edges, template cores, sparseness candidates and
+k = t covers.  Filtering the universe keeps its order, as complete_graph,
+graph_of_mask and the constructions built on it do.
 
 Hypergraph checks its edges in bulk, a column at a time, and falls back to
 sorting and checking each edge (canonical_edge) only when that check fails,
@@ -19,8 +21,9 @@ Its sorted_edges keeps edges given as a sequence (not a set) when they are
 already in strictly increasing colex order; the check runs when
 sorted_edges is first read and stops at the first pair out of order, and
 any other input is sorted.  A graph's edge mask over colex ranks is encoded
-through a byte array and decoded (graph_of_mask) in one linear pass over
-the mask's binary digits.
+through a byte array.  set_bits is the package's one set-bit decoder, one
+linear pass over a mask's binary digits: graph_of_mask, the closures'
+missing edges and the sampled covers' blocks all read their bits with it.
 """
 
 from __future__ import annotations
@@ -87,6 +90,17 @@ def edge_universe(n: int, r: int) -> tuple[Edge, ...]:
     in decreasing lex order, each reversed, then the sequence reversed."""
     check_universe(n, r)
     return tuple(map(colex_key, combinations(range(n - 1, -1, -1), r)))[::-1]
+
+
+# binary digits as bytes, with 0 where a digit is 0 (so that it is false)
+_ZERO_BYTE = bytes.maketrans(b"0", b"\0")
+
+
+def set_bits(mask: int) -> list[int]:
+    """The set bits of a non-negative mask, ascending: read off its binary
+    digits, lowest first, in one pass."""
+    digits = bin(mask)[:1:-1].encode().translate(_ZERO_BYTE)
+    return [*compress(range(mask.bit_length()), digits)]
 
 
 @lru_cache(maxsize=64)
@@ -191,13 +205,12 @@ def complete_graph(n: int, r: int) -> Hypergraph:
 
 
 def graph_of_mask(n: int, r: int, mask: int) -> Hypergraph:
-    """The graph whose edges are the set bits of mask over colex ranks, read
-    in one pass over the mask's binary digits, lowest rank first (a negative
-    mask is read in two's complement)."""
+    """The graph whose edges are the set bits of mask over colex ranks,
+    lowest rank first.  Bits past the universe are ignored, and a negative
+    mask is read in two's complement."""
     universe = edge_universe(n, r)
-    if mask < 0:
-        mask &= (1 << len(universe)) - 1
-    return Hypergraph(n, r, compress(universe, map("1".__eq__, reversed(bin(mask)[2:]))))
+    return Hypergraph(n, r, map(universe.__getitem__,
+                                set_bits(mask & (1 << len(universe)) - 1)))
 
 
 # -- text format: first line "n r", then one edge per line, '#' comments -----

@@ -68,8 +68,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import (chain, compress, filterfalse, islice, permutations, repeat,
-                       starmap)
+from itertools import chain, filterfalse, islice, permutations, repeat, starmap
 from math import comb
 from operator import add, itemgetter
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
@@ -82,6 +81,7 @@ from .hypergraph import (
     canonical_edge,
     edge_universe,
     mask_rank_table,
+    set_bits,
 )
 
 
@@ -173,17 +173,6 @@ def sweep(left: list, step_for: Callable[[object], object | None]) -> list:
             break
         left = [*filterfalse(set(added).__contains__, left)]
     return steps
-
-
-# binary digits as bytes, with 0 where a digit is 0 (so that it is false)
-_ZERO_BYTE = bytes.maketrans(b"0", b"\0")
-
-
-def _missing_ranks(mask: int, full: int) -> list[int]:
-    """The ranks of full = 2^U - 1 that mask lacks, ascending: the set bits
-    of full ^ mask, read off its binary digits, lowest first."""
-    digits = bin(full ^ mask)[:1:-1].encode().translate(_ZERO_BYTE)
-    return [*compress(range(full.bit_length()), digits)]
 
 
 def _pattern_search_order(pattern: Pattern):
@@ -406,7 +395,7 @@ class WitnessIndex:
                     return True
             return None
 
-        sweep(_missing_ranks(mask, self.full_mask), addable)
+        sweep(set_bits(self.full_mask ^ mask), addable)
         return mask
 
 
@@ -432,7 +421,7 @@ def closure(g: Hypergraph, pattern: Pattern) -> ClosureResult:
         mask |= 1 << rank
         return PatternStep(universe[rank], mapping)
 
-    steps = tuple(sweep(_missing_ranks(mask, idx.full_mask), step_for))
+    steps = tuple(sweep(set_bits(idx.full_mask ^ mask), step_for))
     return ClosureResult(g, SaturationCertificate("pattern", g.n, g.r, steps))
 
 

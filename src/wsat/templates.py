@@ -43,7 +43,6 @@ from .hypergraph import (
     Edge,
     Hypergraph,
     Pattern,
-    colex_key,
     edge_universe,
 )
 from .percolation import (
@@ -62,7 +61,7 @@ def sparseness_witness(graph: Hypergraph) -> tuple[tuple[int, ...], Edge]:
         raise ValueError("sparseness is undefined for an empty edge set")
     edges = graph.sorted_edges
     for size in range(1, graph.r + 1):
-        for cand in sorted(combinations(range(graph.n), size), key=colex_key):
+        for cand in edge_universe(graph.n, size):
             cs = set(cand)
             hits = [e for e in edges if cs.issubset(e)]
             if len(hits) == 1:
@@ -149,7 +148,7 @@ def _template_step(link: defaultdict[int, int], n: int, r: int, h: int, s: int
     bits = [1 << v for v in range(n)]
     bit_of = bits.__getitem__
     get = link.get
-    cores = sorted(combinations(range(r), s), key=colex_key)
+    cores = edge_universe(r, s)
     # per core: its positions in e, and the positions of the j-subsets of e
     # not containing it for j = 2..r-2 (as s >= 2, no smaller one does)
     plans = [(positions, itemgetter(*positions),

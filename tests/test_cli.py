@@ -295,7 +295,7 @@ def test_wsat_budget_exit_code(tmp_path, capsys):
 
 def _cap_address_space():
     """Run in the child before exec: a 200 MB address space, so the
-    C(120, 3) and C(200, 3) universes below cannot be built."""
+    C(120, 3), C(200, 3) and C(400, 3) universes below cannot be built."""
     limit = 200 << 20
     resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
 
@@ -311,6 +311,19 @@ def test_out_of_memory_is_inconclusive(tmp_path, argv):
         preexec_fn=_cap_address_space, capture_output=True, text=True, timeout=60)
     assert done.returncode == 2, done.stderr
     assert done.stderr == "wsat: error: out of memory\n"  # and no traceback
+
+
+def test_cover_past_universe_cap_is_refused(tmp_path):
+    # k = t returns the colex-ordered t-subsets, C(400, 3) > MAX_UNIVERSE of
+    # them: refused before any is built, so the capped child never runs out
+    src = str(Path(__import__("wsat").__file__).resolve().parent.parent)
+    done = subprocess.run(
+        [sys.executable, "-c", "import sys, wsat.cli; sys.exit(wsat.cli.main())",
+         "generate", "cover", "400", "3", "3"],
+        cwd=tmp_path, env={**os.environ, "PYTHONPATH": src},
+        preexec_fn=_cap_address_space, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 64, done.stderr
+    assert "exceeds the configured limit" in done.stderr
 
 
 def test_wsat_table(capsys):

@@ -18,6 +18,7 @@ from wsat.hypergraph import (
     graph_of_mask,
     graph_to_text,
     mask_rank_table,
+    set_bits,
 )
 
 
@@ -253,3 +254,15 @@ def test_mask_codec_matches_shifting_loops(n, r):
     # two's complement, as the shifting loop reads them
     assert graph_of_mask(n, r, -1).edges == shifting_decode(n, r, -1)
     assert graph_of_mask(n, r, 1 << size).edges == frozenset()
+
+
+def test_set_bits_matches_shifting_loop():
+    def shifting_bits(mask):
+        return [i for i in range(mask.bit_length()) if mask >> i & 1]
+
+    rng = random.Random(2021)
+    masks = [0, 1, *(1 << i for i in (1, 7, 8, 63, 64, 1000, 4999)),
+             *((1 << w) - 1 for w in range(1, 201)),
+             *(rng.getrandbits(rng.randint(1, 5000)) for _ in range(500))]
+    for mask in masks:
+        assert set_bits(mask) == shifting_bits(mask), mask
