@@ -165,11 +165,9 @@ def _gen_template(args):
 
 
 def _gen_cone(args):
-    spec = cons.ConeSpec(r=args.r, h=args.h, s=args.s,
-                         size_a=args.size_a, size_b=args.size_b)
-    g = cons.cone_gadget(spec)
-    result = template_closure(g, spec.h, spec.s)
-    bound = cons.cone_bound(spec, g)
+    g = cons.cone_gadget(args.r, args.h, args.s, args.size_a, args.size_b)
+    result = template_closure(g, args.h, args.s)
+    bound = cons.cone_bound(g, args.h, args.s, args.size_a)
     return ({"cone.txt": g},
             f"generate cone n={g.n} r={g.r} edges={g.edge_count} "
             f"percolated={str(result.percolated).lower()}",
@@ -177,21 +175,19 @@ def _gen_cone(args):
 
 
 def _gen_spartite(args):
-    spec = cons.SpartiteSpec(r=args.r, h=args.h, part_sizes=args.part_sizes)
-    g = cons.spartite_gadget(spec)
-    result = template_closure(g, spec.h, spec.s)
+    g = cons.spartite_gadget(args.r, args.h, args.part_sizes)
+    result = template_closure(g, args.h, len(args.part_sizes))
     return ({"spartite.txt": g},
             f"generate spartite n={g.n} r={g.r} edges={g.edge_count} "
             f"percolated={str(result.percolated).lower()}", [], result.percolated)
 
 
 def _gen_percolate(args):
-    spec = cons.PercolateSpec(r=args.r, h=args.h, s=args.s,
-                              clusters=args.l, cluster_size=args.t)
-    e1, e2 = cons.percolate_gadget(spec)
-    g = Hypergraph(spec.n, spec.r, e1 | e2)
-    result = template_closure(g, spec.h, spec.s)
-    bound = cons.percolate_bound(spec, e2)
+    params = args.r, args.h, args.s, args.l, args.t
+    e1, e2 = cons.percolate_gadget(*params)
+    g = Hypergraph(args.l * args.t, args.r, e1 | e2)
+    result = template_closure(g, args.h, args.s)
+    bound = cons.percolate_bound(e2, *params)
     return ({"percolate_e1.txt": graph_to_text(Hypergraph(g.n, g.r, e1)),
              "percolate_e2.txt": graph_to_text(Hypergraph(g.n, g.r, e2)),
              "percolate.txt": g},
@@ -317,13 +313,11 @@ def cmd_wsat(args) -> int:
             print(f"# excluded edge counts up to {result.excluded_up_to} "
                   f"within budget {args.budget}")
             return EXIT_INCONCLUSIVE
-        value, witness, cert = result.value, result.witness, result.certificate
-        status = "exact"
+        value, witness, status = result.value, result.witness, "exact"
     else:
         witness = wsat_upper_witness(args.n, pattern)
-        value = witness.edge_count
-        cert = closure(witness, pattern).certificate
-        status = "upper"
+        value, status = witness.edge_count, "upper"
+    cert = closure(witness, pattern).certificate
     print(f"wsat {args.n} {pattern.r} {hh} {value} {status}")
     sys.stdout.write(graph_to_text(witness))
     (out / "witness.txt").write_text(graph_to_text(witness))

@@ -17,14 +17,21 @@ Each generator builds the edge set of one construction:
   clique_extremal  all edges meeting a fixed (t - r)-set; matches the
                    closed-form optimum for complete patterns.
 
+Each generator takes its parameters directly and raises ValueError, naming
+the one at fault, when they admit no construction.  The s-partite gadget,
+the percolation gadget and main_construction share one layout (_intervals):
+consecutive intervals of [n] from vertex 0, the first h vertices of each
+being its rigid set.
+
 The cone gadget and padding enumerate their extra edges, joining anchor
 (r-j)-sets to off-anchor j-sets, and the percolation gadget's E1 is the
 r-subsets of each union of s - 1 clusters.  The r-sets that meet every
 part of an s-partite layout are enumerated once, part by part, and split by
 their rigid count (_spartite_split): spartite_gadget drops the side with
 fewer than r - s + 2 rigid vertices from the colex universe of [n], so its
-graph is written without a sort, and percolate_gadget takes the other side
-of each group of clusters as that group's extras.
+graph is written without a sort, and the other side on each group of
+clusters is that group's extras (_percolate_extras), which percolate_gadget
+returns as E2 and main_construction adds to its copies without building E1.
 
 Every generator's output is meant to percolate under the engine named in its
 contract; the numbered edge-count bounds are evaluated as exact integer
@@ -36,7 +43,7 @@ each gadget and is_weakly_saturated on the pattern constructions.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, combinations, filterfalse, product
+from itertools import accumulate, chain, combinations, filterfalse, product
 from math import comb
 from typing import Iterator
 
@@ -65,32 +72,6 @@ class BoundCheck:
 
 # -- cone gadget --------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ConeSpec:
-    """Clique side A = {0..size_a-1}, apex side B = the rest; the anchor set C
-    is the first h vertices of A."""
-
-    r: int
-    h: int
-    s: int
-    size_a: int
-    size_b: int
-
-    def __post_init__(self):
-        _check_params(self.r, self.h, self.s)
-        if self.size_b > self.size_a:
-            raise ValueError(
-                f"need size_b <= size_a, got {self.size_b} > {self.size_a}")
-        if self.size_a < self.h:
-            raise ValueError(f"need size_a >= h, got {self.size_a} < {self.h}")
-        if self.size_b < 0:
-            raise ValueError(f"need size_b >= 0, got {self.size_b}")
-
-    @property
-    def n(self) -> int:
-        return self.size_a + self.size_b
-
-
 def _near_anchor_edges(n: int, r: int, s: int, h: int, inner: int) -> set[Edge]:
     """Edges not inside {0..inner-1} (inner >= h) with at most s - 1 vertices
     off the anchor {0..h-1}: an anchor (r-j)-set followed by an off-anchor
@@ -105,18 +86,27 @@ def _near_anchor_edges(n: int, r: int, s: int, h: int, inner: int) -> set[Edge]:
     return out
 
 
-def cone_gadget(spec: ConeSpec) -> Hypergraph:
-    """Complete graph on A, plus every missing edge with at most s - 1
-    vertices outside the anchor (each such edge touches B)."""
-    edges = set(combinations(range(spec.size_a), spec.r))
-    edges |= _near_anchor_edges(spec.n, spec.r, spec.s, spec.h, spec.size_a)
-    return Hypergraph(spec.n, spec.r, edges)
+def cone_gadget(r: int, h: int, s: int, size_a: int, size_b: int) -> Hypergraph:
+    """Complete graph on A = {0..size_a-1}, plus every edge that touches the
+    apex side B, the next size_b vertices, and has at most s - 1 vertices off
+    the anchor {0..h-1}."""
+    _check_params(r, h, s)
+    if size_b > size_a:
+        raise ValueError(f"need size_b <= size_a, got {size_b} > {size_a}")
+    if size_a < h:
+        raise ValueError(f"need size_a >= h, got {size_a} < {h}")
+    if size_b < 0:
+        raise ValueError(f"need size_b >= 0, got {size_b}")
+    edges = set(combinations(range(size_a), r))
+    edges |= _near_anchor_edges(size_a + size_b, r, s, h, size_a)
+    return Hypergraph(size_a + size_b, r, edges)
 
 
-def cone_bound(spec: ConeSpec, g: Hypergraph) -> BoundCheck:
-    """Bound on the extra edges of g = cone_gadget(spec)."""
-    extra = g.edge_count - comb(spec.size_a, spec.r)
-    rhs = spec.r * spec.h ** spec.r * spec.size_a ** (spec.s - 2) * spec.size_b
+def cone_bound(g: Hypergraph, h: int, s: int, size_a: int) -> BoundCheck:
+    """Bound on the extra edges of g = cone_gadget(g.r, h, s, size_a,
+    g.n - size_a)."""
+    extra = g.edge_count - comb(size_a, g.r)
+    rhs = g.r * h ** g.r * size_a ** (s - 2) * (g.n - size_a)
     return BoundCheck("cone_extra_edges", extra, rhs)
 
 
@@ -157,48 +147,13 @@ def padding_bound(g_minus: Hypergraph, padded: Hypergraph,
     return BoundCheck("padding_extra_edges", extra, rhs)
 
 
-# -- s-partite gadget ---------------------------------------------------------
+# -- s-partite and percolation gadgets ----------------------------------------
 
-@dataclass(frozen=True)
-class SpartiteSpec:
-    """s parts laid out as consecutive intervals; rigid set R_i = the first h
-    vertices of each part."""
-
-    r: int
-    h: int
-    part_sizes: tuple[int, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "part_sizes", tuple(self.part_sizes))
-        s = len(self.part_sizes)
-        if not self.r >= s >= 2:
-            raise ValueError(f"need r >= s >= 2 parts, got r={self.r}, s={s}")
-        if self.h < self.r:
-            raise ValueError(f"need h >= r, got h={self.h} < r={self.r}")
-        if any(size < self.h for size in self.part_sizes):
-            raise ValueError(f"every part needs at least h={self.h} vertices, "
-                             f"got sizes {self.part_sizes}")
-
-    @property
-    def s(self) -> int:
-        return len(self.part_sizes)
-
-    @property
-    def n(self) -> int:
-        return sum(self.part_sizes)
-
-    @property
-    def parts(self) -> tuple[tuple[int, ...], ...]:
-        out = []
-        start = 0
-        for size in self.part_sizes:
-            out.append(tuple(range(start, start + size)))
-            start += size
-        return tuple(out)
-
-    @property
-    def rigid(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(p[: self.h] for p in self.parts)
+def _intervals(sizes, h: int) -> tuple[list[range], list[range]]:
+    """The consecutive intervals of [sum(sizes)] with the given sizes, and
+    the rigid set of each: its first h vertices."""
+    parts = [range(end - size, end) for size, end in zip(sizes, accumulate(sizes))]
+    return parts, [part[:h] for part in parts]
 
 
 def _spartite_split(r: int, parts, rigid_sets, rich: bool) -> Iterator[Edge]:
@@ -223,75 +178,61 @@ def _spartite_split(r: int, parts, rigid_sets, rich: bool) -> Iterator[Edge]:
                                                   product(*pools))))
 
 
-def spartite_gadget(spec: SpartiteSpec) -> Hypergraph:
-    """All edges missing a part, plus all edges with at least r - s + 2
-    rigid vertices: the colex universe of [n] without the r-sets that meet
-    every part with fewer, so the edges come in colex order."""
-    misses = set(_spartite_split(spec.r, spec.parts, spec.rigid, False))
-    return Hypergraph(spec.n, spec.r, filterfalse(
-        misses.__contains__, edge_universe(spec.n, spec.r)))
+def spartite_gadget(r: int, h: int, part_sizes) -> Hypergraph:
+    """s = len(part_sizes) parts laid out by _intervals.  All edges missing a
+    part, plus all edges with at least r - s + 2 rigid vertices: the colex
+    universe of [n] without the r-sets that meet every part with fewer, so
+    the edges come in colex order."""
+    s = len(part_sizes)
+    if not r >= s >= 2:
+        raise ValueError(f"need r >= s >= 2 parts, got r={r}, s={s}")
+    if h < r:
+        raise ValueError(f"need h >= r, got h={h} < r={r}")
+    if any(size < h for size in part_sizes):
+        raise ValueError(f"every part needs at least h={h} vertices, "
+                         f"got sizes {tuple(part_sizes)}")
+    misses = set(_spartite_split(r, *_intervals(part_sizes, h), False))
+    n = sum(part_sizes)
+    return Hypergraph(n, r, filterfalse(misses.__contains__, edge_universe(n, r)))
 
 
-# -- percolation gadget -------------------------------------------------------
-
-@dataclass(frozen=True)
-class PercolateSpec:
-    """clusters consecutive intervals of equal size; rigid set = first h of
-    each cluster; covering groups always include the last cluster."""
-
-    r: int
-    h: int
-    s: int
-    clusters: int
-    cluster_size: int
-
-    def __post_init__(self):
-        _check_params(self.r, self.h, self.s)
-        if self.clusters < self.s:
-            raise ValueError(
-                f"need at least s={self.s} clusters, got {self.clusters}")
-        if self.cluster_size < self.h:
-            raise ValueError(
-                f"cluster size {self.cluster_size} below h={self.h}")
-
-    @property
-    def n(self) -> int:
-        return self.clusters * self.cluster_size
-
-    def cluster(self, i: int) -> tuple[int, ...]:
-        return tuple(range(i * self.cluster_size, (i + 1) * self.cluster_size))
-
-    def rigid(self, i: int) -> tuple[int, ...]:
-        return self.cluster(i)[: self.h]
-
-
-def percolate_gadget(spec: PercolateSpec) -> tuple[frozenset[Edge], frozenset[Edge]]:
-    """(E1, E2): E1 = edges meeting at most s - 1 clusters; E2 = the
-    spartite edges outside E1 on each group of s clusters that includes the
-    last one.  E1 is enumerated as the r-subsets of each union of s - 1
-    clusters, which is sorted as the clusters are consecutive intervals.  A
-    group's extras are enumerated as the r-sets that meet each of its
-    clusters with at least r - s + 2 rigid vertices; each meets exactly that
-    group's clusters, so it is in no other group's extras and not in E1, and
-    E2 is their plain union."""
-    r, s = spec.r, spec.s
-    e1: set[Edge] = set()
-    for group in combinations(range(spec.clusters), s - 1):
-        e1.update(combinations([v for i in group for v in spec.cluster(i)], r))
+def _percolate_extras(r: int, s: int, parts, rigid) -> set[Edge]:
+    """E2 of the percolation gadget on the given clusters and rigid sets:
+    the spartite edges with at least r - s + 2 rigid vertices on each group
+    of s clusters that includes the last one.  Each such edge meets exactly
+    its group's clusters, so it is in no other group's extras and in no edge
+    set of s - 1 clusters, and E2 is their plain union."""
+    last = len(parts) - 1
     e2: set[Edge] = set()
-    last = spec.clusters - 1
     for q_group in combinations(range(last), s - 1):
         group = q_group + (last,)
-        e2.update(_spartite_split(r, [spec.cluster(i) for i in group],
-                                  [spec.rigid(i) for i in group], True))
-    return frozenset(e1), frozenset(e2)
+        e2.update(_spartite_split(r, [parts[i] for i in group],
+                                  [rigid[i] for i in group], True))
+    return e2
 
 
-def percolate_bound(spec: PercolateSpec, e2: frozenset[Edge]) -> BoundCheck:
-    """Bound on E2 = percolate_gadget(spec)[1]."""
-    rhs = (spec.r * spec.h ** (spec.r - spec.s + 2)
-           * comb(spec.clusters - 1, spec.s - 1)
-           * spec.cluster_size ** (spec.s - 2))
+def percolate_gadget(r: int, h: int, s: int, clusters: int, cluster_size: int
+                     ) -> tuple[frozenset[Edge], frozenset[Edge]]:
+    """(E1, E2) on clusters equal intervals laid out by _intervals: E1 =
+    edges meeting at most s - 1 clusters, enumerated as the r-subsets of
+    each union of s - 1 clusters (sorted, as the clusters are consecutive
+    intervals); E2 = _percolate_extras."""
+    _check_params(r, h, s)
+    if clusters < s:
+        raise ValueError(f"need at least s={s} clusters, got {clusters}")
+    if cluster_size < h:
+        raise ValueError(f"cluster size {cluster_size} below h={h}")
+    parts, rigid = _intervals([cluster_size] * clusters, h)
+    e1: set[Edge] = set()
+    for group in combinations(parts, s - 1):
+        e1.update(combinations(chain.from_iterable(group), r))
+    return frozenset(e1), frozenset(_percolate_extras(r, s, parts, rigid))
+
+
+def percolate_bound(e2, r: int, h: int, s: int, clusters: int,
+                    cluster_size: int) -> BoundCheck:
+    """Bound on E2 = percolate_gadget(r, h, s, clusters, cluster_size)[1]."""
+    rhs = r * h ** (r - s + 2) * comb(clusters - 1, s - 1) * cluster_size ** (s - 2)
     return BoundCheck("percolate_extra_edges", len(e2), rhs)
 
 
@@ -370,21 +311,20 @@ def main_construction(pattern: Pattern, n: int, m1: int, seed_graph: Hypergraph,
     if not is_weakly_saturated(seed_graph, pattern):
         raise ValueError("seed graph is not weakly saturated for the pattern")
 
-    cluster_vertices = [tuple(range(i * c, (i + 1) * c)) for i in range(clusters)]
+    parts, rigid = _intervals([c] * clusters, h)
     copies: set[Edge] = set()
     for block in cover.blocks:
-        hosts = sorted(v for i in block for v in cluster_vertices[i])
+        hosts = [v for i in block for v in parts[i]]
         for e in seed_graph.edges:
             copies.add(tuple(sorted(hosts[v] for v in e)))
 
-    gspec = PercolateSpec(r=r, h=h, s=s, clusters=clusters, cluster_size=c)
-    _, e2 = percolate_gadget(gspec)
-    graph = Hypergraph(n, r, copies | set(e2))
+    e2 = _percolate_extras(r, s, parts, rigid)
+    graph = Hypergraph(n, r, copies | e2)
 
     bounds = (
         BoundCheck("copies_union", len(copies),
                    len(cover.blocks) * seed_graph.edge_count),
-        percolate_bound(gspec, e2),
+        percolate_bound(e2, r, h, s, clusters, c),
     )
     return MainResult(graph=graph, copies_edge_count=len(copies),
                       extra_edge_count=len(e2), bounds=bounds)

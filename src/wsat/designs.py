@@ -7,7 +7,8 @@ reported against, never promised.  When the candidate space C(N, k) is too
 large to enumerate per round, a seeded random sample of candidates is scored
 instead and the design is flagged as sampled.  With k = t every block covers
 its own t-subset only, so the greedy takes all of them in colex order; that
-list, edge_universe(N, t), is returned at once, on either path.
+list is returned at once, on either path, built by edge_universe past its
+cache so that the cache does not keep it after the design is dropped.
 
 For t <= 2 the uncovered t-subsets are kept as one bitmask per vertex v,
 nbr[v]: at t = 2 the u with {u, v} still uncovered, at t = 1 v's own bit
@@ -97,7 +98,8 @@ def greedy_cover(N: int, k: int, t: int, seed: int = 0) -> CoverDesign:
         raise ValueError(f"need N >= k >= t >= 1, got N={N}, k={k}, t={t}")
     exhaustive = comb(N, k) <= EXHAUSTIVE_CANDIDATE_LIMIT
     if k == t:
-        return CoverDesign(N, k, t, edge_universe(N, t), sampled=not exhaustive)
+        return CoverDesign(N, k, t, edge_universe.__wrapped__(N, t),
+                           sampled=not exhaustive)
     bits = [1 << v for v in range(N)]
     full = (1 << N) - 1
     if t == 1:

@@ -36,12 +36,7 @@ from .hypergraph import (
     graph_of_mask,
     mask_rank_table,
 )
-from .percolation import (
-    SaturationCertificate,
-    closure,
-    is_weakly_saturated,
-    witness_index,
-)
+from .percolation import is_weakly_saturated, witness_index
 
 DEFAULT_BUDGET = 10_000_000
 MAX_SOLVER_UNIVERSE = 30
@@ -59,7 +54,6 @@ class WsatResult:
 
     value: int | None
     witness: Hypergraph | None
-    certificate: SaturationCertificate | None
     explored: int
     status: str
     excluded_up_to: int | None = None
@@ -188,10 +182,9 @@ def wsat_exact(n: int, pattern: Pattern, budget: int = DEFAULT_BUDGET
             pass
         mask = _colex_least(root, close, full, refuted + 1)
     except _OutOfBudget:
-        return WsatResult(None, None, None, explored, "inconclusive", refuted)
-    witness = graph_of_mask(n, pattern.r, mask)
-    cert = closure(witness, pattern).certificate
-    return WsatResult(refuted + 1, witness, cert, explored, "exact")
+        return WsatResult(None, None, explored, "inconclusive", refuted)
+    return WsatResult(refuted + 1, graph_of_mask(n, pattern.r, mask), explored,
+                      "exact")
 
 
 def wsat_upper_witness(n: int, pattern: Pattern) -> Hypergraph:

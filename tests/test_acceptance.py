@@ -12,9 +12,6 @@ from pathlib import Path
 
 from wsat.cli import main as cli_main
 from wsat.constructions import (
-    ConeSpec,
-    PercolateSpec,
-    SpartiteSpec,
     clique_extremal,
     cone_bound,
     cone_gadget,
@@ -135,29 +132,31 @@ def test_criterion_3_template_implies_pattern_saturation():
         assert percolating >= 20
 
 
+# gadget parameters in call order: cone (r, h, s, size_a, size_b), spartite
+# (r, h, part_sizes), percolate (r, h, s, clusters, cluster_size)
 CONE_GRID = [
-    ConeSpec(r=2, h=3, s=2, size_a=4, size_b=1),
-    ConeSpec(r=2, h=3, s=2, size_a=5, size_b=2),
-    ConeSpec(r=2, h=4, s=2, size_a=6, size_b=3),
-    ConeSpec(r=2, h=5, s=2, size_a=7, size_b=7),
-    ConeSpec(r=3, h=4, s=2, size_a=6, size_b=2),
-    ConeSpec(r=3, h=4, s=3, size_a=5, size_b=3),
-    ConeSpec(r=3, h=5, s=2, size_a=6, size_b=2),
+    (2, 3, 2, 4, 1),
+    (2, 3, 2, 5, 2),
+    (2, 4, 2, 6, 3),
+    (2, 5, 2, 7, 7),
+    (3, 4, 2, 6, 2),
+    (3, 4, 3, 5, 3),
+    (3, 5, 2, 6, 2),
 ]
 
 SPARTITE_GRID = [
-    SpartiteSpec(r=2, h=3, part_sizes=(4, 4)),
-    SpartiteSpec(r=2, h=3, part_sizes=(5, 4)),
-    SpartiteSpec(r=2, h=4, part_sizes=(6, 5)),
-    SpartiteSpec(r=3, h=4, part_sizes=(5, 5)),
-    SpartiteSpec(r=3, h=4, part_sizes=(4, 4, 4)),
+    (2, 3, (4, 4)),
+    (2, 3, (5, 4)),
+    (2, 4, (6, 5)),
+    (3, 4, (5, 5)),
+    (3, 4, (4, 4, 4)),
 ]
 
 PERCOLATE_GRID = [
-    PercolateSpec(r=2, h=3, s=2, clusters=3, cluster_size=3),
-    PercolateSpec(r=2, h=3, s=2, clusters=4, cluster_size=4),
-    PercolateSpec(r=3, h=4, s=2, clusters=3, cluster_size=4),
-    PercolateSpec(r=3, h=4, s=3, clusters=3, cluster_size=4),
+    (2, 3, 2, 3, 3),
+    (2, 3, 2, 4, 4),
+    (3, 4, 2, 3, 4),
+    (3, 4, 3, 3, 4),
 ]
 
 PADDING_GRID = [
@@ -174,18 +173,20 @@ def test_criterion_4_gadget_grid():
         start = time.time()
         assert len(CONE_GRID) >= 6 and len(SPARTITE_GRID) >= 4 \
             and len(PERCOLATE_GRID) >= 4
-        for spec in CONE_GRID:
-            g = cone_gadget(spec)
-            assert template_closure(g, spec.h, spec.s).percolated, spec
-            assert cone_bound(spec, g).holds, spec
-        for spec in SPARTITE_GRID:
-            g = spartite_gadget(spec)
-            assert template_closure(g, spec.h, spec.s).percolated, spec
-        for spec in PERCOLATE_GRID:
-            e1, e2 = percolate_gadget(spec)
-            g = Hypergraph(spec.n, spec.r, e1 | e2)
-            assert template_closure(g, spec.h, spec.s).percolated, spec
-            assert percolate_bound(spec, e2).holds, spec
+        for params in CONE_GRID:
+            _, h, s, size_a, _ = params
+            g = cone_gadget(*params)
+            assert template_closure(g, h, s).percolated, params
+            assert cone_bound(g, h, s, size_a).holds, params
+        for params in SPARTITE_GRID:
+            g = spartite_gadget(*params)
+            assert template_closure(g, params[1], len(params[2])).percolated, params
+        for params in PERCOLATE_GRID:
+            r, h, s, clusters, size = params
+            e1, e2 = percolate_gadget(*params)
+            g = Hypergraph(clusters * size, r, e1 | e2)
+            assert template_closure(g, h, s).percolated, params
+            assert percolate_bound(e2, *params).holds, params
         for base, k2, pat in PADDING_GRID:
             padded = padded_example(base, k2, pat)
             assert is_weakly_saturated(padded, pat), (base, k2)

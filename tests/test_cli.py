@@ -255,6 +255,41 @@ def test_generate_param_errors(capsys, tmp_path):
     assert "multiple" in err
 
 
+def _cone(r, s, h, a, b):
+    return ["cone", "--r", r, "--s", s, "--h", h, "--size-a", a, "--size-b", b]
+
+
+def _percolate(r, s, h, clusters, size):
+    return ["percolate", "--r", r, "--s", s, "--h", h, "--l", clusters, "--t", size]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (_cone("2", "2", "1", "4", "1"), "need h >= r >= s >= 2, got h=1, r=2, s=2"),
+    (_cone("2", "3", "3", "4", "1"), "need h >= r >= s >= 2, got h=3, r=2, s=3"),
+    (_cone("2", "1", "3", "4", "1"), "need h >= r >= s >= 2, got h=3, r=2, s=1"),
+    (_cone("2", "2", "3", "2", "5"), "need size_b <= size_a, got 5 > 2"),
+    (_cone("2", "2", "3", "2", "1"), "need size_a >= h, got 2 < 3"),
+    (_cone("2", "2", "3", "4", "-1"), "need size_b >= 0, got -1"),
+    (["spartite", "--r", "2", "--h", "3", "--part-sizes", "4"],
+     "need r >= s >= 2 parts, got r=2, s=1"),
+    (["spartite", "--r", "2", "--h", "3", "--part-sizes", "4,4,4"],
+     "need r >= s >= 2 parts, got r=2, s=3"),
+    (["spartite", "--r", "3", "--h", "2", "--part-sizes", "4,4"],
+     "need h >= r, got h=2 < r=3"),
+    (["spartite", "--r", "2", "--h", "3", "--part-sizes", "2,4"],
+     "every part needs at least h=3 vertices, got sizes (2, 4)"),
+    (_percolate("2", "2", "1", "3", "3"), "need h >= r >= s >= 2, got h=1, r=2, s=2"),
+    (_percolate("2", "3", "3", "3", "3"), "need h >= r >= s >= 2, got h=3, r=2, s=3"),
+    (_percolate("2", "1", "3", "3", "3"), "need h >= r >= s >= 2, got h=3, r=2, s=1"),
+    (_percolate("2", "2", "3", "1", "4"), "need at least s=2 clusters, got 1"),
+    (_percolate("2", "2", "3", "3", "2"), "cluster size 2 below h=3"),
+])
+def test_gadget_parameter_errors_are_named(tmp_path, capsys, argv, message):
+    assert run(capsys, "generate", *argv, "--output", str(tmp_path)) == (
+        64, "", f"wsat: error: {message}\n")
+    assert not any(tmp_path.iterdir())
+
+
 def test_generate_output_rereads_through_closure(tmp_path, capsys):
     code, _, _ = run(capsys, "generate", "cone", "--r", "2", "--s", "2", "--h", "3",
                      "--size-a", "4", "--size-b", "2", "--output", str(tmp_path))
@@ -378,13 +413,10 @@ def test_verify_template_certificate_pipeline(tmp_path, capsys):
 # the library gadget behind each golden template gadget; all three have
 # h = 3 and s = 2
 TEMPLATE_GADGETS = {
-    "cone": lambda: cons.cone_gadget(cons.ConeSpec(r=2, h=3, s=2, size_a=4,
-                                                   size_b=2)),
-    "spartite": lambda: cons.spartite_gadget(cons.SpartiteSpec(
-        r=2, h=3, part_sizes=(4, 4))),
+    "cone": lambda: cons.cone_gadget(2, 3, 2, 4, 2),
+    "spartite": lambda: cons.spartite_gadget(2, 3, (4, 4)),
     "percolate": lambda: Hypergraph(9, 2, frozenset().union(
-        *cons.percolate_gadget(cons.PercolateSpec(r=2, h=3, s=2, clusters=3,
-                                                  cluster_size=3)))),
+        *cons.percolate_gadget(2, 3, 2, 3, 3))),
 }
 
 

@@ -4,9 +4,6 @@ from math import comb
 import pytest
 
 from wsat.constructions import (
-    ConeSpec,
-    PercolateSpec,
-    SpartiteSpec,
     _near_anchor_edges,
     _spartite_split,
     clique_extremal,
@@ -35,24 +32,22 @@ STAR4 = Hypergraph(4, 2, [(0, 1), (0, 2), (0, 3)])
 
 
 def test_cone_small_example():
-    spec = ConeSpec(r=2, h=3, s=2, size_a=4, size_b=1)
-    g = cone_gadget(spec)
+    g = cone_gadget(2, 3, 2, 4, 1)
     extra = sorted(e for e in g.edges if e[-1] == 4)
     assert extra == [(0, 4), (1, 4), (2, 4)]  # apex joined to the anchor
-    result = template_closure(g, spec.h, spec.s)
-    bound = cone_bound(spec, g)
+    result = template_closure(g, 3, 2)
+    bound = cone_bound(g, 3, 2, 4)
     assert result.percolated
     assert bound.lhs == 3 and bound.rhs == 18 and bound.holds
 
 
 def test_cone_empty_apex_side():
-    spec = ConeSpec(r=2, h=3, s=2, size_a=4, size_b=0)
-    assert cone_gadget(spec) == complete_graph(4, 2).with_edges([])
+    assert cone_gadget(2, 3, 2, 4, 0) == complete_graph(4, 2).with_edges([])
 
     with pytest.raises(ValueError):
-        ConeSpec(r=2, h=3, s=2, size_a=3, size_b=4)  # apex side too big
+        cone_gadget(2, 3, 2, 3, 4)  # apex side too big
     with pytest.raises(ValueError):
-        ConeSpec(r=2, h=5, s=2, size_a=4, size_b=1)  # A smaller than h
+        cone_gadget(2, 5, 2, 4, 1)  # A smaller than h
 
 
 def test_padded_example():
@@ -81,36 +76,33 @@ def test_padded_example_rejections():
 
 
 def test_spartite_small_example():
-    spec = SpartiteSpec(r=2, h=3, part_sizes=(4, 4))
-    g = spartite_gadget(spec)
+    g = spartite_gadget(2, 3, (4, 4))
     # missing edges are exactly the cross pairs touching a loose vertex
     missing = {e for e in complete_graph(8, 2).edges} - g.edges
     loose = {3, 7}
     assert missing == {e for e in complete_graph(8, 2).edges
                        if len({e[0] // 4, e[1] // 4}) == 2 and (set(e) & loose)}
-    assert template_closure(g, spec.h, spec.s).percolated
+    assert template_closure(g, 3, 2).percolated
 
 
 def test_spartite_tight_parts_give_complete_graph():
-    spec = SpartiteSpec(r=2, h=3, part_sizes=(3, 3))
-    assert spartite_gadget(spec) == complete_graph(6, 2)
+    assert spartite_gadget(2, 3, (3, 3)) == complete_graph(6, 2)
 
 
 def test_spartite_rejections():
     with pytest.raises(ValueError):
-        SpartiteSpec(r=2, h=3, part_sizes=(2, 4))  # part below h
+        spartite_gadget(2, 3, (2, 4))  # part below h
     with pytest.raises(ValueError):
-        SpartiteSpec(r=2, h=3, part_sizes=(4,))  # fewer than 2 parts
+        spartite_gadget(2, 3, (4,))  # fewer than 2 parts
     with pytest.raises(ValueError):
-        SpartiteSpec(r=2, h=3, part_sizes=(4, 4, 4))  # more parts than r
+        spartite_gadget(2, 3, (4, 4, 4))  # more parts than r
 
 
 def test_percolate_small_example():
-    spec = PercolateSpec(r=2, h=3, s=2, clusters=3, cluster_size=3)
-    e1, e2 = percolate_gadget(spec)
+    e1, e2 = percolate_gadget(2, 3, 2, 3, 3)
     assert len(e2) <= 2 * 27 * 2 * 1
-    result = template_closure(Hypergraph(spec.n, 2, e1 | e2), spec.h, spec.s)
-    assert result.percolated and percolate_bound(spec, e2).holds
+    result = template_closure(Hypergraph(9, 2, e1 | e2), 3, 2)
+    assert result.percolated and percolate_bound(e2, 2, 3, 2, 3, 3).holds
     # extras live on rigid pairs across a group including the last cluster
     for e in e2:
         clusters_hit = {v // 3 for v in e}
@@ -118,17 +110,15 @@ def test_percolate_small_example():
 
 
 def test_percolate_single_group_when_clusters_equal_s():
-    spec = PercolateSpec(r=2, h=3, s=2, clusters=2, cluster_size=4)
-    e1, e2 = percolate_gadget(spec)
-    sp = SpartiteSpec(r=2, h=3, part_sizes=(4, 4))
-    assert e2 == frozenset(spartite_gadget(sp).edges - e1)
+    e1, e2 = percolate_gadget(2, 3, 2, 2, 4)
+    assert e2 == frozenset(spartite_gadget(2, 3, (4, 4)).edges - e1)
 
 
 def test_percolate_rejections():
     with pytest.raises(ValueError):
-        PercolateSpec(r=2, h=3, s=2, clusters=1, cluster_size=4)
+        percolate_gadget(2, 3, 2, 1, 4)
     with pytest.raises(ValueError):
-        PercolateSpec(r=2, h=3, s=2, clusters=3, cluster_size=2)
+        percolate_gadget(2, 3, 2, 3, 2)
 
 
 def test_s1_construction():
@@ -223,18 +213,15 @@ def test_clique_extremal_t_equals_r_is_empty():
 
 def test_gadget_outputs_reverify_under_template_closure():
     # a couple of r=3 instances exercising the hypergraph path
-    spec = ConeSpec(r=3, h=4, s=3, size_a=5, size_b=3)
-    g = cone_gadget(spec)
-    assert template_closure(g, spec.h, spec.s).percolated
-    assert cone_bound(spec, g).holds
+    g = cone_gadget(3, 4, 3, 5, 3)
+    assert template_closure(g, 4, 3).percolated
+    assert cone_bound(g, 4, 3, 5).holds
 
-    sp = SpartiteSpec(r=3, h=4, part_sizes=(4, 4, 4))
-    assert template_closure(spartite_gadget(sp), sp.h, sp.s).percolated
+    assert template_closure(spartite_gadget(3, 4, (4, 4, 4)), 4, 3).percolated
 
-    ps = PercolateSpec(r=3, h=4, s=2, clusters=3, cluster_size=4)
-    e1, e2 = percolate_gadget(ps)
-    assert template_closure(Hypergraph(ps.n, 3, e1 | e2), ps.h, ps.s).percolated
-    assert percolate_bound(ps, e2).holds
+    e1, e2 = percolate_gadget(3, 4, 2, 3, 4)
+    assert template_closure(Hypergraph(12, 3, e1 | e2), 4, 2).percolated
+    assert percolate_bound(e2, 3, 4, 2, 3, 4).holds
 
 
 # -- the universe-filtering gadget builders, kept as oracles --------------------
@@ -278,23 +265,33 @@ def oracle_spartite_edges(n: int, r: int, parts, rigid_sets, h: int) -> set:
     return edges
 
 
-def oracle_percolate_gadget(spec: PercolateSpec):
+def interval_layout(sizes, h: int):
+    """(parts, rigid sets): consecutive intervals of the given sizes from
+    vertex 0, and the first h vertices of each."""
+    parts = []
+    for size in sizes:
+        start = parts[-1][-1] + 1 if parts else 0
+        parts.append(tuple(range(start, start + size)))
+    return parts, [p[:h] for p in parts]
+
+
+def oracle_percolate_gadget(r: int, h: int, s: int, clusters: int, size: int):
     """(E1, E2): E1 = edges meeting at most s - 1 clusters; E2 = union over
     (s-1)-groups Q of the first clusters of the spartite extras on the parts
     {cluster q : q in Q} plus the last cluster, minus what E1 already has."""
-    n, r, s = spec.n, spec.r, spec.s
-    size = spec.cluster_size
+    n = clusters * size
+    cluster, rigid = interval_layout([size] * clusters, h)
     e1 = set()
     for e in edge_universe(n, r):
         if len({v // size for v in e}) <= s - 1:
             e1.add(e)
     e2 = set()
-    last = spec.clusters - 1
+    last = clusters - 1
     for q_group in combinations(range(last), s - 1):
         group = tuple(q_group) + (last,)
-        parts = [spec.cluster(i) for i in group]
-        rigid_sets = [spec.rigid(i) for i in group]
-        extras = oracle_spartite_edges(n, r, parts, rigid_sets, spec.h)
+        parts = [cluster[i] for i in group]
+        rigid_sets = [rigid[i] for i in group]
+        extras = oracle_spartite_edges(n, r, parts, rigid_sets, h)
         e2 |= extras - e1
     return frozenset(e1), frozenset(e2)
 
@@ -323,10 +320,10 @@ def test_spartite_edges_match_universe_filter(r, s):
     for h in (r, r + 1):
         # uneven part sizes, largest first, last and in the middle
         for extra in ((2, 0, 1, 3), (0, 1, 3, 0), (1, 3, 0, 2)):
-            spec = SpartiteSpec(r=r, h=h, part_sizes=[h + x for x in extra[:s]])
-            expected = assert_split_matches_oracle(spec.n, r, spec.parts,
-                                                   spec.rigid, h)
-            assert spartite_gadget(spec).edges == expected
+            sizes = [h + x for x in extra[:s]]
+            expected = assert_split_matches_oracle(sum(sizes), r,
+                                                   *interval_layout(sizes, h), h)
+            assert spartite_gadget(r, h, sizes).edges == expected
     # parts that are not intervals, with vertices left out of every part
     n = 3 * s + 4
     parts = [tuple(range(i, n - 1, s)) for i in range(s)]
@@ -350,16 +347,16 @@ def test_percolate_gadget_matches_universe_filter(r, s):
             for size in (h, h + 1):
                 if comb(clusters * size, r) > 30_000:
                     continue
-                spec = PercolateSpec(r=r, h=h, s=s, clusters=clusters,
-                                     cluster_size=size)
-                e1, e2 = percolate_gadget(spec)
-                assert (e1, e2) == oracle_percolate_gadget(spec)
+                params = r, h, s, clusters, size
+                e1, e2 = percolate_gadget(*params)
+                assert (e1, e2) == oracle_percolate_gadget(*params)
                 # what lets E2 be a plain union of the groups' extras: they
                 # miss E1 and are pairwise disjoint across groups
                 assert not e1 & e2
                 last = clusters - 1
-                extras = [set(_spartite_split(r, [spec.cluster(i) for i in g],
-                                              [spec.rigid(i) for i in g], True))
+                cluster, rigid = interval_layout([size] * clusters, h)
+                extras = [set(_spartite_split(r, [cluster[i] for i in g],
+                                              [rigid[i] for i in g], True))
                           for g in (q + (last,)
                                     for q in combinations(range(last), s - 1))]
                 for a, b in combinations(extras, 2):
@@ -368,14 +365,11 @@ def test_percolate_gadget_matches_universe_filter(r, s):
 
 
 def test_gadgets_match_universe_filter_at_workload_size():
-    spec = SpartiteSpec(r=3, h=5, part_sizes=(12, 12, 12))
-    assert spartite_gadget(spec).edges == \
-        oracle_spartite_edges(spec.n, 3, spec.parts, spec.rigid, 5)
-    cone = ConeSpec(r=3, s=2, h=6, size_a=20, size_b=15)
-    assert _near_anchor_edges(cone.n, 3, 2, 6, 20) == \
-        oracle_near_anchor_edges(cone.n, 3, 2, 20, tuple(range(6)))
-    cone = ConeSpec(r=3, s=3, h=4, size_a=16, size_b=12)
-    assert _near_anchor_edges(cone.n, 3, 3, 4, 16) == \
-        oracle_near_anchor_edges(cone.n, 3, 3, 16, tuple(range(4)))
-    perc = PercolateSpec(r=3, h=4, s=3, clusters=6, cluster_size=5)
-    assert percolate_gadget(perc) == oracle_percolate_gadget(perc)
+    assert spartite_gadget(3, 5, (12, 12, 12)).edges == \
+        oracle_spartite_edges(36, 3, *interval_layout((12, 12, 12), 5), 5)
+    # the cone gadgets 3-2-6-20-15 and 3-3-4-16-12 (r, s, h, size_a, size_b)
+    assert _near_anchor_edges(35, 3, 2, 6, 20) == \
+        oracle_near_anchor_edges(35, 3, 2, 20, tuple(range(6)))
+    assert _near_anchor_edges(28, 3, 3, 4, 16) == \
+        oracle_near_anchor_edges(28, 3, 3, 16, tuple(range(4)))
+    assert percolate_gadget(3, 4, 3, 6, 5) == oracle_percolate_gadget(3, 4, 3, 6, 5)

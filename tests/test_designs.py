@@ -15,7 +15,7 @@ from wsat.designs import (
     rodl_bound,
     verify_cover,
 )
-from wsat.hypergraph import FormatError, colex_key
+from wsat.hypergraph import FormatError, colex_key, edge_universe
 
 
 def oracle_greedy_cover(N: int, k: int, t: int, seed: int = 0) -> CoverDesign:
@@ -67,6 +67,14 @@ def test_k_equals_t_degenerates_to_all_subsets():
     assert verify_cover(design)
     design1 = greedy_cover(4, 1, 1)
     assert design1.blocks == ((0,), (1,), (2,), (3,))
+
+
+def test_k_equals_t_cover_leaves_no_cached_universe():
+    edge_universe.cache_clear()
+    design = greedy_cover(30, 3, 3)
+    assert edge_universe.cache_info().currsize == 0
+    assert design.blocks == tuple(sorted(combinations(range(30), 3),
+                                         key=colex_key))
 
 
 def test_greedy_632_regression():

@@ -6,14 +6,7 @@ from math import comb
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from wsat.constructions import (
-    ConeSpec,
-    PercolateSpec,
-    SpartiteSpec,
-    cone_gadget,
-    percolate_gadget,
-    spartite_gadget,
-)
+from wsat.constructions import cone_gadget, percolate_gadget, spartite_gadget
 from wsat.hypergraph import (
     Hypergraph,
     canonical_edge,
@@ -174,8 +167,7 @@ def test_template_closure_on_complete_graph():
 
 
 def test_cone_output_percolates_small():
-    spec = ConeSpec(r=2, h=3, s=2, size_a=5, size_b=2)
-    assert template_closure(cone_gadget(spec), spec.h, spec.s).percolated
+    assert template_closure(cone_gadget(2, 3, 2, 5, 2), 3, 2).percolated
 
 
 def test_template_certificates_replay():
@@ -541,50 +533,53 @@ def test_conversion_and_replay_match_the_direct_checker(case):
 # the template gadgets of perfbench's construct workload, with the sha256 of
 # each one's template certificate as certificate_to_text writes it.  wsat
 # generate prints only the verdict, so no output digest covers these steps.
+# The parameters are the gadget's, in order: percolate (r, h, s, clusters,
+# cluster_size), cone (r, h, s, size_a, size_b), spartite (r, h, part_sizes).
 GADGET_CERTIFICATES = [
-    (PercolateSpec(r=3, s=2, h=4, clusters=5, cluster_size=5), 2058,
+    ("percolate", (3, 4, 2, 5, 5), 2058,
      "3088ac1753466232cfac5e472662d58af7cd83fa37116d2d56a5808f7c7aa30e"),
-    (PercolateSpec(r=3, s=2, h=4, clusters=6, cluster_size=5), 3760,
+    ("percolate", (3, 4, 2, 6, 5), 3760,
      "a2e8ddb3b3571f3af875b44439f6d3302adfd32ea38e33068faaf500e848ffa5"),
-    (PercolateSpec(r=3, s=3, h=4, clusters=6, cluster_size=5), 1380,
+    ("percolate", (3, 4, 3, 6, 5), 1380,
      "aec45295be0c348100a7f91b9d2aca720bca8f5c26a00b8648e812b692eec2f1"),
-    (PercolateSpec(r=2, s=2, h=3, clusters=6, cluster_size=5), 330,
+    ("percolate", (2, 3, 2, 6, 5), 330,
      "ae8561dfdac337d69d9bc77a306fc9b5014a30dc1e709c3d95ed47d2cb5489da"),
-    (ConeSpec(r=3, s=2, h=5, size_a=18, size_b=14), 4004,
+    ("cone", (3, 5, 2, 18, 14), 4004,
      "a671a072386bbdb05fda7080e337de10d371156455985209c3864b95b884f258"),
-    (ConeSpec(r=3, s=2, h=6, size_a=20, size_b=15), 5180,
+    ("cone", (3, 6, 2, 20, 15), 5180,
      "fcfec324e3b7b6c2b239982981d335d5f57c2451a6387319e0ce8a32f676cdb2"),
-    (ConeSpec(r=4, s=2, h=5, size_a=12, size_b=8), 4270,
+    ("cone", (4, 5, 2, 12, 8), 4270,
      "aa45593c8a101bc9d6e61229490bdd9ed62edea288e12fe258fd6ca107ef6f59"),
-    (ConeSpec(r=3, s=3, h=4, size_a=16, size_b=12), 1804,
+    ("cone", (3, 4, 3, 16, 12), 1804,
      "8f2611aef6f407a9bd83a45872501cf2a50420453a8ba92aa0599662ff2e1882"),
-    (SpartiteSpec(r=3, h=4, part_sizes=(14, 14)), 2500,
+    ("spartite", (3, 4, (14, 14)), 2500,
      "01f48b537d388570313416c667dd9d08f8e154a972129c2bbdd2bd365c65d56c"),
-    (SpartiteSpec(r=4, h=5, part_sizes=(9, 9)), 2608,
+    ("spartite", (4, 5, (9, 9)), 2608,
      "f2649974c37d44521ce26ee72190963a50fd4cf739a636f860f121fd29b28b76"),
-    (SpartiteSpec(r=4, h=5, part_sizes=(8, 8)), 1480,
+    ("spartite", (4, 5, (8, 8)), 1480,
      "47a8589f569593ab3c6e3347046f7ffbbff5d5f78b101109a3d367eb11b8ed3f"),
-    (SpartiteSpec(r=3, h=5, part_sizes=(12, 12, 12)), 1078,
+    ("spartite", (3, 5, (12, 12, 12)), 1078,
      "05735172592dc17f36d2adc8c081a368546052d81428fc207e55a4b5fe7f7deb"),
 ]
 
 
-def _gadget_id(spec) -> str:
-    kind = type(spec).__name__.removesuffix("Spec").lower()
-    return "-".join([kind] + [str(v).replace(", ", ",") for v in vars(spec).values()])
+def _gadget_id(kind, params) -> str:
+    return "-".join([kind] + [str(v).replace(", ", ",") for v in params])
 
 
-@pytest.mark.parametrize("spec, steps, digest", GADGET_CERTIFICATES,
-                         ids=[_gadget_id(spec) for spec, _, _ in GADGET_CERTIFICATES])
-def test_gadget_certificates_are_pinned(spec, steps, digest):
-    if isinstance(spec, PercolateSpec):
-        e1, e2 = percolate_gadget(spec)
-        g = Hypergraph(spec.n, spec.r, e1 | e2)
-    elif isinstance(spec, ConeSpec):
-        g = cone_gadget(spec)
+@pytest.mark.parametrize("kind, params, steps, digest", GADGET_CERTIFICATES,
+                         ids=[_gadget_id(kind, params)
+                              for kind, params, _, _ in GADGET_CERTIFICATES])
+def test_gadget_certificates_are_pinned(kind, params, steps, digest):
+    if kind == "percolate":
+        e1, e2 = percolate_gadget(*params)
+        g = Hypergraph(params[3] * params[4], params[0], e1 | e2)
+    elif kind == "cone":
+        g = cone_gadget(*params)
     else:
-        g = spartite_gadget(spec)
-    res = template_closure(g, spec.h, spec.s)
+        g = spartite_gadget(*params)
+    s = len(params[2]) if kind == "spartite" else params[2]
+    res = template_closure(g, params[1], s)
     assert res.percolated and len(res.certificate) == steps
     text = certificate_to_text(res.certificate)
     assert hashlib.sha256(text.encode()).hexdigest() == digest
