@@ -37,7 +37,9 @@ Every generator's output is meant to percolate under the engine named in its
 contract; the numbered edge-count bounds are evaluated as exact integer
 inequalities and reported as BoundChecks, never assumed.  No generator
 closes its own output: `wsat generate` runs template_closure(g, h, s) on
-each gadget and is_weakly_saturated on the pattern constructions.
+each gadget and is_weakly_saturated on the pattern constructions, and
+passes when that check and every BoundCheck hold.  wsat_upper_witness
+returns the first of its candidates, by edge count, that percolates.
 """
 
 from __future__ import annotations
@@ -259,11 +261,12 @@ class MainResult:
     bounds: tuple[BoundCheck, ...]
 
 
-def main_clusters(n: int, m1: int, s: int) -> tuple[int, int, int]:
-    """(c, m, clusters) of the composite construction on n vertices: the
-    cluster size c = ceil(m1^(1/(s-1))), the seed order m = c^(s-1) and the
-    cluster count n / c.  Raises ValueError, naming the CLI flag, when the
-    numbers admit no construction."""
+def main_clusters(n: int, m1: int, s: int, h: int) -> tuple[int, int, int, int]:
+    """(c, m, clusters, k) of the composite construction on n vertices: the
+    cluster size c = ceil(m1^(1/(s-1))), which must be at least h, the seed
+    order m = c^(s-1), the cluster count n / c and the block size k = c^(s-2).
+    Raises ValueError, naming the CLI flag, when the numbers admit no
+    construction, so callers refuse before building a cover or a seed."""
     if s < 2:
         raise ValueError(f"composite construction needs sparseness >= 2, got s={s}")
     if n < 1:
@@ -278,7 +281,9 @@ def main_clusters(n: int, m1: int, s: int) -> tuple[int, int, int]:
     clusters = n // c
     if clusters < s:
         raise ValueError(f"need at least s={s} clusters, got {clusters}")
-    return c, c ** (s - 1), clusters
+    if c < h:
+        raise ValueError(f"cluster size {c} below h={h}")
+    return c, c ** (s - 1), clusters, c ** (s - 2)
 
 
 def main_construction(pattern: Pattern, n: int, m1: int, seed_graph: Hypergraph,
@@ -287,17 +292,14 @@ def main_construction(pattern: Pattern, n: int, m1: int, seed_graph: Hypergraph,
     gadget's extras, and report the edge accounting with its two bounds.  The
     result is not closed here: `wsat generate main` checks it.
 
-    n must be a multiple of the cluster size c = ceil(m1^(1/(s-1))), and
-    cover a design on N = n / c points with block size k = c^(s-2) and
-    strength t = s - 1.  seed_graph is a weakly saturated graph for the
-    pattern on m = c^(s-1) vertices (main_clusters derives c and m).  Each
-    of these conditions is checked and raises ValueError when it fails.
+    main_clusters(n, m1, s, h) lays out the clusters and checks n and m1.
+    cover must be a design on N = n / c points with block size k = c^(s-2)
+    and strength t = s - 1, and seed_graph a weakly saturated graph for the
+    pattern on m = c^(s-1) vertices.  Each of these conditions is checked
+    and raises ValueError when it fails.
     """
     r, h, s = pattern.r, pattern.h, pattern.s
-    c, m, clusters = main_clusters(n, m1, s)
-    if c < h:
-        raise ValueError(f"cluster size {c} below h={h}")
-    k = c ** (s - 2)
+    c, m, clusters, k = main_clusters(n, m1, s, h)
     if (cover.N, cover.k, cover.t) != (clusters, k, s - 1):
         raise ValueError(
             f"cover must have N={clusters}, k={k}, t={s - 1}; "

@@ -189,7 +189,8 @@ def wsat_exact(n: int, pattern: Pattern, budget: int = DEFAULT_BUDGET
 
 def wsat_upper_witness(n: int, pattern: Pattern) -> Hypergraph:
     """The graph of the best engine-verified upper bound among the generator
-    pipelines."""
+    pipelines: the first candidate that is_weakly_saturated accepts, taken
+    by edge count and, among equal counts, in build order (a stable sort)."""
     r, h, s = pattern.r, pattern.h, pattern.s
     candidates: list[Hypergraph] = []
     if n >= r:
@@ -206,13 +207,10 @@ def wsat_upper_witness(n: int, pattern: Pattern) -> Hypergraph:
             if 0 < k2 <= k1:
                 candidates.append(padded_example(clique_extremal(k1, h, r),
                                                  k2, pattern))
-    best = None
-    for g in candidates:
+    for g in sorted(candidates, key=lambda c: c.edge_count):
         if is_weakly_saturated(g, pattern):
-            if best is None or g.edge_count < best.edge_count:
-                best = g
-    assert best is not None  # the complete graph always qualifies
-    return best
+            return g
+    raise AssertionError("unreachable: the complete graph percolates")
 
 
 def exact_or_upper(n: int, pattern: Pattern, budget: int = DEFAULT_BUDGET

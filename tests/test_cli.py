@@ -8,6 +8,7 @@ import resource
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
+from dataclasses import replace
 from functools import lru_cache
 from itertools import combinations
 from pathlib import Path
@@ -182,6 +183,85 @@ def test_generate_cover_bound_failure_exits_negative(tmp_path, capsys,
     assert code == 1
 
 
+# one small instance of each generate kind, as argv after "generate"
+GENERATE_ARGV = {
+    "template": ["template", "3", "5", "2"],
+    "cone": ["cone", "--r", "2", "--s", "2", "--h", "3", "--size-a", "4",
+             "--size-b", "1"],
+    "spartite": ["spartite", "--r", "2", "--h", "3", "--part-sizes", "4,4"],
+    "percolate": ["percolate", "--r", "2", "--s", "2", "--h", "3", "--l", "3",
+                  "--t", "3"],
+    "s1": ["s1", "--pattern", "triangle+pendant", "--n", "5"],
+    "main": ["main", "--pattern", "K3", "--n", "12", "--m1", "4"],
+    "clique-extremal": ["clique-extremal", "5", "3", "2"],
+    "cover": ["cover", "6", "3", "2"],
+}
+
+
+@pytest.mark.parametrize("kind, target, bound", [
+    ("template", "template", "template_edge_count"),
+    ("cone", "cone_bound", "cone_extra_edges"),
+    ("percolate", "percolate_bound", "percolate_extra_edges"),
+    ("clique-extremal", "clique_extremal_bound", "clique_extremal_edges"),
+    ("main", "percolate_bound", "percolate_extra_edges"),
+])
+def test_generate_failed_bound_exits_negative(tmp_path, capsys, monkeypatch,
+                                              kind, target, bound):
+    """A bound that fails makes the verdict negative although the engine's
+    check passes."""
+    import wsat.cli as cli
+    if target == "template":
+        real_template = cli.template
+
+        def template_minus_one(r, h, s):
+            g, special = real_template(r, h, s)
+            return Hypergraph(g.n, g.r, g.sorted_edges[1:]), special
+
+        monkeypatch.setattr(cli, "template", template_minus_one)
+    else:
+        real_bound = getattr(cons, target)
+
+        def failing(*args):
+            check = real_bound(*args)
+            return replace(check, rhs=check.lhs - 1)
+
+        monkeypatch.setattr(cons, target, failing)
+    code, out, _ = run(capsys, "generate", *GENERATE_ARGV[kind],
+                       "--output", str(tmp_path))
+    assert code == 1
+    assert re.search(rf"^#BOUND {bound} \d+ -?\d+ false$", out, re.M), out
+    assert kind == "template" or "percolated=true" in out
+
+
+@pytest.mark.parametrize("kind, target, verdict", [
+    ("cone", "template_closure", "percolated"),
+    ("spartite", "template_closure", "percolated"),
+    ("percolate", "template_closure", "percolated"),
+    ("s1", "is_weakly_saturated", "percolated"),
+    ("main", "is_weakly_saturated", "percolated"),
+    ("clique-extremal", "is_weakly_saturated", "percolated"),
+    ("cover", "verify_cover", "valid"),
+])
+def test_generate_failed_check_exits_negative(tmp_path, capsys, monkeypatch,
+                                              kind, target, verdict):
+    """An engine check that fails makes the verdict negative although every
+    bound holds."""
+    import wsat.cli as cli
+    if target == "template_closure":
+        # the engine itself, run on the empty graph, which does not percolate
+        real_closure = cli.template_closure
+        monkeypatch.setattr(cli, target, lambda g, h, s: real_closure(
+            Hypergraph(g.n, g.r), h, s))
+    else:
+        monkeypatch.setattr(cli, target, lambda *args: False)
+    code, out, _ = run(capsys, "generate", *GENERATE_ARGV[kind],
+                       "--output", str(tmp_path))
+    assert code == 1
+    assert f" {verdict}=false" in out.splitlines()[0]
+    assert all(line.endswith(" true") for line in out.splitlines()
+               if line.startswith("#BOUND"))
+
+
 def test_generate_cover_k_equals_t_finishes(tmp_path):
     """With k = t every block covers its own t-subset only, so the cover is
     every t-subset.  C(86, 3) = 102,340 is past the exhaustive limit: run as
@@ -253,6 +333,23 @@ def test_generate_param_errors(capsys, tmp_path):
                            "--m1", m1, "--output", str(tmp_path))
         assert code == 64 and flag in err and "Traceback" not in err
     assert "multiple" in err
+
+
+def test_generate_main_refuses_small_clusters_before_building(tmp_path, capsys,
+                                                              monkeypatch):
+    """c = ceil(sqrt(9)) = 3 is below h = 5: refused before a sampled cover
+    on 100 points or a seed is built."""
+    import wsat.cli as cli
+
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("built before the layout was checked")
+
+    monkeypatch.setattr(cli, "greedy_cover", must_not_run)
+    monkeypatch.setattr(cli, "exact_or_upper", must_not_run)
+    assert run(capsys, "generate", "main", "--pattern", "K5^3", "--n", "300",
+               "--m1", "9", "--output", str(tmp_path)) == (
+        64, "", "wsat: error: cluster size 3 below h=5\n")
+    assert not any(tmp_path.iterdir())
 
 
 def _cone(r, s, h, a, b):

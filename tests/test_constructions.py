@@ -166,14 +166,15 @@ def test_main_construction_named_invariant_failures():
 
 
 def test_main_clusters():
-    assert main_clusters(12, 4, 2) == (4, 4, 3)
-    assert main_clusters(16, 16, 3) == (4, 16, 4)
-    assert main_clusters(15, 5, 3) == (3, 9, 5)  # c = ceil(sqrt(5))
-    for n, m1, s, match in ((0, 0, 2, "--n"), (12, 0, 2, "--m1"),
-                            (13, 4, 2, "multiple"), (4, 4, 2, "clusters"),
-                            (12, 4, 1, "sparseness")):
+    assert main_clusters(12, 4, 2, 3) == (4, 4, 3, 1)
+    assert main_clusters(16, 16, 3, 4) == (4, 16, 4, 4)
+    assert main_clusters(15, 5, 3, 3) == (3, 9, 5, 3)  # c = ceil(sqrt(5))
+    for n, m1, s, h, match in ((0, 0, 2, 3, "--n"), (12, 0, 2, 3, "--m1"),
+                               (13, 4, 2, 3, "multiple"), (4, 4, 2, 3, "clusters"),
+                               (12, 4, 1, 3, "sparseness"),
+                               (15, 5, 3, 4, "cluster size 3 below h=4")):
         with pytest.raises(ValueError, match=match):
-            main_clusters(n, m1, s)
+            main_clusters(n, m1, s, h)
 
 
 def test_main_construction_s3():

@@ -7,7 +7,7 @@ from math import comb
 
 import pytest
 
-from wsat.constructions import clique_extremal, padded_example
+from wsat.constructions import clique_extremal, padded_example, s1_construction
 from wsat.hypergraph import Hypergraph, complete_graph, edge_universe, graph_of_mask
 from wsat.percolation import (
     certificate_to_text,
@@ -251,6 +251,54 @@ def test_upper_witness_takes_the_padded_candidate(n, pattern, padded, extremal):
     assert witness.edge_count == padded
     assert clique_extremal(n, pattern.h, 3).edge_count == extremal
     assert is_weakly_saturated(witness, pattern)
+
+
+def upper_candidates(n, pattern):
+    """The graphs wsat_upper_witness chooses from, in the order it builds them."""
+    r, h, s = pattern.r, pattern.h, pattern.s
+    candidates = [complete_graph(n, r) if n >= r else Hypergraph(n, r)]
+    if n >= h:
+        candidates.append(clique_extremal(n, h, r))
+        if s == 1:
+            candidates.append(s1_construction(pattern, n))
+        k1 = max(h, (n + 1) // 2)
+        if s >= 2 and 0 < n - k1 <= k1:
+            candidates.append(padded_example(clique_extremal(k1, h, r), n - k1,
+                                             pattern))
+    return candidates
+
+
+def upper_oracle(n, pattern):
+    """Close every candidate; keep the first of least edge count that
+    percolates.  Returns it and the number of candidates closed."""
+    candidates = upper_candidates(n, pattern)
+    best = None
+    for g in candidates:
+        if is_weakly_saturated(g, pattern):
+            if best is None or g.edge_count < best.edge_count:
+                best = g
+    return best, len(candidates)
+
+
+@pytest.mark.parametrize("pattern", [
+    K3, K4, K43, make_pattern(complete_graph(5, 3)), TRI_PENDANT, C4, K43_MINUS_E,
+    make_pattern(complete_graph(3, 3))],
+    ids=["K3", "K4", "K4^3", "K5^3", "triangle+pendant", "C4", "K4^3-e", "edge^3"])
+def test_upper_witness_matches_close_every_candidate(monkeypatch, pattern):
+    import wsat.solver as solver
+    calls = 0
+
+    def counted(g, p):
+        nonlocal calls
+        calls += 1
+        return is_weakly_saturated(g, p)
+
+    monkeypatch.setattr(solver, "is_weakly_saturated", counted)
+    for n in range(14):
+        expected, closed = upper_oracle(n, pattern)
+        calls = 0
+        assert wsat_upper_witness(n, pattern) == expected, n
+        assert calls <= closed, n
 
 
 def test_exact_below_upper():
