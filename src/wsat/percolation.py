@@ -14,7 +14,8 @@ A ClosureResult keeps the start graph and certificate.
 
 The witness search pins the added edge: it tries every pattern edge as the
 preimage of e under every bijection onto e, then extends to the remaining
-pattern vertices in decreasing-degree order, pruning on edge presence.  For
+pattern vertices in decreasing-degree order; it tests a pattern edge's image
+for presence only where the edge's last vertex in that order is assigned.  For
 closure runs the witnesses are found in the same order once per pattern, for
 the base edge (0..r-1) against the complete universe, and relabelled onto
 every candidate edge; the result is cached as required-edge bitmasks
@@ -175,82 +176,59 @@ def sweep(left: list, step_for: Callable[[object], object | None]) -> list:
     return steps
 
 
-def _pattern_search_order(pattern: Pattern):
-    """Deterministic search scaffolding shared by all witness searches.
-
-    Returns the pattern's edges in colex order, the free-vertex order
-    (decreasing degree, index as tiebreak) for each pinned edge, and the
-    adjacency needed for incremental pruning.
-    """
+def _pattern_search_order(pattern: Pattern) -> dict[Edge, tuple[int, ...]]:
+    """The order in which every pinned search assigns the pattern's vertices,
+    for each pinned edge in colex order: the pinned edge's vertices, then
+    the free ones by decreasing degree, index as tiebreak."""
     g = pattern.graph
-    pat_edges = g.sorted_edges
     degree = [0] * g.n
     for e in g.edges:
         for v in e:
             degree[v] += 1
-    orders = {}
-    for pinned in pat_edges:
-        free = [v for v in range(g.n) if v not in pinned]
-        free.sort(key=lambda v: (-degree[v], v))
-        orders[pinned] = free
-    return pat_edges, orders
+    vertices = sorted(range(g.n), key=lambda v: (-degree[v], v))
+    return {pinned: pinned + tuple([v for v in vertices if v not in pinned])
+            for pinned in g.sorted_edges}
 
 
-def _extend_embeddings(pattern, free_order, assignment, host_n, edge_present):
-    """Yield completed assignments extending `assignment` (a dict).
+def _pinned_embeddings(pattern: Pattern, e: Edge, host_n: int, edge_present
+                       ) -> Iterator[tuple[int, ...]]:
+    """Yield the mappings (mapping[v] hosts pattern vertex v) of the pattern's
+    embeddings into host_n vertices whose image covers e, in search order.
 
-    Candidates for each free vertex are scanned in increasing host index;
-    a partial assignment is abandoned as soon as some fully-mapped pattern
-    edge has an absent image.  Yields assignments in the deterministic
-    search order.
+    Each pattern edge in colex order is the preimage of e under each
+    bijection in permutations(e) order; then each free vertex in its search
+    order tries the unused hosts in increasing index.  A pattern edge
+    completes where its last vertex in the order is assigned, and only
+    there is its image, a sorted tuple, passed to edge_present: a host is
+    rejected when an edge it completes has an absent image.  The pinned
+    edge completes before any free vertex, so e itself is never tested.
     """
-    pat_edges = pattern.graph.sorted_edges
-    used = set(assignment.values())
+    h = pattern.h
+    orders = _pattern_search_order(pattern)
+    for order in orders.values():
+        at = {v: i for i, v in enumerate(order)}
+        mapping_of = _getter([at[v] for v in range(h)])
+        # completes[i] gets, from hosts by position, the hosts of each
+        # pattern edge whose last vertex in the order is order[i]
+        completes = [[] for _ in order]
+        for pe in orders:
+            positions = [at[v] for v in pe]
+            completes[max(positions)].append(_getter(positions))
 
-    def attempt(i):
-        if i == len(free_order):
-            yield dict(assignment)
-            return
-        v = free_order[i]
-        for u in range(host_n):
-            if u in used:
-                continue
-            assignment[v] = u
-            used.add(u)
-            ok = True
-            for pe in pat_edges:
-                if v in pe and all(w in assignment for w in pe):
-                    img = tuple(sorted(assignment[w] for w in pe))
-                    if not edge_present(img):
-                        ok = False
-                        break
-            if ok:
-                yield from attempt(i + 1)
-            del assignment[v]
-            used.discard(u)
+        def extend(hosts):
+            if len(hosts) == h:
+                yield mapping_of(hosts)
+                return
+            tests = completes[len(hosts)]
+            for u in range(host_n):
+                if u not in hosts:
+                    grown = hosts + (u,)
+                    if all(edge_present(tuple(sorted(image(grown))))
+                           for image in tests):
+                        yield from extend(grown)
 
-    yield from attempt(0)
-
-
-def _pinned_embeddings(pattern: Pattern, e: Edge, host_n: int, edge_present):
-    """Yield embeddings of the pattern whose image covers e, in search order.
-
-    edge_present decides membership for every image edge other than e itself
-    (e is treated as present, being the edge under test).
-    """
-    pat_edges, free_orders = _pattern_search_order(pattern)
-    e_set = set(e)
-
-    def present(img):
-        return set(img) == e_set or edge_present(img)
-
-    for pinned in pat_edges:
-        for assigned in permutations(e):
-            assignment = dict(zip(pinned, assigned))
-            # the pinned edge maps exactly onto e; nothing to check yet
-            for full in _extend_embeddings(pattern, free_orders[pinned],
-                                           assignment, host_n, present):
-                yield full
+        for head in permutations(e):
+            yield from extend(head)
 
 
 def creates_new_copy(g: Hypergraph, pattern: Pattern, e
@@ -264,10 +242,7 @@ def creates_new_copy(g: Hypergraph, pattern: Pattern, e
     e = canonical_edge(e, g.n, g.r)
     if e in g.edges:
         raise ValueError(f"edge {e} is already present")
-    for assignment in _pinned_embeddings(pattern, e, g.n,
-                                         lambda img: img in g.edges):
-        return tuple(assignment[v] for v in range(pattern.h))
-    return None
+    return next(_pinned_embeddings(pattern, e, g.n, g.edges.__contains__), None)
 
 
 def _getter(indices: Sequence[int]) -> Callable[[Sequence], tuple]:
@@ -289,26 +264,26 @@ def _base_witnesses(pattern: Pattern, n: int):
     image edges other than the base edge, mappings[i] is the first vertex
     mapping found with that required set.
 
-    In the complete universe no partial assignment is pruned, so the pinned
-    search visits, for each pattern edge in colex order and each bijection
-    of it onto the base edge, every injection of its free order into
+    In the complete universe every image edge is present, so the pinned
+    search (_pinned_embeddings) rejects no host: for each pinned edge's
+    order in _pattern_search_order and each bijection of the pinned edge
+    onto the base edge, it visits every injection of the free vertices into
     {r..n-1} in lexicographic order.  That product is enumerated directly,
     on vertex bitmasks: |E(H)|·r!·(n-r)!/(n-h)! assignments.
     """
     r, h = pattern.r, pattern.h
-    pat_edges, free_orders = _pattern_search_order(pattern)
+    orders = _pattern_search_order(pattern)
     rank_of = mask_rank_table(n, r)
     bits = [1 << v for v in range(n)]
     seen: set[tuple[int, ...]] = set()
     required: list[tuple[int, ...]] = []
     mappings: list[tuple[int, ...]] = []
-    for pinned in pat_edges:
+    for pinned, order in orders.items():
         # an assignment is a tuple of vertex bits: position k hosts order[k]
-        order = pinned + tuple(free_orders[pinned])
         mapping_of = _getter([order.index(v) for v in range(h)])
         # the vertex bits of each other pattern edge's image
         images = [_getter([order.index(w) for w in pe])
-                  for pe in pat_edges if pe != pinned]
+                  for pe in orders if pe != pinned]
         for head in permutations(bits[:r]):
             for tail in permutations(bits[r:], h - r):
                 assigned = head + tail

@@ -190,13 +190,11 @@ def wsat_exact(n: int, pattern: Pattern, budget: int = DEFAULT_BUDGET
 def wsat_upper_witness(n: int, pattern: Pattern) -> Hypergraph:
     """The graph of the best engine-verified upper bound among the generator
     pipelines: the first candidate that is_weakly_saturated accepts, taken
-    by edge count and, among equal counts, in build order (a stable sort)."""
+    by edge count and, among equal counts, in build order (a stable sort).
+    From n = h on, clique_extremal percolates with fewer edges than the
+    complete graph, which is built only as the answer for n < h, unclosed."""
     r, h, s = pattern.r, pattern.h, pattern.s
     candidates: list[Hypergraph] = []
-    if n >= r:
-        candidates.append(complete_graph(n, r))
-    else:
-        candidates.append(Hypergraph(n, r))  # empty universe, vacuously complete
     if n >= h:
         candidates.append(clique_extremal(n, h, r))
         if s == 1:
@@ -210,7 +208,7 @@ def wsat_upper_witness(n: int, pattern: Pattern) -> Hypergraph:
     for g in sorted(candidates, key=lambda c: c.edge_count):
         if is_weakly_saturated(g, pattern):
             return g
-    raise AssertionError("unreachable: the complete graph percolates")
+    return complete_graph(n, r) if n >= r else Hypergraph(n, r)
 
 
 def exact_or_upper(n: int, pattern: Pattern, budget: int = DEFAULT_BUDGET

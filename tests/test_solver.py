@@ -301,6 +301,27 @@ def test_upper_witness_matches_close_every_candidate(monkeypatch, pattern):
         assert calls <= closed, n
 
 
+def test_upper_witness_builds_no_complete_graph_from_h_on(monkeypatch):
+    """For n >= h, clique_extremal beats the complete graph, which is then
+    never built; below h it is the answer, closed by no engine."""
+    import wsat.solver as solver
+    built = []
+
+    def recorded(n, r):
+        built.append(n)
+        return complete_graph(n, r)
+
+    monkeypatch.setattr(solver, "complete_graph", recorded)
+    for pattern in (K3, K43, TRI_PENDANT, C4):
+        for n in range(pattern.h, 10):
+            wsat_upper_witness(n, pattern)
+    assert built == []
+    monkeypatch.setattr(solver, "is_weakly_saturated", None)
+    assert wsat_upper_witness(3, K4) == complete_graph(3, 2)
+    assert wsat_upper_witness(2, K43) == Hypergraph(2, 3)
+    assert built == [3]
+
+
 def test_exact_below_upper():
     for n, pattern in [(4, K3), (5, K3), (6, K3), (5, K4), (5, K43),
                        (5, TRI_PENDANT), (4, SINGLE_EDGE)]:

@@ -1,6 +1,8 @@
 """The witness index against a per-edge oracle and the direct search."""
 
 import random
+from collections import defaultdict
+from itertools import permutations
 
 from hypothesis import given, settings, strategies as st
 
@@ -207,3 +209,56 @@ def test_first_witness_is_the_direct_search_witness(case):
             assert found is None
         else:
             assert found == direct
+
+
+def brute_force_embeddings(pattern, n, present):
+    """Every injective map of the pattern into n host vertices that sends a
+    pattern edge onto some edge e with every other image present, grouped
+    by e and sorted as the pinned search orders them: by the colex position
+    of the edge sent onto e, the bijection's index in permutations(e), and
+    the hosts of the free vertices taken by decreasing degree, index as
+    tiebreak."""
+    g = pattern.graph
+    pat_edges = g.sorted_edges
+    degree = [sum(v in pe for pe in pat_edges) for v in range(g.n)]
+    found = defaultdict(list)
+    for m in permutations(range(n), g.n):
+        images = [tuple(sorted(m[v] for v in pe)) for pe in pat_edges]
+        for k, (pe, e) in enumerate(zip(pat_edges, images)):
+            if all(present(img) for img in images if img != e):
+                free = sorted(set(range(g.n)) - set(pe),
+                              key=lambda v: (-degree[v], v))
+                bijection = [*permutations(e)].index(tuple(m[v] for v in pe))
+                found[e].append(((k, bijection, [m[v] for v in free]), m))
+    return {e: [m for _, m in sorted(maps)] for e, maps in found.items()}
+
+
+SEQUENCE_PATTERNS = {
+    "K2": DEGENERATE["edge^2"],
+    "K3": COMPLETE["K3"],
+    "triangle+pendant": NON_COMPLETE["triangle+pendant"],
+    "C4": NON_COMPLETE["C4"],
+    "C5": NON_COMPLETE["C5"],
+    "K4^3": COMPLETE["K4^3"],
+    "K4^3-e": make_pattern(Hypergraph(4, 3, [(0, 1, 2), (0, 1, 3), (0, 2, 3)])),
+    "triangle+2 isolated": _graph(5, [(0, 1), (0, 2), (1, 2)]),
+}
+
+
+def test_pinned_search_yields_every_embedding_in_order():
+    """The whole sequence of pinned embeddings on partial hosts, against a
+    brute force over every injective map."""
+    rng = random.Random(29)
+    embeddings = 0
+    for name, pat in SEQUENCE_PATTERNS.items():
+        for n in range(pat.h, pat.h + 3):
+            for density in (0.3, 0.6, 0.9):
+                edges = {e for e in edge_universe(n, pat.r)
+                         if rng.random() < density}
+                expected = brute_force_embeddings(pat, n, edges.__contains__)
+                for e in edge_universe(n, pat.r):
+                    found = [tuple(m[v] for v in range(pat.h)) for m in
+                             _pinned_embeddings(pat, e, n, edges.__contains__)]
+                    assert found == expected.get(e, []), (name, n, density, e)
+                    embeddings += len(found)
+    assert embeddings > 0
