@@ -24,6 +24,7 @@ import math
 import re
 import sys
 from functools import partial
+from itertools import chain
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -38,6 +39,7 @@ from .hypergraph import (
     graph_to_text,
 )
 from .percolation import (
+    _blocks,
     certificate_to_text,
     closure,
     is_weakly_saturated,
@@ -328,14 +330,14 @@ def cmd_verify(args) -> int:
     g = load_graph(args.graph)
     pattern = load_pattern(args.pattern)
     with open_input(args.certificate) as file:
-        kind, n, r, steps = read_certificate(iter(partial(file.read, 1 << 16), ""))
+        kind, n, r, blocks = read_certificate(iter(partial(file.read, 1 << 16), ""))
         # a template header for another graph gets the pattern kind's verdict
         if kind == "template" and (n, r) == (g.n, g.r):
-            steps = template_mappings(pattern, r, steps)
-        check, count = replay_steps(g, pattern, n, r, steps)
+            blocks = _blocks(template_mappings(pattern, r, chain.from_iterable(blocks)))
+        check, count = replay_steps(g, pattern, n, r, blocks)
         # read on after a verdict: a malformed later line or template step
         # still ends the run with its FormatError or ValueError
-        for _ in steps:
+        for _ in blocks:
             pass
     if check.ok:
         print(f"valid steps={count}")

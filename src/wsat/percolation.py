@@ -30,13 +30,13 @@ the complement, so each edge's witnesses keep the direct search's order: the
 first satisfied witness is the one it would find.
 
 Certificates are checked by replay, which uses neither the witness index
-nor the closure.  A step is one tuple from engine to text to replay:
-PatternStep (edge, mapping) and TemplateStep (edge, vertex_set, core) are
-named tuples of an added edge and the copy that certifies it; the text
-line's middle column, the phase key, is known only to the text format.  One
-function, replay_steps, is the only certificate checker: it reads (edge,
-mapping) steps in blocks of BLOCK.  A bulk check (_accept_block) accepts a
-block whose every step passes, with column operations over the whole block;
+nor the closure.  PatternStep (edge, mapping) and TemplateStep (edge,
+vertex_set, core) are named tuples of an added edge and the copy that
+certifies it; the text line's middle column, the phase key, is known only
+to the text format.  One function, replay_steps, is the only certificate
+checker: it reads (edge, mapping) steps in blocks, lists of step tuples or
+tuples of vertex columns.  A bulk check (_accept_block) accepts a block
+whose every step passes, with column operations over the whole block;
 a block it does not accept is replayed from its start by the per-step loop,
 with the checks in a fixed order and with fixed messages, and only that
 loop builds a verdict's step and reason.  A step's copy of H must cover the
@@ -53,15 +53,15 @@ are computed for the vertices that occur, and image keys are sums of their
 mapping's codes, with no sort; only a failure message builds a sorted edge.
 
 The text parser (read_certificate) reads text chunks, such as 64 KiB blocks
-of an open file, and returns the header and a generator of plain step tuples,
-which certificate_from_text makes named.  wsat verify feeds the generator,
-through template_mappings for a template certificate, straight into
-replay_steps, so it holds neither the whole text nor any step object.
-A pattern step line written exactly as certificate_to_text writes it is
-matched by one regular expression, built from the first step's edge size
-and mapping length.  Every other line goes through the per-token checks,
-which are the only source of FormatErrors, so messages and line numbers do
-not depend on the fast form.
+of an open file, and returns the header and a generator of step blocks of
+BLOCK lines, which certificate_from_text flattens into named steps.  wsat
+verify feeds it, through template_mappings for a template certificate,
+straight into replay_steps, so it holds one block of steps at a time.  A
+block of pattern steps written exactly as certificate_to_text writes them
+is scanned into vertex columns by one findall, with no step tuple made.
+Every other block goes through the per-token checks, which are the only
+source of FormatErrors, so messages and line numbers do not depend on the
+fast form.
 """
 
 from __future__ import annotations
@@ -69,9 +69,9 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import chain, filterfalse, islice, permutations, repeat, starmap
+from itertools import chain, combinations, filterfalse, islice, permutations, repeat, starmap
 from math import comb
-from operator import add, itemgetter
+from operator import add, eq, itemgetter
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .hypergraph import (
@@ -434,41 +434,56 @@ def _add_columns(columns: list) -> list:
     return [*first]
 
 
-def _accept_block(block: list, n: int, r: int, h: int, code, pat_edges,
-                  current: set) -> bool:
-    """Add the keys of a block's edges to current and return True when
-    every step of the block passes replay in order; else leave current as
-    it was and return False.
+def _columns(block: list, n: int, r: int, h: int) -> tuple | None:
+    """A list of (edge, mapping) steps as the scan's vertex columns, or None
+    unless its edges have r vertices and all vertices are in [0, n); raises
+    ValueError unless its steps have two fields, its edges and mappings
+    each one length."""
+    edges, maps = zip(*block, strict=True)
+    columns = (*zip(*edges, strict=True), *zip(*maps, strict=True))
+    if len(edges[0]) != r or min(map(min, columns)) < 0 or max(map(max, columns)) >= n:
+        return None
+    return columns
 
-    The conditions are tested on the whole block with zip, map, slices and
-    set and dict operations: two fields per step, r-vertex edges and
-    h-vertex mappings, vertices in [0, n), injective mappings, edge keys
-    absent from current, an image of each step equal to its edge and none
-    equal to the edge of the same or a later step, and every image in
-    current once the block's edges are.  Two checks of the loop follow:
-    the edge keys are distinct, and an edge's vertices are distinct, since
-    its key is an image's, the key of an r-set, and keys are injective on
-    multisets of r vertices in [0, n) as on sets (power sums determine a
-    multiset too).
+
+def _steps(block, r: int) -> list:
+    """A block's (edge, mapping) steps: a column tuple's zipped, a list's."""
+    return [*zip(zip(*block[:r]), zip(*block[r:]))] if type(block) is tuple else block
+
+
+def _blocks(steps: Iterable[tuple]) -> Iterator[list]:
+    """Steps in lists of BLOCK, the blocks replay_steps reads."""
+    steps = iter(steps)
+    return iter(lambda: [*islice(steps, BLOCK)], [])
+
+
+def _accept_block(columns: tuple, r: int, h: int, code, pat_edges,
+                  current: set) -> bool:
+    """Add the keys of a column block's edges to current and return True
+    when every step of the block passes replay in order; else leave
+    current as it was and return False.
+
+    The columns, scanned or from _columns, hold vertices in [0, n).  The
+    other conditions are tested on the whole block with map, zip and set
+    and dict operations: r edge columns and h mapping columns, injective
+    mappings (no two mapping columns agree in a row), edge keys absent from
+    current, an image of each step equal to its edge and none to the edge
+    of the same or a later step, and every image in current once the
+    block's edges are.  Two checks of the loop follow: the edge keys are
+    distinct, and an edge's vertices are distinct, since its key is an
+    image's, the key of an r-set, and keys are injective on multisets of r
+    vertices in [0, n) as on sets (power sums determine a multiset too).
     """
-    if {*map(len, block)} != {2}:
+    if len(columns) != r + h:
         return False
-    edges, maps = zip(*block)
-    if ({*map(len, edges)} != {r} or {*map(len, maps)} != {h}
-            or {*map(len, map(set, maps))} != {h}):
-        return False
-    edge_vertices = [*chain.from_iterable(edges)]
-    map_vertices = [*chain.from_iterable(maps)]
-    vertices = {*edge_vertices, *map_vertices}
-    if min(vertices) < 0 or max(vertices) >= n:
-        return False
-    edge_codes = [*map(code, edge_vertices)]
-    keys = _add_columns([edge_codes[j::r] for j in range(r)])
+    for a, b in combinations(columns[r:], 2):
+        if any(map(eq, a, b)):
+            return False
+    keys = _add_columns([map(code, column) for column in columns[:r]])
     key_set = set(keys)
     if not current.isdisjoint(key_set):
         return False
-    map_codes = [*map(code, map_vertices)]
-    targets = [map_codes[v::h] for v in range(h)]  # column v: the codes of m[v]
+    targets = [[*map(code, column)] for column in columns[r:]]
     images = [_add_columns([targets[v] for v in pe]) for pe in pat_edges]
     # with at[key] its step and -1 for an image outside the block, a step's
     # largest image position is its own index exactly when an image is its
@@ -488,7 +503,7 @@ def _accept_block(block: list, n: int, r: int, h: int, code, pat_edges,
 
 
 def replay_steps(g: Hypergraph, pattern: Pattern, n: int, r: int,
-                 steps: Iterable[tuple]) -> tuple[CertificateCheck, int]:
+                 blocks: Iterable) -> tuple[CertificateCheck, int]:
     """Replay the (edge, mapping) steps of a pattern certificate for the
     (n, r) universe against g; returns the verdict and the number of steps
     replayed, the failing one included (none when n, r are not g's).
@@ -497,11 +512,12 @@ def replay_steps(g: Hypergraph, pattern: Pattern, n: int, r: int,
     injective embedding of the pattern into the current graph plus the
     step's edge, and the image covers that edge.
 
-    Steps are read in blocks of BLOCK.  _accept_block accepts a block whose
-    steps all pass, at C speed; a block it does not accept is replayed from
-    the state at its start by the per-step loop, which alone builds a
-    failure's step and reason.  So up to BLOCK - 1 steps past a failing one
-    are read, and an exception the steps raise there propagates.
+    The steps come in blocks: lists of step tuples (_blocks) or tuples of
+    vertex columns (read_certificate's scan).  _accept_block accepts a block
+    whose steps all pass, at C speed; a block it does not accept is replayed
+    from the state at its start by the per-step loop, which alone builds a
+    failure's step and reason.  So a failing step's whole block is read, and
+    an exception raised while reading it propagates.
     """
     if n != g.n or r != g.r:
         return CertificateCheck(False, None, f"certificate is for n={n} r={r}, "
@@ -512,18 +528,18 @@ def replay_steps(g: Hypergraph, pattern: Pattern, n: int, r: int,
     pat_edges = pattern.graph.sorted_edges
     code = _VertexCodes(n, r).__getitem__
     current = {sum(map(code, e)) for e in g.edges}
-    steps = iter(steps)
     count = 0  # steps in the blocks replayed so far
-    while block := [*islice(steps, BLOCK)]:
+    for block in blocks:
         try:
-            accepted = _accept_block(block, n, r, h, code, pat_edges, current)
+            columns = block if type(block) is tuple else _columns(block, n, r, h)
+            if columns and _accept_block(columns, r, h, code, pat_edges, current):
+                count += len(columns[0])
+                continue
         except (TypeError, ValueError):
-            accepted = False  # a step of another shape: the loop judges it
-        if accepted:
-            count += len(block)
-            continue
+            pass  # a step of another shape: the loop judges it
+        steps = _steps(block, r)
         reason = None
-        for i, (edge, m) in enumerate(block, count):
+        for i, (edge, m) in enumerate(steps, count):
             if len(edge) != r or len(set(edge)) != r or min(edge) < 0 or max(edge) >= n:
                 try:
                     canonical_edge(edge, n, r)  # raises, naming the first failed check
@@ -554,7 +570,7 @@ def replay_steps(g: Hypergraph, pattern: Pattern, n: int, r: int,
                 break
         if reason is not None:
             return CertificateCheck(False, i, reason), i + 1
-        count += len(block)
+        count += len(steps)
     return CertificateCheck(True), count
 
 
@@ -564,7 +580,7 @@ def verify_certificate(g: Hypergraph, pattern: Pattern,
     (replay_steps)."""
     if cert.kind != "pattern":
         raise ValueError(f"expected a pattern certificate, got kind={cert.kind!r}")
-    return replay_steps(g, pattern, cert.n, cert.r, cert.steps)[0]
+    return replay_steps(g, pattern, cert.n, cert.r, _blocks(cert.steps))[0]
 
 
 def clique_wsat_value(n: int, t: int, r: int) -> int:
@@ -607,13 +623,19 @@ def _parse_int_list(text: str, line_no: int) -> tuple[int, ...]:
         raise FormatError(line_no, f"expected integers, got {text.strip()!r}") from None
 
 
-def _written_step(r: int, h: int) -> re.Pattern:
-    """A pattern step line exactly as certificate_to_text writes it for an
-    r-vertex edge and an h-vertex mapping, with any integer key: every
-    number of the edge and the mapping is a group."""
-    edge = " ".join(["([0-9]+)"] * r)
-    mapping = " ".join(f"{v}->([0-9]+)" for v in range(h))
-    return re.compile(rf"{edge} \| -?[0-9]+ \| {mapping}")
+def _vertex_columns(found: list, number: dict, n: int) -> tuple | None:
+    """The number columns of a scanned block as ints, or None when one is n
+    or more; number keeps int() of each digit string below n met, and a
+    string longer than n's, which int() may refuse, is not converted."""
+    texts = [*zip(*found)]
+    try:
+        return tuple([[*map(number.__getitem__, text)] for text in texts])
+    except KeyError:
+        fresh = {*chain.from_iterable(texts)}.difference(number)
+    if any(len(text) > len(str(n)) or int(text) >= n for text in fresh):
+        return None
+    number.update(zip(fresh, map(int, fresh)))
+    return _vertex_columns(found, number, n)
 
 
 def _parse_mapping(text: str, line_no: int) -> tuple[int, ...]:
@@ -621,9 +643,7 @@ def _parse_mapping(text: str, line_no: int) -> tuple[int, ...]:
     FormatErrors, and the path for every witness not in written form."""
     mapping = {}
     for tok in text.split():
-        if "->" not in tok:
-            raise FormatError(line_no, f"bad mapping entry {tok!r}")
-        a, _, b = tok.partition("->")
+        a, _, b = tok.partition("->")  # without "->", b is "", not an integer
         try:
             v, u = int(a), int(b)
         except ValueError:
@@ -658,18 +678,19 @@ def _chunk_lines(chunks: Iterable[str]) -> Iterator[list[str]]:
     yield carry.splitlines()
 
 
-def read_certificate(chunks: Iterable[str]) -> tuple[str, int, int, Iterator[tuple]]:
+def read_certificate(chunks: Iterable[str]) -> tuple[str, int, int, Iterator]:
     """The header (kind, n, r) of a certificate text, given as an iterable
     of text chunks split anywhere (blocks read from an open file, its lines,
-    or (text,)), and a generator of its steps as plain tuples: (edge,
-    mapping) for a pattern certificate, (edge, vertex_set, core) for a
-    template one; each line's phase key must be an integer and is dropped.
-    Lines and line numbers are those of the whole text's splitlines(), and
-    no more than one chunk and one line are held at a time.
-    A malformed header raises at once, a malformed step line when the
-    generator reaches it."""
-    lines = enumerate(chain.from_iterable(_chunk_lines(chunks)), start=1)
-    for line_no, raw in lines:
+    or (text,)), and a generator of its steps in blocks of BLOCK lines: the
+    scan's tuple of vertex columns (_steps zips it into steps), or a list of
+    plain step tuples, (edge, mapping) for a pattern certificate, (edge,
+    vertex_set, core) for a template one; each line's phase key must be an
+    integer and is dropped.  Lines and line numbers are those of the whole
+    text's splitlines(), and one chunk and one block are held at a time.  A
+    malformed header raises at once, a malformed step line when the
+    generator reaches its block."""
+    lines = chain.from_iterable(_chunk_lines(chunks))
+    for line_no, raw in enumerate(lines, start=1):
         line = raw.strip()
         if line and line[0] != "#":
             break
@@ -687,57 +708,58 @@ def read_certificate(chunks: Iterable[str]) -> tuple[str, int, int, Iterator[tup
         raise FormatError(line_no, "header n and r must be integers") from None
     if n < 0 or r < 1:
         raise FormatError(line_no, f"invalid header n={n} r={r}")
-    return kind, n, r, _raw_steps(lines, kind, r)
+    return kind, n, r, _raw_steps(lines, line_no, kind, n, r)
 
 
-def _raw_steps(lines, kind: str, r: int) -> Iterator[tuple]:
-    written = None  # _written_step for the first pattern step's r and h
-    number: dict[str, int] = {}  # int() of each number string it matched
-    for line_no, raw in lines:
-        match = written.fullmatch(raw) if written is not None else None
-        if match is not None:
-            digits = match.groups()
+def _raw_steps(lines, line_no: int, kind: str, n: int, r: int) -> Iterator:
+    """The step blocks of the lines after line line_no."""
+    written = None  # the scan, built at the first pattern step
+    number: dict[str, int] = {}  # int() of each digit string scanned, below n
+    size = 1 if kind == "pattern" else BLOCK  # one line until the scan is built
+    while block := [*islice(lines, size)]:
+        found = written.findall("\n".join(block)) if written else ()
+        if len(found) == len(block) and (columns := _vertex_columns(found, number, n)):
+            line_no += len(block)
+            yield columns
+            continue
+        steps = []
+        for line_no, raw in enumerate(block, line_no + 1):
+            line = raw.strip()
+            if not line or line[0] == "#":
+                continue
+            fields = line.split("|")
+            if len(fields) != 3:
+                raise FormatError(line_no, "step must be 'edge | phase_key | witness'")
+            edge_text, phase_text, witness = fields
+            edge = _parse_int_list(edge_text, line_no)
             try:
-                values = [*map(number.__getitem__, digits)]
-            except KeyError:
-                number.update(zip(digits, map(int, digits)))
-                values = [*map(number.__getitem__, digits)]
-            yield tuple(values[:r]), tuple(values[r:])
-            continue
-        line = raw.strip()
-        if not line or line[0] == "#":
-            continue
-        fields = line.split("|")
-        if len(fields) != 3:
-            raise FormatError(line_no, "step must be 'edge | phase_key | witness'")
-        edge_text, phase_text, witness = fields
-        edge = _parse_int_list(edge_text, line_no)
-        try:
-            int(phase_text)  # the key must be an integer; nothing keeps it
-        except ValueError:
-            raise FormatError(line_no, f"phase key {phase_text.strip()!r} "
-                                       f"is not an integer") from None
-        if kind == "pattern":
-            m = _parse_mapping(witness, line_no)
-            # the regex grows with r and h: build it only from an edge of r
-            # vertices, so its size is bounded by this line's
-            if written is None and len(edge) == r:
-                written = _written_step(r, len(m))
-            yield edge, m
-        else:
-            w_part, z_part = None, None
-            for tok in witness.split():
-                if tok.startswith("W={") and tok.endswith("}"):
-                    w_part = tok[3:-1]
-                elif tok.startswith("Z={") and tok.endswith("}"):
-                    z_part = tok[3:-1]
-            if w_part is None or z_part is None:
-                raise FormatError(line_no, "template witness must be 'W={...} Z={...}'")
-            yield (edge, _parse_int_list(w_part, line_no),
-                   _parse_int_list(z_part, line_no))
+                int(phase_text)  # the key must be an integer; nothing keeps it
+            except ValueError:
+                raise FormatError(line_no, f"phase key {phase_text.strip()!r} "
+                                           f"is not an integer") from None
+            if kind == "pattern":
+                m = _parse_mapping(witness, line_no)
+                # the scan: lines as certificate_to_text writes them, any key,
+                # each vertex a group; built from an edge of r vertices, as it
+                # grows with r and h, and a mapping, so its columns count lines
+                if written is None and len(edge) == r and m:
+                    edge_re = " ".join(["([0-9]+)"] * r)
+                    map_re = " ".join(f"{v}->([0-9]+)" for v in range(len(m)))
+                    written = re.compile(rf"^{edge_re} \| -?[0-9]+ \| {map_re}$", re.M)
+                    size = BLOCK
+                steps.append((edge, m))
+            else:
+                sets = {tok[0]: tok[3:-1] for tok in witness.split()
+                        if tok[:3] in ("W={", "Z={") and tok.endswith("}")}
+                if len(sets) != 2:
+                    raise FormatError(line_no, "template witness must be 'W={...} Z={...}'")
+                steps.append((edge, _parse_int_list(sets["W"], line_no),
+                              _parse_int_list(sets["Z"], line_no)))
+        yield steps
 
 
 def certificate_from_text(text: str) -> SaturationCertificate:
-    kind, n, r, steps = read_certificate((text,))
+    kind, n, r, blocks = read_certificate((text,))
     step = PatternStep if kind == "pattern" else TemplateStep
+    steps = chain.from_iterable(_steps(block, r) for block in blocks)
     return SaturationCertificate(kind, n, r, tuple(starmap(step, steps)))

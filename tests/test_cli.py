@@ -555,8 +555,13 @@ K4_EXTREMAL_CERT = certificate_to_text(closure(K4_EXTREMAL, K4).certificate)
 K4_TEMPLATE_GRAPH = template_minus(2, 4, 2)
 K4_TEMPLATE_CERT = certificate_to_text(
     template_closure(K4_TEMPLATE_GRAPH, 4, 2).certificate)
+# clique_extremal(36, 4, 2) relabelled by v -> 7v + 3 mod 36: 561 steps,
+# more than two replay blocks
+K4_LONG = Hypergraph(36, 2, [tuple(sorted((7 * v + 3) % 36 for v in e))
+                             for e in cons.clique_extremal(36, 4, 2).edges])
+K4_LONG_CERT = certificate_to_text(closure(K4_LONG, K4).certificate)
 VERIFY_BASES = {K4_CERT: K4_GRAPH, K4_EXTREMAL_CERT: K4_EXTREMAL,
-                K4_TEMPLATE_CERT: K4_TEMPLATE_GRAPH}
+                K4_TEMPLATE_CERT: K4_TEMPLATE_GRAPH, K4_LONG_CERT: K4_LONG}
 
 
 @pytest.fixture(scope="module")

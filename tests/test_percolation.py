@@ -21,7 +21,9 @@ from wsat.percolation import (
     PatternStep,
     SaturationCertificate,
     TemplateStep,
+    _blocks,
     _chunk_lines,
+    _steps,
     certificate_from_text,
     certificate_to_text,
     clique_wsat_value,
@@ -400,13 +402,34 @@ def _outcome(fn, *args):
         return "value error", str(exc)
 
 
+def _streamed(text, g, pattern):
+    """wsat verify's path: the text in 64 KiB chunks, read_certificate's
+    blocks straight into replay_steps, then the rest of the text read."""
+    chunks = [text[i:i + (1 << 16)] for i in range(0, len(text), 1 << 16)]
+    kind, n, r, blocks = read_certificate(chunks)
+    check, count = replay_steps(g, pattern, n, r, blocks)
+    for _ in blocks:
+        pass
+    return check, count
+
+
 def assert_same_as_seed(text, g=None, pattern=None):
     """The fast parser gives the seed parser's certificate or error; for a
-    pattern certificate and a graph, the fast verifier gives its verdict."""
+    pattern certificate and a graph, the fast verifier gives its verdict,
+    both on the parsed certificate and streamed from the text, where the
+    count of steps replayed is the failing step's plus one."""
     parsed = _outcome(certificate_from_text, text)
     assert parsed == _outcome(seed_certificate_from_text, text), text
-    if g is not None and parsed[0] == "ok" and parsed[1].kind == "pattern":
-        assert_same_check(g, pattern, parsed[1])
+    if g is not None and parsed[0] != "ok":
+        assert _outcome(_streamed, text, g, pattern) == parsed, text
+    elif g is not None and parsed[1].kind == "pattern":
+        check = assert_same_check(g, pattern, parsed[1])
+        if check[0] == "ok":
+            verdict = check[1]
+            count = (len(parsed[1]) if verdict else
+                     0 if verdict.step is None else verdict.step + 1)
+            check = "ok", (verdict, count)
+        assert _outcome(_streamed, text, g, pattern) == check, text
     return parsed
 
 
@@ -624,8 +647,8 @@ def test_closure_is_extensive_idempotent_monotone_and_replays(case):
 
 def test_block_boundaries_match_seed_on_long_extremal_certificates(monkeypatch):
     """Every corruption at the last step of a block, the first step of the
-    next and in a later block; the bulk check both accepts blocks and
-    leaves some to the per-step loop."""
+    next and in a later block, parsed and streamed, for r = 2 and r = 3;
+    the bulk check both accepts blocks and leaves some to the loop."""
     accepted = []
     real = percolation._accept_block
 
@@ -636,7 +659,7 @@ def test_block_boundaries_match_seed_on_long_extremal_certificates(monkeypatch):
     monkeypatch.setattr(percolation, "_accept_block", counting)
     rng = random.Random(7)
     block = percolation.BLOCK
-    for n, t, r in [(40, 4, 2), (41, 5, 2)]:
+    for n, t, r in [(40, 4, 2), (41, 5, 2), (24, 5, 3)]:
         g, pattern, steps = _extremal(n, t, r, rng)
         assert len(steps) > 2 * block
         text = _cert_text(n, r, steps)
@@ -656,7 +679,8 @@ def test_bulk_check_leaves_a_lone_failure_to_the_loop(monkeypatch):
     """Steps that fail one check whose failure no image shows: a pendant
     edge out of range, a mapping that sends two non-adjacent pattern
     vertices to one vertex, and a step with a third field; and a vertex
-    the bulk check cannot compare, after a failing step."""
+    the bulk check cannot compare, after a failing step.  The first three,
+    written as text, are also read and replayed streamed."""
     g = Hypergraph(6, 2, [(0, 1), (0, 2), (1, 2)])
     good = [((0, 3), (0, 1, 2, 3)), ((0, 4), (0, 1, 2, 4))]
     later = [((0, 5), (0, 1, 2, 5))]
@@ -667,12 +691,80 @@ def test_bulk_check_leaves_a_lone_failure_to_the_loop(monkeypatch):
         cert = SaturationCertificate("pattern", 6, 2, steps)
         check = assert_same_check(g, TRI_PENDANT, cert)[1]
         assert not check and check.step == 2
+        if len(bad) == 1:  # as a text too, whose lines after the first are scanned
+            assert assert_same_as_seed(certificate_to_text(cert), g, TRI_PENDANT)[0] == "ok"
     loop = []
     for block in (percolation.BLOCK, 1):
         monkeypatch.setattr(percolation, "BLOCK", block)
         steps = good + [((3, 4), (0, 3, 4, 2), 0)] + later
-        loop.append(_outcome(replay_steps, g, TRI_PENDANT, 6, 2, steps))
+        loop.append(_outcome(replay_steps, g, TRI_PENDANT, 6, 2, _blocks(steps)))
     assert loop[0] == loop[1] == ("value error", "too many values to unpack (expected 2)")
+
+
+def test_mixed_blocks_match_seed_when_streamed():
+    """A line out of written form, or a written line that replay rejects,
+    at step line 1, 2, BLOCK, BLOCK + 1 and BLOCK + 2 of a written
+    certificate: the first step line is a block of its own, so lines 2 and
+    BLOCK + 2 begin a block of BLOCK lines and BLOCK + 1 ends one."""
+    rng = random.Random(11)
+    block = percolation.BLOCK
+    for n, t, r in [(40, 4, 2), (24, 5, 3)]:
+        g, pattern, steps = _extremal(n, t, r, rng)
+        lines = _cert_text(n, r, steps).splitlines()
+        for k in (1, 2, block, block + 1, block + 2):
+            line = lines[k]
+            edge, witness = line.split(" | 0 | ")
+            rest = edge.split(" ", 1)[1]
+            hosts = witness.split()
+            hosts[1] = "1->" + hosts[0].split("->")[1]
+            for changed in [["# a comment", line], ["", line], [f"  {line} "],
+                            [f"0{line}"],  # a leading zero: 07 for 7
+                            [f"{n} {rest} | 0 | {witness}"],
+                            [f"{'9' * 5000} {rest} | 0 | {witness}"],  # int() refuses it
+                            [f"{edge} | 0 | {' '.join(hosts)}"]]:  # not injective
+                text = "\n".join(lines[:k] + changed + lines[k + 1:]) + "\n"
+                assert_same_as_seed(text, g, pattern)
+            crlf = "\n".join(lines[:k + 1]) + "\r\n" + "\n".join(lines[k + 1:]) + "\n"
+            assert assert_same_as_seed(crlf, g, pattern)[0] == "ok"
+
+
+def test_a_chunk_boundary_inside_a_step_line_matches_seed():
+    g, pattern, steps = _extremal(70, 4, 2, random.Random(13))
+    text = _cert_text(70, 2, steps)
+    cut = 1 << 16
+    assert len(text) > cut and "\n" not in text[cut - 1:cut + 1]
+    assert assert_same_as_seed(text, g, pattern)[0] == "ok"
+    j = text.count("\n", 0, cut) - 1  # the step the boundary splits
+    for _, corrupt in _step_corruptions(g, steps, j):
+        lines = text.splitlines()
+        if isinstance(corrupt, str):
+            lines[j + 1] = corrupt
+        else:
+            lines[j + 1] = _cert_text(70, 2, [corrupt]).splitlines()[1]
+        assert_same_as_seed("\n".join(lines) + "\n", g, pattern)
+
+
+def test_scanned_blocks_parse_no_tokens(monkeypatch):
+    """A written certificate is scanned after its first step line: the
+    per-token mapping parse runs once, and every later block is columns."""
+    g, pattern, steps = _extremal(40, 4, 2, random.Random(3))
+    assert len(steps) > 2 * percolation.BLOCK
+    real, calls = percolation._parse_mapping, []
+
+    def once(text, line_no):
+        calls.append(line_no)
+        if len(calls) > 1:
+            raise AssertionError(f"line {line_no} parsed token by token")
+        return real(text, line_no)
+
+    monkeypatch.setattr(percolation, "_parse_mapping", once)
+    kind, n, r, blocks = read_certificate((_cert_text(40, 2, steps),))
+    blocks = [*blocks]
+    assert [type(block) for block in blocks] == [list] + [tuple] * (len(blocks) - 1)
+    flat = [*chain.from_iterable(_steps(block, r) for block in blocks)]
+    assert flat == [(e, tuple(m)) for e, m in steps]
+    assert replay_steps(g, pattern, n, r, blocks) == (CertificateCheck(True), len(steps))
+    assert calls == [2]
 
 
 @pytest.mark.parametrize("block", [1, 2, 3])
@@ -693,9 +785,9 @@ def test_replay_reads_ahead_within_a_block(monkeypatch):
         raise RuntimeError("read past the failing step")
 
     with pytest.raises(RuntimeError, match="read past the failing step"):
-        replay_steps(g, K3, 4, 2, steps())
+        replay_steps(g, K3, 4, 2, _blocks(steps()))
     monkeypatch.setattr(percolation, "BLOCK", 1)
-    assert replay_steps(g, K3, 4, 2, steps()) == (
+    assert replay_steps(g, K3, 4, 2, _blocks(steps())) == (
         CertificateCheck(False, 0, "edge (0, 1) already present"), 1)
 
 
