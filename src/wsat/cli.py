@@ -21,11 +21,11 @@ from __future__ import annotations
 
 import hashlib
 import math
+import os
 import re
 import sys
 from functools import partial
 from itertools import chain
-from pathlib import Path
 from types import SimpleNamespace
 
 from . import constructions as cons
@@ -104,7 +104,7 @@ def read_input(path_str: str) -> str:
 
 
 def load_pattern(token: str) -> Pattern:
-    if Path(token).exists():
+    if os.path.exists(token):
         return make_pattern(graph_from_text(read_input(token)))
     return parse_pattern_token(token)
 
@@ -117,15 +117,20 @@ def pattern_hash(pattern: Pattern) -> str:
     return hashlib.sha256(graph_to_text(pattern.graph).encode()).hexdigest()[:12]
 
 
-def _outdir(args) -> Path:
-    """The --output directory, made if missing; a path that cannot be a
-    directory (an existing file, say) is a usage error naming it."""
-    out = Path(args.output)
+def _outdir(args) -> str:
+    """The --output directory, made if missing ('' is the working
+    directory); a path that cannot be a directory (an existing file, say)
+    is a usage error naming it."""
     try:
-        out.mkdir(parents=True, exist_ok=True)
+        os.makedirs(args.output or ".", exist_ok=True)
     except OSError as exc:
         raise CLIError(f"cannot make directory {args.output}: {exc.strerror}") from None
-    return out
+    return args.output
+
+
+def _write(out: str, name: str, text: str) -> None:
+    with open(os.path.join(out, name), "w") as file:
+        file.write(text)
 
 
 def cmd_closure(args) -> int:
@@ -141,8 +146,8 @@ def cmd_closure(args) -> int:
         result = closure(g, pattern)
         label = f"pattern {pattern_hash(pattern)}"
     out = _outdir(args)
-    (out / "closure.txt").write_text(graph_to_text(result.closure))
-    (out / "closure.cert").write_text(certificate_to_text(result.certificate))
+    _write(out, "closure.txt", graph_to_text(result.closure))
+    _write(out, "closure.cert", certificate_to_text(result.certificate))
     print(f"closure {label} n={g.n} r={g.r} start={g.edge_count} "
           f"added={len(result.certificate)} "
           f"percolated={str(result.percolated).lower()}")
@@ -280,7 +285,7 @@ def cmd_generate(args) -> int:
     for name, content in files.items():
         if isinstance(content, Hypergraph):
             content = graph_to_text(content) + "".join(line + "\n" for line in lines)
-        (out / name).write_text(content)
+        _write(out, name, content)
     print(summary)
     for line in lines:
         print(line)
@@ -321,8 +326,8 @@ def cmd_wsat(args) -> int:
     cert = closure(witness, pattern).certificate
     print(f"wsat {args.n} {pattern.r} {hh} {value} {status}")
     sys.stdout.write(graph_to_text(witness))
-    (out / "witness.txt").write_text(graph_to_text(witness))
-    (out / "witness.cert").write_text(certificate_to_text(cert))
+    _write(out, "witness.txt", graph_to_text(witness))
+    _write(out, "witness.cert", certificate_to_text(cert))
     return EXIT_OK
 
 

@@ -24,6 +24,17 @@ any other input is sorted.  A graph's edge mask over colex ranks is encoded
 through a byte array.  set_bits is the package's one set-bit decoder, one
 linear pass over a mask's binary digits: graph_of_mask, the closures'
 missing edges and the sampled covers' blocks all read their bits with it.
+
+The text format is a header line "n r", then one edge per line, with blank
+lines and '#' comment lines skipped.  graph_from_text reads a text written
+exactly as graph_to_text writes it (the header, then each edge's r vertices
+separated by single spaces, every line ended by a newline) in one scan:
+one split into tokens, one % render of them compared with the text, and
+int() once for each distinct vertex token, each an ASCII digit string no
+longer than str(n).  Its edges go to Hypergraph as a list in file order.
+Any other text, such as one with comments or the #BOUND and #RATIO lines
+that generate appends, takes the per-line loop, which is the only source
+of FormatErrors, so messages and line numbers do not depend on the scan.
 """
 
 from __future__ import annotations
@@ -190,11 +201,17 @@ def _canonical_edges(edges, n: int, r: int) -> bool:
     try:
         if set(map(type, edges)) != {tuple} or set(map(len, edges)) != {r}:
             return False
-        columns = [list(map(itemgetter(i), edges)) for i in range(r)]
-        return (all(all(map(lt, a, b)) for a, b in zip(columns, columns[1:]))
-                and min(columns[0]) >= 0 and max(columns[-1]) < n)
+        return _canonical_columns([list(map(itemgetter(i), edges)) for i in range(r)], n)
     except TypeError:  # vertices that do not compare as integers
         return False
+
+
+def _canonical_columns(columns: list, n: int) -> bool:
+    """Whether non-empty vertex columns hold strictly increasing edges inside
+    [0, n): each column below the next, column 0 non-negative and the last
+    column below n."""
+    return (all(all(map(lt, a, b)) for a, b in zip(columns, columns[1:]))
+            and min(columns[0]) >= 0 and max(columns[-1]) < n)
 
 
 def complete_graph(n: int, r: int) -> Hypergraph:
@@ -224,6 +241,45 @@ def graph_to_text(g: Hypergraph) -> str:
 
 
 def graph_from_text(text: str) -> Hypergraph:
+    """The graph of a text in the format above.  A text written exactly as
+    graph_to_text writes it is read in one scan; any other goes through
+    the per-line loop, which alone raises FormatErrors."""
+    return _scan_graph(text) or _read_graph_lines(text)
+
+
+def _scan_graph(text: str) -> Hypergraph | None:
+    """The graph of a text that one % render of its tokens reproduces, as
+    graph_to_text writes it, with ASCII digits for every token and every
+    edge strictly increasing inside [0, n); else None.  Each distinct
+    vertex token is int()ed once, and the edges are listed in file order."""
+    tokens = text.split()
+    if len(tokens) < 2 or not all(t.isascii() and t.isdigit() for t in tokens[:2]):
+        return None
+    try:
+        n, r = map(int, tokens[:2])
+    except ValueError:  # more digits than int() converts
+        return None
+    body = tokens[2:]
+    if r < 1 or len(body) % r:
+        return None
+    line = " ".join(["%s"] * r) + "\n" if body else ""  # r is unbounded without edges
+    if ("%s %s\n" + line * (len(body) // r)) % tuple(tokens) != text:
+        return None
+    if not body:
+        return Hypergraph(n, r, [])
+    vertices = set(body)
+    width = len(str(n))
+    if not all(t.isascii() and t.isdigit() and len(t) <= width for t in vertices):
+        return None
+    number = dict(zip(vertices, map(int, vertices)))
+    columns = [[*map(number.__getitem__, body[i::r])] for i in range(r)]
+    if not _canonical_columns(columns, n):
+        return None
+    return Hypergraph(n, r, [*zip(*columns)])
+
+
+def _read_graph_lines(text: str) -> Hypergraph:
+    """The per-line parse: the path for every text not in written form."""
     n = r = None
     edges = []
     for line_no, raw in enumerate(text.splitlines(), start=1):

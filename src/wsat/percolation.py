@@ -37,16 +37,20 @@ to the text format.  One function, replay_steps, is the only certificate
 checker: it reads (edge, mapping) steps in blocks, lists of step tuples or
 tuples of vertex columns.  A bulk check (_accept_block) accepts a block
 whose every step passes, with column operations over the whole block;
-a block it does not accept is replayed from its start by the per-step loop,
-with the checks in a fixed order and with fixed messages, and only that
-loop builds a verdict's step and reason.  A step's copy of H must cover the
-step's own edge, so a step carries no other edge.  verify_certificate feeds
-replay_steps a pattern certificate's steps; a template certificate reaches
-it through templates.template_mappings, which turns each step's template
-copy into a pattern embedding.  Edges are keyed by an order-free integer:
-with M = r*n^r + 1 and code(v) = sum over j = 1..r of v^j * M^(j-1), the
-key of an r-set S is the sum of its vertices' codes.  Its base-M digits are
-the power sums p_1..p_r of S, with no carries since p_j <= r*(n-1)^j < M,
+for injectivity it compares the edge columns pairwise and, of the mapping
+columns, only the pairs of pattern vertices that share no pattern edge,
+since an image found among the present edges, all r-sets, has distinct
+hosts.  A block it does not accept is replayed from its start by the
+per-step loop, with the checks in a fixed order and with fixed messages,
+and only that loop builds a verdict's step and reason.  A step's copy of H
+must cover the step's own edge, so a step carries no other edge.
+verify_certificate feeds replay_steps a pattern certificate's steps; a
+template certificate reaches it through templates.template_mappings, which
+turns each step's template copy into a pattern embedding.  Edges are keyed
+by an order-free integer: with M = r*n^r + 1 and code(v) = sum over
+j = 1..r of v^j * M^(j-1), the key of an r-set S is the sum of its
+vertices' codes.  Its base-M digits are the power sums p_1..p_r of S,
+with no carries since p_j <= r*(n-1)^j < M,
 and by Newton's identities the power sums of r numbers determine them, so
 the key is injective on r-sets, and on multisets of r vertices too.  Codes
 are computed for the vertices that occur, and image keys are sums of their
@@ -457,7 +461,7 @@ def _blocks(steps: Iterable[tuple]) -> Iterator[list]:
     return iter(lambda: [*islice(steps, BLOCK)], [])
 
 
-def _accept_block(columns: tuple, r: int, h: int, code, pat_edges,
+def _accept_block(columns: tuple, r: int, h: int, code, pat_edges, distinct,
                   current: set) -> bool:
     """Add the keys of a column block's edges to current and return True
     when every step of the block passes replay in order; else leave
@@ -465,19 +469,25 @@ def _accept_block(columns: tuple, r: int, h: int, code, pat_edges,
 
     The columns, scanned or from _columns, hold vertices in [0, n).  The
     other conditions are tested on the whole block with map, zip and set
-    and dict operations: r edge columns and h mapping columns, injective
-    mappings (no two mapping columns agree in a row), edge keys absent from
+    and dict operations: r edge columns and h mapping columns, no two
+    columns of a pair in distinct agree in a row, edge keys absent from
     current, an image of each step equal to its edge and none to the edge
     of the same or a later step, and every image in current once the
-    block's edges are.  Two checks of the loop follow: the edge keys are
-    distinct, and an edge's vertices are distinct, since its key is an
-    image's, the key of an r-set, and keys are injective on multisets of r
-    vertices in [0, n) as on sets (power sums determine a multiset too).
+    block's edges are.  distinct pairs the r edge columns with each other,
+    so every edge has r distinct vertices, and the mapping columns of the
+    pattern vertices that share no pattern edge.  The other pairs of a
+    mapping need no comparison: current holds only keys of r-sets, the
+    graph's edges and the steps' edges, and keys are injective on
+    multisets of r vertices in [0, n) as on sets (power sums determine a
+    multiset too), so an image key found in current is an r-set's, and the
+    hosts of that pattern edge differ.  A repeated edge key fails the
+    image positions, since at keeps the last step of a key, as the loop
+    fails its second step for an edge already present.
     """
     if len(columns) != r + h:
         return False
-    for a, b in combinations(columns[r:], 2):
-        if any(map(eq, a, b)):
+    for i, j in distinct:
+        if any(map(eq, columns[i], columns[j])):
             return False
     keys = _add_columns([map(code, column) for column in columns[:r]])
     key_set = set(keys)
@@ -526,13 +536,18 @@ def replay_steps(g: Hypergraph, pattern: Pattern, n: int, r: int,
         raise ValueError(f"uniformity mismatch: pattern r={pattern.r}, graph r={g.r}")
     h = pattern.h
     pat_edges = pattern.graph.sorted_edges
+    # the column pairs _accept_block compares: edge columns, then the
+    # mapping columns of pattern vertices that share no pattern edge
+    distinct = [*combinations(range(r), 2),
+                *((r + u, r + v) for u, v in combinations(range(h), 2)
+                  if not any(u in pe and v in pe for pe in pat_edges))]
     code = _VertexCodes(n, r).__getitem__
     current = {sum(map(code, e)) for e in g.edges}
     count = 0  # steps in the blocks replayed so far
     for block in blocks:
         try:
             columns = block if type(block) is tuple else _columns(block, n, r, h)
-            if columns and _accept_block(columns, r, h, code, pat_edges, current):
+            if columns and _accept_block(columns, r, h, code, pat_edges, distinct, current):
                 count += len(columns[0])
                 continue
         except (TypeError, ValueError):

@@ -749,6 +749,49 @@ def test_output_that_cannot_be_a_directory_is_usage_error(tmp_path, capsys, argv
     assert (tmp_path / "afile").read_text() == "kept\n"
 
 
+LONG_TOKEN = "K" * 300  # longer than a file name may be
+
+
+@pytest.mark.parametrize("argv", [
+    ["closure", "g.txt", LONG_TOKEN],
+    ["wsat", "5", LONG_TOKEN, "--exact"],
+    ["verify", "g.txt", LONG_TOKEN, "g.txt"],
+    ["generate", "s1", "--pattern", LONG_TOKEN, "--n", "5"],
+])
+def test_overlong_pattern_token_is_an_unknown_pattern(tmp_path, capsys, monkeypatch,
+                                                      argv):
+    """A token too long to be a file name is no file: a usage error, not an
+    OSError traceback with the negative verdict's exit code."""
+    monkeypatch.chdir(tmp_path)
+    write_graph(tmp_path / "g.txt", STAR4)
+    assert run(capsys, *argv) == (
+        64, "", f"wsat: error: unknown pattern {LONG_TOKEN!r}; use a file or "
+                f"one of K<t>, K<t>^<r>, edge^<r>, triangle+pendant\n")
+    assert [p.name for p in tmp_path.iterdir()] == ["g.txt"]
+
+
+@pytest.mark.parametrize("token", ["", "g.txt/"])
+def test_pattern_token_is_checked_as_given(tmp_path, capsys, monkeypatch, token):
+    """The token is not rewritten before the file check: '' is not the
+    working directory, and a file's name with a trailing '/' names no file,
+    so both are unknown patterns."""
+    monkeypatch.chdir(tmp_path)
+    write_graph(tmp_path / "g.txt", STAR4)
+    assert run(capsys, "closure", "g.txt", token) == (
+        64, "", f"wsat: error: unknown pattern {token!r}; use a file or "
+                f"one of K<t>, K<t>^<r>, edge^<r>, triangle+pendant\n")
+
+
+def test_empty_output_is_the_working_directory(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    write_graph(tmp_path / "g.txt", STAR4)
+    code, out, _ = run(capsys, "closure", "g.txt", "K3", "--output", "")
+    assert code == 0 and "percolated=true" in out
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "closure.cert", "closure.txt", "g.txt"]
+    assert graph_from_text((tmp_path / "closure.txt").read_text()) == complete_graph(4, 2)
+
+
 def test_verify_builds_no_pattern_steps(tmp_path, capsys, monkeypatch):
     import wsat.percolation as percolation
     built = []

@@ -266,3 +266,128 @@ def test_set_bits_matches_shifting_loop():
              *(rng.getrandbits(rng.randint(1, 5000)) for _ in range(500))]
     for mask in masks:
         assert set_bits(mask) == shifting_bits(mask), mask
+
+
+# -- the graph text scan against the seed per-line parser -----------------------
+
+def seed_graph_from_text(text: str) -> Hypergraph:
+    n = r = None
+    edges = []
+    for line_no, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        try:
+            values = [int(tok) for tok in line.split()]
+        except ValueError:
+            raise FormatError(line_no, f"expected integers, got {line!r}") from None
+        if n is None:
+            if len(values) != 2:
+                raise FormatError(line_no, "header must be 'n r'")
+            n, r = values
+            if r < 1 or n < 0:
+                raise FormatError(line_no, f"invalid header n={n} r={r}")
+            continue
+        if len(values) != r:
+            raise FormatError(line_no, f"edge {values} does not have {r} vertices")
+        if any(a >= b for a, b in zip(values, values[1:])):
+            raise FormatError(line_no, f"edge {values} is not strictly increasing")
+        if values[0] < 0 or values[-1] >= n:
+            raise FormatError(line_no, f"edge {values} is out of range for n={n}")
+        edges.append(tuple(values))
+    if n is None:
+        raise FormatError(1, "missing 'n r' header")
+    return Hypergraph(n, r, edges)
+
+
+def _parsed(parse, text):
+    """A parse's graph (n, r, edges, the edges as listed, sorted_edges) or
+    its FormatError (line and message) or ValueError."""
+    try:
+        g = parse(text)
+    except FormatError as exc:
+        return "format error", exc.line_no, str(exc)
+    except ValueError as exc:
+        return "value error", str(exc)
+    listed = g.__dict__.get("_listed")  # read before sorted_edges drops it
+    return "ok", g.n, g.r, g.edges, listed, g.sorted_edges
+
+
+def assert_scan_matches_seed(text):
+    outcome = _parsed(graph_from_text, text)
+    assert outcome == _parsed(seed_graph_from_text, text), text
+    return outcome
+
+
+def _random_graphs():
+    """Seeded random graphs for r = 1..4 and n = 0..30, the edgeless ones
+    included, with their edges listed in a random order."""
+    rng = random.Random(32)
+    for r in range(1, 5):
+        for n in range(31):
+            universe = edge_universe(n, r)
+            yield Hypergraph(n, r, [])
+            if universe:
+                edges = rng.sample(universe, rng.randint(1, min(len(universe), 40)))
+                yield Hypergraph(n, r, edges)
+
+
+RANDOM_GRAPHS = list(_random_graphs())
+
+
+def _line_mutations(line, n, r):
+    """Ways to change one edge line: (name, lines that replace it)."""
+    tokens = line.split()
+    yield "comment line", ["# note", line]
+    yield "blank line", ["", line]
+    yield "trailing space", [line + " "]
+    yield "tab", [line.replace(" ", "\t", 1) if r > 1 else "\t" + line]
+    yield "crlf", [line + "\r"]
+    yield "leading zero", ["0" + line]
+    yield "plus sign", ["+" + line]
+    yield "non-ASCII digit", [" ".join(["٣"] + tokens[1:])]
+    yield "superscript digit", [" ".join(["²"] + tokens[1:])]  # isdigit, not int()
+    yield "underscore", [" ".join(["1_0"] + tokens[1:])]
+    yield "5000 digits", [" ".join(tokens[:-1] + ["9" * 5000])]
+    yield "vertex n", [" ".join(tokens[:-1] + [str(n)])]
+    yield "negative vertex", [" ".join(["-1"] + tokens[1:])]
+    yield "not increasing", [" ".join(tokens[::-1])]
+    yield "repeated vertex", [" ".join(tokens[:1] * r)]
+    yield "r - 1 vertices", [" ".join(tokens[:-1])]
+    yield "r + 1 vertices", [line + " " + str(n - 1)]
+
+
+def test_graph_scan_matches_seed_on_written_texts():
+    for g in RANDOM_GRAPHS:
+        text = graph_to_text(g)
+        assert assert_scan_matches_seed(text)[:4] == ("ok", g.n, g.r, g.edges)
+
+
+def test_graph_scan_matches_seed_on_mutated_texts():
+    bases = [g for g in RANDOM_GRAPHS if g.edge_count >= 3]
+    assert {g.r for g in bases} == {1, 2, 3, 4}
+    for g in bases:
+        lines = graph_to_text(g).splitlines()
+        for j in (1, len(lines) // 2, len(lines) - 1):  # line 2, a middle one, the last
+            for _, changed in _line_mutations(lines[j], g.n, g.r):
+                assert_scan_matches_seed("\n".join(lines[:j] + changed + lines[j + 1:])
+                                         + "\n")
+        text = "\n".join(lines) + "\n"
+        assert_scan_matches_seed(text[:-1])  # no final newline
+        assert_scan_matches_seed(text.replace(" ", "  ", 1))  # header with two spaces
+        assert_scan_matches_seed(text + f"#BOUND edges {g.edge_count} 9 true\n"
+                                 "#RATIO edges_over_n 1.000000\n")
+
+
+def test_written_graph_texts_are_scanned(monkeypatch):
+    """graph_to_text's output never reaches the per-line loop."""
+    import wsat.hypergraph as hypergraph
+
+    def refuse(text):
+        raise AssertionError(f"read line by line: {text!r}")
+
+    monkeypatch.setattr(hypergraph, "_read_graph_lines", refuse)
+    for g in RANDOM_GRAPHS:
+        assert graph_from_text(graph_to_text(g)) == g
+    with pytest.raises(AssertionError):
+        graph_from_text("# a comment\n3 2\n0 1\n")

@@ -775,6 +775,74 @@ def test_differential_tests_hold_for_small_blocks(monkeypatch, block):
         test_fast_paths_match_seed_on_mutated_certificates()
 
 
+# patterns with and without pairs of vertices that share no edge: the bulk
+# check compares the mapping columns of those pairs only
+APART_PATTERNS = {
+    "C4": Hypergraph(4, 2, [(0, 1), (1, 2), (2, 3), (0, 3)]),
+    "C5": Hypergraph(5, 2, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)]),
+    "K1,3": Hypergraph(4, 2, [(0, 1), (0, 2), (0, 3)]),
+    "triangle + 2 isolated": Hypergraph(5, 2, [(0, 1), (0, 2), (1, 2)]),
+    "K4^3 - e": Hypergraph(4, 3, [(0, 1, 2), (0, 1, 3), (0, 2, 3)]),
+    "loose 3-path": Hypergraph(5, 3, [(0, 1, 2), (0, 3, 4)]),
+}
+
+
+def _inside_host(graph, a):
+    """The complete r-graph on a + h vertices minus the r-sets of [0, a),
+    the pattern, and steps adding those r-sets in colex order, each pinned
+    by the first pattern edge, its other vertices sent to a, a + 1, ..."""
+    pattern, h, r = make_pattern(graph), graph.n, graph.r
+    g = Hypergraph(a + h, r, [e for e in edge_universe(a + h, r) if e[-1] >= a])
+    first = pattern.graph.sorted_edges[0]
+    rest = [v for v in range(h) if v not in first]
+
+    def mapping(e):
+        m = [0] * h
+        for v, u in zip(first + tuple(rest), e + tuple(range(a, a + len(rest)))):
+            m[v] = u
+        return m
+
+    return g, pattern, [(e, mapping(e)) for e in edge_universe(a, r)], mapping
+
+
+def test_bulk_check_compares_apart_and_edge_columns_only():
+    """A mapping that sends two pattern vertices to one host, for every pair
+    that shares no pattern edge (no image shows it) and every pair that
+    shares one; and a step edge with a repeated vertex that a pattern edge
+    is mapped onto.  Each at step line 1, BLOCK and BLOCK + 1, parsed and
+    streamed."""
+    block = percolation.BLOCK
+    for name, graph in APART_PATTERNS.items():
+        r = graph.r
+        g, pattern, steps, mapping = _inside_host(graph, 24 if r == 2 else 13)
+        assert len(steps) > block + 1
+        first = pattern.graph.sorted_edges[0]
+        apart = [(u, v) for u, v in combinations(range(graph.n), 2)
+                 if not any(u in pe and v in pe for pe in graph.edges)]
+        assert apart or name == "K4^3 - e"  # all of its pairs share an edge
+        for k in (0, block - 1, block):
+            e = steps[k][0]
+            bad = []
+            for u, v in combinations(range(graph.n), 2):
+                m = mapping(e)
+                if v in first and u not in first:
+                    u, v = v, u
+                m[v] = m[u]
+                bad.append(((e, m), "mapping is not injective"))
+                if (min(u, v), max(u, v)) in apart:  # every image is present or e
+                    images = {tuple(sorted(m[x] for x in pe)) for pe in graph.edges}
+                    assert e in images and images - {e} <= g.edges
+            twice = (e[0],) + e[:-1]
+            bad.append(((twice, mapping(twice)), f"edge {twice} has a repeated vertex"))
+            for step, reason in bad:
+                text = _cert_text(g.n, r, steps[:k] + [step] + steps[k + 1:])
+                cert = assert_same_as_seed(text, g, pattern)[1]
+                assert verify_certificate(g, pattern, cert) == (
+                    CertificateCheck(False, k, reason)), name
+        cert = assert_same_as_seed(_cert_text(g.n, r, steps), g, pattern)[1]
+        assert verify_certificate(g, pattern, cert), name
+
+
 def test_replay_reads_ahead_within_a_block(monkeypatch):
     """The steps of a block are read before any is judged: an exception the
     steps raise after a failing step in the same block propagates."""
