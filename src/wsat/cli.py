@@ -29,7 +29,7 @@ from itertools import chain
 from types import SimpleNamespace
 
 from . import constructions as cons
-from .designs import cover_to_text, greedy_cover, rodl_bound, verify_cover
+from .designs import cover_to_text, greedy_cover, verify_cover
 from .hypergraph import (
     FormatError,
     Hypergraph,
@@ -247,7 +247,7 @@ def _gen_cover(args):
     ok = verify_cover(design)
     blocks = len(design.blocks)
     bound = cons.BoundCheck("cover_blocks", blocks, math.comb(n_pts, t))
-    ratio = float(blocks / rodl_bound(n_pts, k, t))
+    ratio = blocks * math.comb(k, t) / math.comb(n_pts, t)
     return ({"cover.txt": cover_to_text(design)},
             f"generate cover N={n_pts} k={k} t={t} blocks={blocks} "
             f"valid={str(ok).lower()} sampled={str(design.sampled).lower()}",

@@ -44,25 +44,23 @@ returns the first of its candidates, by edge count, that percolates.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import accumulate, chain, combinations, filterfalse, product
 from math import comb
 from typing import Iterator
 
 from .designs import CoverDesign, verify_cover
-from .hypergraph import Edge, Hypergraph, Pattern, edge_universe
+from .hypergraph import Edge, Hypergraph, Pattern, _Value, edge_universe
 from .percolation import clique_wsat_value, is_weakly_saturated
 from .templates import _check_params
 
 
-@dataclass(frozen=True)
-class BoundCheck:
+class BoundCheck(_Value):
     """One evaluated inequality lhs <= rhs (or identity lhs == rhs)."""
 
-    name: str
-    lhs: int
-    rhs: int
-    relation: str = "<="
+    _fields = ("name", "lhs", "rhs", "relation")
+
+    def __init__(self, name: str, lhs: int, rhs: int, relation: str = "<="):
+        self.__dict__.update(name=name, lhs=lhs, rhs=rhs, relation=relation)
 
     @property
     def holds(self) -> bool:
@@ -253,12 +251,13 @@ def s1_construction(pattern: Pattern, n: int) -> Hypergraph:
 
 # -- composite construction ---------------------------------------------------
 
-@dataclass(frozen=True)
-class MainResult:
-    graph: Hypergraph
-    copies_edge_count: int
-    extra_edge_count: int
-    bounds: tuple[BoundCheck, ...]
+class MainResult(_Value):
+    _fields = ("graph", "copies_edge_count", "extra_edge_count", "bounds")
+
+    def __init__(self, graph: Hypergraph, copies_edge_count: int,
+                 extra_edge_count: int, bounds: tuple[BoundCheck, ...]):
+        self.__dict__.update(graph=graph, copies_edge_count=copies_edge_count,
+                             extra_edge_count=extra_edge_count, bounds=bounds)
 
 
 def main_clusters(n: int, m1: int, s: int, h: int) -> tuple[int, int, int, int]:

@@ -39,39 +39,35 @@ from __future__ import annotations
 
 import heapq
 import random
-from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations
 from math import ceil, comb, log
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
-from .hypergraph import FormatError, colex_key, edge_universe, set_bits
+from .hypergraph import FormatError, _Value, colex_key, edge_universe, set_bits
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 # Enumerate all C(N, k) candidate blocks per round up to this count.
 EXHAUSTIVE_CANDIDATE_LIMIT = 100_000
 SAMPLE_CANDIDATES_PER_ROUND = 10_000
 
 
-@dataclass(frozen=True)
-class CoverDesign:
+class CoverDesign(_Value):
     """Blocks of size k over [N] covering every t-subset at least once.
 
     sampled records whether the greedy run scored a random candidate subset
     instead of all blocks.
     """
 
-    N: int
-    k: int
-    t: int
-    blocks: tuple[tuple[int, ...], ...] = ()
-    sampled: bool = False
+    _fields = ("N", "k", "t", "blocks", "sampled")
 
-    def __post_init__(self):
-        if not self.N >= self.k >= self.t >= 1:
-            raise ValueError(
-                f"need N >= k >= t >= 1, got N={self.N}, k={self.k}, t={self.t}")
-        canon = tuple(_check_block(b, self.N, self.k) for b in self.blocks)
-        object.__setattr__(self, "blocks", canon)
+    def __init__(self, N: int, k: int, t: int,
+                 blocks: tuple[tuple[int, ...], ...] = (), sampled: bool = False):
+        if not N >= k >= t >= 1:
+            raise ValueError(f"need N >= k >= t >= 1, got N={N}, k={k}, t={t}")
+        blocks = tuple(_check_block(b, N, k) for b in blocks)
+        self.__dict__.update(N=N, k=k, t=t, blocks=blocks, sampled=sampled)
 
 
 def _check_block(block, N: int, k: int) -> tuple[int, ...]:
@@ -250,7 +246,9 @@ def verify_cover(design: CoverDesign) -> bool:
 
 
 def rodl_bound(N: int, k: int, t: int) -> Fraction:
-    """C(N, t) / C(k, t), exactly as a rational."""
+    """C(N, t) / C(k, t), exactly as a rational.  fractions is imported
+    here, as no command needs it."""
+    from fractions import Fraction
     return Fraction(comb(N, t), comb(k, t))
 
 

@@ -35,11 +35,18 @@ longer than str(n).  Its edges go to Hypergraph as a list in file order.
 Any other text, such as one with comments or the #BOUND and #RATIO lines
 that generate appends, takes the per-line loop, which is the only source
 of FormatErrors, so messages and line numbers do not depend on the scan.
+
+The package's value classes (Hypergraph, Pattern and the results of the
+other modules) are plain classes on the private base _Value, which gives
+them a frozen dataclass's semantics from a _fields tuple without importing
+dataclasses: equality with an instance of the same class and a hash, both
+over the field values, a Name(field=value, ...) repr, and an AttributeError
+on any assignment or deletion.  Each __init__ validates its arguments and
+sets the fields once through __dict__, where cached_property also stores.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from itertools import chain, combinations, compress, repeat, tee
 from math import comb
@@ -126,31 +133,55 @@ def mask_rank_table(n: int, r: int) -> dict[int, int]:
     return dict(zip(reversed(masks), range(len(masks))))
 
 
-@dataclass(frozen=True)
-class Hypergraph:
+class _Value:
+    """An immutable value over the attributes named in _fields, compared,
+    hashed and printed by their values as a frozen dataclass is."""
+
+    _fields: tuple[str, ...] = ()
+
+    def _values(self) -> tuple:
+        return tuple(map(self.__dict__.__getitem__, self._fields))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        return "%s(%s)" % (type(self).__qualname__, ", ".join(
+            f"{name}={value!r}" for name, value in zip(self._fields, self._values())))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class Hypergraph(_Value):
     """An r-uniform hypergraph on n labeled vertices."""
 
-    n: int
-    r: int
-    edges: frozenset[Edge] = field(default_factory=frozenset)
+    _fields = ("n", "r", "edges")
 
-    def __post_init__(self):
-        if self.r < 1:
-            raise ValueError(f"uniformity r={self.r} must be at least 1")
-        if self.n < 0:
-            raise ValueError(f"vertex count n={self.n} must be non-negative")
-        check_universe(self.n, self.r)
-        edges = self.edges
+    def __init__(self, n: int, r: int, edges=frozenset()):
+        if r < 1:
+            raise ValueError(f"uniformity r={r} must be at least 1")
+        if n < 0:
+            raise ValueError(f"vertex count n={n} must be non-negative")
+        check_universe(n, r)
         ordered = not isinstance(edges, (set, frozenset))
         if type(edges) is not frozenset:
             edges = list(edges)
-        if not _canonical_edges(edges, self.n, self.r):
+        if not _canonical_edges(edges, n, r):
             # sort each edge and name the first bad one, as canonical_edge does
-            edges = [canonical_edge(e, self.n, self.r) for e in edges]
-        object.__setattr__(self, "edges", frozenset(edges))
+            edges = [canonical_edge(e, n, r) for e in edges]
+        self.__dict__.update(n=n, r=r, edges=frozenset(edges))
         if ordered:
             # kept for sorted_edges, which drops it when first read
-            object.__setattr__(self, "_listed", edges)
+            self.__dict__["_listed"] = edges
 
     @property
     def edge_count(self) -> int:
@@ -309,22 +340,21 @@ def _read_graph_lines(text: str) -> Hypergraph:
     return Hypergraph(n, r, edges)
 
 
-@dataclass(frozen=True)
-class Pattern:
+class Pattern(_Value):
     """A fixed target hypergraph H together with its sparseness s: the
     smallest size of a vertex set contained in exactly one edge of H.  Build
     with templates.make_pattern, which computes s; h and r are read off the
     graph.
     """
 
-    graph: Hypergraph
-    s: int
+    _fields = ("graph", "s")
 
-    def __post_init__(self):
-        if not self.graph.edges:
+    def __init__(self, graph: Hypergraph, s: int):
+        if not graph.edges:
             raise ValueError("pattern must have at least one edge")
-        if not 1 <= self.s <= self.graph.r:
-            raise ValueError(f"sparseness {self.s} out of range for r={self.graph.r}")
+        if not 1 <= s <= graph.r:
+            raise ValueError(f"sparseness {s} out of range for r={graph.r}")
+        self.__dict__.update(graph=graph, s=s)
 
     @property
     def h(self) -> int:

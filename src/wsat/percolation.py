@@ -71,7 +71,6 @@ fast form.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import chain, combinations, filterfalse, islice, permutations, repeat, starmap
 from math import comb
@@ -83,6 +82,7 @@ from .hypergraph import (
     FormatError,
     Hypergraph,
     Pattern,
+    _Value,
     canonical_edge,
     edge_universe,
     mask_rank_table,
@@ -107,32 +107,31 @@ class TemplateStep(NamedTuple):
     core: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class SaturationCertificate:
+class SaturationCertificate(_Value):
     """An ordered, machine-checkable record of a saturation process: each
     step is an added edge and the copy of H (or template copy) it creates.
+    kind is "pattern" or "template".
     """
 
-    kind: str  # "pattern" | "template"
-    n: int
-    r: int
-    steps: tuple = ()
+    _fields = ("kind", "n", "r", "steps")
 
-    def __post_init__(self):
-        if self.kind not in ("pattern", "template"):
-            raise ValueError(f"unknown certificate kind {self.kind!r}")
+    def __init__(self, kind: str, n: int, r: int, steps: tuple = ()):
+        if kind not in ("pattern", "template"):
+            raise ValueError(f"unknown certificate kind {kind!r}")
+        self.__dict__.update(kind=kind, n=n, r=r, steps=steps)
 
     def __len__(self) -> int:
         return len(self.steps)
 
 
-@dataclass(frozen=True)
-class ClosureResult:
+class ClosureResult(_Value):
     """The start graph and the certificate a closure engine computed; closure
     (built when first read) and percolated are derived from them."""
 
-    graph: Hypergraph
-    certificate: SaturationCertificate
+    _fields = ("graph", "certificate")
+
+    def __init__(self, graph: Hypergraph, certificate: SaturationCertificate):
+        self.__dict__.update(graph=graph, certificate=certificate)
 
     @cached_property
     def closure(self) -> Hypergraph:
@@ -144,13 +143,13 @@ class ClosureResult:
         return g.edge_count + len(self.certificate) == comb(g.n, g.r)
 
 
-@dataclass(frozen=True)
-class CertificateCheck:
+class CertificateCheck(_Value):
     """Verification verdict; step/reason locate the first failure."""
 
-    ok: bool
-    step: int | None = None
-    reason: str | None = None
+    _fields = ("ok", "step", "reason")
+
+    def __init__(self, ok: bool, step: int | None = None, reason: str | None = None):
+        self.__dict__.update(ok=ok, step=step, reason=reason)
 
     def __bool__(self) -> bool:
         return self.ok

@@ -23,7 +23,6 @@ edge counts were fully refuted instead of guessing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 from math import comb
@@ -32,6 +31,7 @@ from .constructions import clique_extremal, padded_example, s1_construction
 from .hypergraph import (
     Hypergraph,
     Pattern,
+    _Value,
     complete_graph,
     graph_of_mask,
     mask_rank_table,
@@ -43,8 +43,7 @@ MAX_SOLVER_UNIVERSE = 30
 EXACT_TABLE_UNIVERSE = 20  # exact_or_upper switches to upper bounds beyond this
 
 
-@dataclass(frozen=True)
-class WsatResult:
+class WsatResult(_Value):
     """Outcome of an exact search.
 
     status is "exact" when the search finished; "inconclusive" means the
@@ -52,11 +51,12 @@ class WsatResult:
     explored counts the closure checks (WitnessIndex.close calls) made.
     """
 
-    value: int | None
-    witness: Hypergraph | None
-    explored: int
-    status: str
-    excluded_up_to: int | None = None
+    _fields = ("value", "witness", "explored", "status", "excluded_up_to")
+
+    def __init__(self, value: int | None, witness: Hypergraph | None, explored: int,
+                 status: str, excluded_up_to: int | None = None):
+        self.__dict__.update(value=value, witness=witness, explored=explored,
+                             status=status, excluded_up_to=excluded_up_to)
 
 
 @lru_cache(maxsize=64)
@@ -222,12 +222,13 @@ def exact_or_upper(n: int, pattern: Pattern, budget: int = DEFAULT_BUDGET
     return wsat_upper_witness(n, pattern), "upper"
 
 
-@dataclass(frozen=True)
-class RatioRow:
-    n: int
-    value: int
-    ratio: float
-    method: str  # "exact" | "upper"
+class RatioRow(_Value):
+    """One row of ratio_table; method is "exact" or "upper"."""
+
+    _fields = ("n", "value", "ratio", "method")
+
+    def __init__(self, n: int, value: int, ratio: float, method: str):
+        self.__dict__.update(n=n, value=value, ratio=ratio, method=method)
 
 
 def ratio_table(pattern: Pattern, sizes, budget: int = DEFAULT_BUDGET

@@ -8,7 +8,6 @@ import resource
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
-from dataclasses import replace
 from functools import lru_cache
 from itertools import combinations
 from pathlib import Path
@@ -223,7 +222,7 @@ def test_generate_failed_bound_exits_negative(tmp_path, capsys, monkeypatch,
 
         def failing(*args):
             check = real_bound(*args)
-            return replace(check, rhs=check.lhs - 1)
+            return cons.BoundCheck(check.name, check.lhs, check.lhs - 1, check.relation)
 
         monkeypatch.setattr(cons, target, failing)
     code, out, _ = run(capsys, "generate", *GENERATE_ARGV[kind],
@@ -1222,6 +1221,28 @@ def test_cold_job_loads_no_argparse(tmp_path):
               "print(code, [m for m in ('argparse', 'gettext', 'locale')"
               " if m in sys.modules])\n")
     assert _fresh_interpreter(tmp_path, script) == "0 []"
+
+
+def test_cold_jobs_load_no_dataclasses_or_fractions(tmp_path):
+    """Against what the interpreter loaded before the script ran (as for a
+    bare `python -c pass`), importing wsat.cli and then one job of each
+    verb adds none of the modules that frozen dataclasses or Fraction pull
+    in."""
+    script = ("import sys\n"
+              "start = set(sys.modules)\n"
+              "import wsat.cli\n"
+              "jobs = [None, ['generate', 'cover', '12', '5', '2', '--output', 'o'],\n"
+              "        ['wsat', '5', 'K3', '--exact', '--output', 'o'],\n"
+              "        ['closure', 'o/witness.txt', 'K3', '--output', 'c'],\n"
+              "        ['verify', 'o/witness.txt', 'K3', 'o/witness.cert']]\n"
+              "seen = []\n"
+              "for argv in jobs:\n"
+              "    code = argv and wsat.cli.main(argv)\n"
+              "    added = set(sys.modules) - start\n"
+              "    seen.append((code, sorted(added & {'dataclasses', 'inspect',"
+              " 'fractions', 'decimal'})))\n"
+              "print(seen)\n")
+    assert _fresh_interpreter(tmp_path, script) == str([(None, [])] + [(0, [])] * 4)
 
 
 # each module's own `from .x import` lines, closed over: what importing it loads

@@ -133,6 +133,19 @@ def test_rodl_bound_values():
     for n, t in [(6, 2), (7, 3)]:
         assert rodl_bound(n, t, t) == comb(n, t)
     assert rodl_bound(9, 6, 2) == Fraction(12, 5)
+    assert type(rodl_bound(9, 6, 2)) is Fraction
+
+
+def test_integer_ratio_matches_the_rational_one():
+    """generate cover's #RATIO, blocks * C(k, t) / C(N, t) in integers, is
+    the float of blocks / rodl_bound: both round the same rational once."""
+    for N in [*range(1, 41), *range(41, 401, 7), 400]:
+        for t in range(1, min(N, 6) + 1):
+            for k in {*range(t, N + 1, max(1, N // 40)), N}:
+                target = comb(N, t) // comb(k, t) + (comb(N, t) % comb(k, t) > 0)
+                for blocks in (1, target, comb(N, t)):
+                    assert blocks * comb(k, t) / comb(N, t) == \
+                        float(blocks / rodl_bound(N, k, t)), (N, k, t, blocks)
 
 
 def test_block_count_never_exceeds_tsets():
