@@ -254,31 +254,29 @@ def _gen_cover(args):
             [bound, f"#RATIO blocks_over_design_target {ratio:.6f}"], ok)
 
 
-# kind -> (required arguments, builder); a string names the positional
-# parameters in order, a tuple lists the required flags
+# kind -> (its arguments as the usage text shows them, builder), in usage
+# order: the positional parameters, or each required flag and its value
 GENERATE = {
     "template": ("r h s", _gen_template),
-    "cone": (("--r", "--s", "--h", "--size-a", "--size-b"), _gen_cone),
-    "spartite": (("--r", "--h", "--part-sizes"), _gen_spartite),
-    "percolate": (("--r", "--s", "--h", "--l", "--t"), _gen_percolate),
-    "s1": (("--pattern", "--n"), _gen_s1),
-    "main": (("--pattern", "--n", "--m1"), _gen_main),
     "clique-extremal": ("n t r", _gen_clique_extremal),
     "cover": ("N k t", _gen_cover),
+    "cone": ("--r R --s S --h H --size-a A --size-b B", _gen_cone),
+    "spartite": ("--r R --h H --part-sizes A,B,...", _gen_spartite),
+    "percolate": ("--r R --s S --h H --l L --t T", _gen_percolate),
+    "s1": ("--pattern P --n N", _gen_s1),
+    "main": ("--pattern P --n N --m1 M1", _gen_main),
 }
 
 
 def cmd_generate(args) -> int:
     out = _outdir(args)
-    required, build = GENERATE[args.kind]
-    if isinstance(required, str):
-        if len(args.params) != len(required.split()):
-            raise CLIError(f"generate {args.kind} needs: {required}")
-    else:
-        missing = [flag for flag in required
-                   if getattr(args, flag[2:].replace("-", "_")) is None]
-        if missing:
-            raise CLIError(f"generate {args.kind} requires {', '.join(missing)}")
+    spec, build = GENERATE[args.kind]
+    if spec[0] != "-" and len(args.params) != len(spec.split()):
+        raise CLIError(f"generate {args.kind} needs: {spec}")
+    missing = [flag for flag in spec.split()[::2] if flag[0] == "-"
+               and getattr(args, flag[2:].replace("-", "_")) is None]
+    if missing:
+        raise CLIError(f"generate {args.kind} requires {', '.join(missing)}")
     files, summary, reports, check = build(args)
     ok = check and all(b.holds for b in reports if isinstance(b, cons.BoundCheck))
     lines = [b.as_report() if isinstance(b, cons.BoundCheck) else b for b in reports]
@@ -360,14 +358,7 @@ usage: wsat closure GRAPH [PATTERN] [--template H S]
        wsat verify GRAPH PATTERN CERTIFICATE
 
 generate kinds and their arguments:
-  template r h s
-  clique-extremal n t r
-  cover N k t
-  cone --r R --s S --h H --size-a A --size-b B
-  spartite --r R --h H --part-sizes A,B,...
-  percolate --r R --s S --h H --l L --t T
-  s1 --pattern P --n N
-  main --pattern P --n N --m1 M1
+{chr(10).join(f"  {kind} {spec}" for kind, (spec, _) in GENERATE.items())}
 
 wsat wsat --table prints one row per n in N1..N2 and does not read N.
 Every command takes --output DIR (default .), --seed N (0), --threads T (1)

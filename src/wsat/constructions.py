@@ -129,8 +129,6 @@ def padded_example(g_minus: Hypergraph, k2: int, pattern: Pattern) -> Hypergraph
         raise ValueError(f"need k1 >= h = {pattern.h}, got k1={k1}")
     if not is_weakly_saturated(g_minus, pattern):
         raise ValueError("base graph is not weakly saturated for the pattern")
-    if k2 == 0:
-        return g_minus
     n = k1 + k2
     edges = set(g_minus.edges)
     edges |= _near_anchor_edges(n, pattern.r, pattern.s, pattern.h, k1)

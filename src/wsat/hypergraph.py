@@ -17,13 +17,13 @@ graph_of_mask and the constructions built on it do.
 Hypergraph checks its edges in bulk, a column at a time, and falls back to
 sorting and checking each edge (canonical_edge) only when that check fails,
 so unsorted edges are still accepted and errors name the first bad edge.
-Its sorted_edges keeps edges given as a sequence (not a set) when they are
-already in strictly increasing colex order; the check runs when
-sorted_edges is first read and stops at the first pair out of order, and
-any other input is sorted.  A graph's edge mask over colex ranks is encoded
-through a byte array.  set_bits is the package's one set-bit decoder, one
-linear pass over a mask's binary digits: graph_of_mask, the closures'
-missing edges and the sampled covers' blocks all read their bits with it.
+It keeps the edges as given, and sorted_edges sorts them when first
+read, so that edges built in colex order take timsort's one pass; a list
+that repeats an edge gives way to the edge set.  A graph's edge mask over
+colex ranks is encoded through a byte array.  set_bits is the package's
+one set-bit decoder, one linear pass over a mask's binary digits:
+graph_of_mask, the closures' missing edges and the sampled covers' blocks
+all read their bits with it.
 
 The text format is a header line "n r", then one edge per line, with blank
 lines and '#' comment lines skipped.  graph_from_text reads a text written
@@ -48,7 +48,7 @@ sets the fields once through __dict__, where cached_property also stores.
 from __future__ import annotations
 
 from functools import cached_property, lru_cache
-from itertools import chain, combinations, compress, repeat, tee
+from itertools import chain, combinations, compress, repeat
 from math import comb
 from operator import add, itemgetter, lt
 
@@ -172,16 +172,15 @@ class Hypergraph(_Value):
         if n < 0:
             raise ValueError(f"vertex count n={n} must be non-negative")
         check_universe(n, r)
-        ordered = not isinstance(edges, (set, frozenset))
         if type(edges) is not frozenset:
             edges = list(edges)
         if not _canonical_edges(edges, n, r):
             # sort each edge and name the first bad one, as canonical_edge does
             edges = [canonical_edge(e, n, r) for e in edges]
         self.__dict__.update(n=n, r=r, edges=frozenset(edges))
-        if ordered:
-            # kept for sorted_edges, which drops it when first read
-            self.__dict__["_listed"] = edges
+        # kept for sorted_edges, which drops it when first read; a list that
+        # repeats an edge gives way to the edge set
+        self.__dict__["_listed"] = edges if len(edges) == len(self.edges) else self.edges
 
     @property
     def edge_count(self) -> int:
@@ -189,16 +188,9 @@ class Hypergraph(_Value):
 
     @cached_property
     def sorted_edges(self) -> tuple[Edge, ...]:
-        """The edges in colex order: as given, when given as a sequence in
-        strictly increasing colex order (checked pair by pair up to the
-        first pair out of order), else sorted."""
-        listed = self.__dict__.pop("_listed", None)
-        if listed is not None:
-            keys, later = tee(map(colex_key, listed))
-            next(later, None)
-            if all(map(lt, keys, later)):
-                return tuple(listed)
-        return tuple(sorted(self.edges, key=colex_key))
+        """The edges in colex order: those kept when the graph was built,
+        sorted, in one pass when they were given in colex order."""
+        return tuple(sorted(self.__dict__.pop("_listed"), key=colex_key))
 
     @cached_property
     def mask(self) -> int:
@@ -227,8 +219,6 @@ def _canonical_edges(edges, n: int, r: int) -> bool:
     """Whether every edge is already a strictly increasing r-tuple inside
     [0, n), checked a column at a time: each edge a tuple of length r, each
     column below the next, column 0 non-negative and column r-1 below n."""
-    if not edges:
-        return True
     try:
         if set(map(type, edges)) != {tuple} or set(map(len, edges)) != {r}:
             return False

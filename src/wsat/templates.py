@@ -113,11 +113,10 @@ def _link_map(edges, missing, n: int, r: int) -> defaultdict[int, int]:
         link.update(zip(rests, map(full.__xor__, rests)))
         edges = missing
     columns = [[*map(bits.__getitem__, column)] for column in zip(*edges)]
-    if columns:
-        emasks = [*map(sum, zip(*columns))]
-        for column in columns:
-            for rest, bit in zip(map(xor, emasks, column), column):
-                link[rest] ^= bit
+    emasks = [*map(sum, zip(*columns))]
+    for column in columns:
+        for rest, bit in zip(map(xor, emasks, column), column):
+            link[rest] ^= bit
     return link
 
 

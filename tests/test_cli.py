@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 
 from wsat import constructions as cons
 from wsat.cli import (
+    COMMON_FLAGS,
     GENERATE,
     USAGE,
     VERBS,
@@ -1195,6 +1196,23 @@ def test_bad_part_sizes_name_their_flag(tmp_path, capsys):
                    "--part-sizes", sizes, "--output", str(tmp_path)) == (
             64, "", f"wsat: error: argument --part-sizes: invalid value {sizes!r}\n")
     assert not any(tmp_path.iterdir())
+
+
+def test_generate_table_matches_the_parser():
+    """Each GENERATE spec's flags, at its even positions, take one value in
+    the generate verb's table, every kind-specific flag is in some spec, and
+    the usage text shows each kind's spec, in table order."""
+    flags = VERBS["generate"][1]
+    named = set()
+    for kind, (spec, _) in GENERATE.items():
+        words = spec.split()
+        spec_flags = [word for word in words if word.startswith("-")]
+        assert spec_flags in ([], words[::2]), kind
+        assert all(flags[flag][1] == 1 for flag in spec_flags), kind
+        named.update(spec_flags)
+    assert named == set(flags) - set(COMMON_FLAGS)
+    kinds = "".join(f"  {kind} {spec}\n" for kind, (spec, _) in GENERATE.items())
+    assert f"generate kinds and their arguments:\n{kinds}\n" in USAGE
 
 
 def test_usage_names_every_verb_kind_and_flag(capsys):

@@ -80,6 +80,9 @@ def test_edge_sets_are_sets():
     assert g1.edge_count == 2
     # unsorted input is canonicalized
     assert Hypergraph(4, 2, [(1, 0)]) == Hypergraph(4, 2, [(0, 1)])
+    # no edges, however given
+    for g in (Hypergraph(4, 2), Hypergraph(4, 2, []), Hypergraph(4, 2, frozenset())):
+        assert g == Hypergraph(4, 2) and g.edges == frozenset() and g.sorted_edges == ()
 
 
 def test_graph_validation():
@@ -216,12 +219,13 @@ def reversed_vertices(edges):
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(colex_edge_lists(), st.sampled_from([
     list, tuple, lambda es: es[::-1], lex_order, with_repeat, reversed_vertices,
-    frozenset, lambda es: (e for e in es)]))
+    set, frozenset, lambda es: (e for e in es)]))
 def test_sorted_edges_keeps_colex_input_and_sorts_the_rest(case, form):
     n, r, edges = case
     g = Hypergraph(n, r, form(edges))
     same = Hypergraph(n, r, frozenset(edges))
     assert g.sorted_edges == tuple(sorted(g.edges, key=colex_key)) == tuple(edges)
+    assert "_listed" not in g.__dict__  # the first read drops the kept list
     assert g == same and hash(g) == hash(same)
     assert graph_to_text(g) == graph_to_text(same)
 

@@ -127,7 +127,8 @@ def test_link_map_sides_agree(r):
     """_link_map builds from the smaller side: the present edges of a sparse
     graph, the missing edges of a dense one.  Swapping the two arguments
     gives the complement graph's map from the other side, so every graph
-    here checks both sides against the plain per-edge map."""
+    here checks both sides against the plain per-edge map.  Densities 0
+    and 1 give a side with no edges, which leaves the map as it starts."""
     rng = random.Random(r)
     for n in (r, r + 1, r + 3, 9):
         universe = edge_universe(n, r)

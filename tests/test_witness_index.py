@@ -9,12 +9,14 @@ from hypothesis import given, settings, strategies as st
 import wsat.percolation as percolation
 from wsat.hypergraph import Hypergraph, complete_graph, edge_universe
 from wsat.percolation import (
+    SaturationCertificate,
     WitnessIndex,
     _base_witnesses,
     _pinned_embeddings,
     certificate_to_text,
     closure,
     creates_new_copy,
+    is_weakly_saturated,
 )
 from wsat.templates import make_pattern
 
@@ -149,6 +151,24 @@ def test_index_matches_per_edge_oracle():
 # reach, where the per-edge oracle above would be too slow
 BASE_CASES = [("K3", 16), ("K4", 11), ("K4^3", 10), ("C4", 10), ("C5", 10),
               ("triangle+pendant", 10), ("K5", 10)]
+
+
+def test_too_few_vertices_for_the_pattern():
+    """With n < h no edge has a witness.  At n < r (edge^2 on 0 and 1
+    vertices) the universe is empty and every graph percolates; at
+    r <= n < h (K4 on 3 vertices) only the complete graph does.  Neither
+    closure adds an edge, so both certificates are empty."""
+    edge2, k4 = DEGENERATE["edge^2"], COMPLETE["K4"]
+    for n in (0, 1):
+        g = Hypergraph(n, 2)
+        result = closure(g, edge2)
+        assert result.certificate == SaturationCertificate("pattern", n, 2)
+        assert result.percolated and is_weakly_saturated(g, edge2)
+    for edges in ([], [(0, 1)], [(0, 1), (1, 2)], edge_universe(3, 2)):
+        g = Hypergraph(3, 2, edges)
+        result = closure(g, k4)
+        assert result.certificate == SaturationCertificate("pattern", 3, 2)
+        assert result.percolated == is_weakly_saturated(g, k4) == (len(edges) == 3)
 
 
 def test_base_witnesses_match_seed_search():
