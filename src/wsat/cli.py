@@ -49,7 +49,6 @@ from .percolation import (
 from .solver import (DEFAULT_BUDGET, exact_or_upper, ratio_table, wsat_exact,
                      wsat_upper_witness)
 from .templates import (
-    make_pattern,
     template,
     template_closure,
     template_mappings,
@@ -71,7 +70,7 @@ PATTERN_SHORTHANDS = "K<t>, K<t>^<r>, edge^<r>, triangle+pendant"
 def parse_pattern_token(token: str) -> Pattern:
     """Built-in pattern shorthands; anything else must be a graph file."""
     if token == "triangle+pendant":
-        return make_pattern(Hypergraph(4, 2, [(0, 1), (0, 2), (1, 2), (0, 3)]))
+        return Pattern(Hypergraph(4, 2, [(0, 1), (0, 2), (1, 2), (0, 3)]))
     if m := re.fullmatch(r"K(\d+)\^(\d+)", token):
         t, r = int(m.group(1)), int(m.group(2))
     elif m := re.fullmatch(r"K(\d+)", token):
@@ -83,7 +82,7 @@ def parse_pattern_token(token: str) -> Pattern:
                        f"{PATTERN_SHORTHANDS}")
     if not t >= r >= 1:
         raise CLIError(f"pattern {token!r} has t={t}, r={r}; need t >= r >= 1")
-    return make_pattern(complete_graph(t, r))
+    return Pattern(complete_graph(t, r))
 
 
 def open_input(path_str: str):
@@ -105,7 +104,7 @@ def read_input(path_str: str) -> str:
 
 def load_pattern(token: str) -> Pattern:
     if os.path.exists(token):
-        return make_pattern(graph_from_text(read_input(token)))
+        return Pattern(graph_from_text(read_input(token)))
     return parse_pattern_token(token)
 
 
@@ -235,7 +234,7 @@ def _gen_clique_extremal(args):
     n, t, r = args.params
     g = cons.clique_extremal(n, t, r)
     bound = cons.clique_extremal_bound(g, t)
-    ok = is_weakly_saturated(g, make_pattern(complete_graph(t, r)))
+    ok = is_weakly_saturated(g, Pattern(complete_graph(t, r)))
     return ({"clique_extremal.txt": g},
             f"generate clique-extremal n={n} t={t} r={r} edges={g.edge_count} "
             f"percolated={str(ok).lower()}", [bound], ok)

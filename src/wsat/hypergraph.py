@@ -28,13 +28,14 @@ all read their bits with it.
 The text format is a header line "n r", then one edge per line, with blank
 lines and '#' comment lines skipped.  graph_from_text reads a text written
 exactly as graph_to_text writes it (the header, then each edge's r vertices
-separated by single spaces, every line ended by a newline) in one scan:
-one split into tokens, one % render of them compared with the text, and
-int() once for each distinct vertex token, each an ASCII digit string no
-longer than str(n).  Its edges go to Hypergraph as a list in file order.
-Any other text, such as one with comments or the #BOUND and #RATIO lines
-that generate appends, takes the per-line loop, which is the only source
-of FormatErrors, so messages and line numbers do not depend on the scan.
+separated by single spaces, every line ended by a newline), its edges in
+any order, in one scan: its tokens, each distinct one int()ed once, build a
+Hypergraph, kept only if a %d render of its header and of the edges it
+keeps as listed (all of them exactly when each is strictly increasing inside
+[0, n) and none repeats) writes back the text.  Any other text, such as one
+with comments or the #BOUND and #RATIO lines that generate appends, takes
+the per-line loop, which is the only source of FormatErrors, so messages
+and line numbers do not depend on the scan.
 
 The package's value classes (Hypergraph, Pattern and the results of the
 other modules) are plain classes on the private base _Value, which gives
@@ -222,17 +223,11 @@ def _canonical_edges(edges, n: int, r: int) -> bool:
     try:
         if set(map(type, edges)) != {tuple} or set(map(len, edges)) != {r}:
             return False
-        return _canonical_columns([list(map(itemgetter(i), edges)) for i in range(r)], n)
+        columns = [list(map(itemgetter(i), edges)) for i in range(r)]
+        return (all(all(map(lt, a, b)) for a, b in zip(columns, columns[1:]))
+                and min(columns[0]) >= 0 and max(columns[-1]) < n)
     except TypeError:  # vertices that do not compare as integers
         return False
-
-
-def _canonical_columns(columns: list, n: int) -> bool:
-    """Whether non-empty vertex columns hold strictly increasing edges inside
-    [0, n): each column below the next, column 0 non-negative and the last
-    column below n."""
-    return (all(all(map(lt, a, b)) for a, b in zip(columns, columns[1:]))
-            and min(columns[0]) >= 0 and max(columns[-1]) < n)
 
 
 def complete_graph(n: int, r: int) -> Hypergraph:
@@ -262,41 +257,32 @@ def graph_to_text(g: Hypergraph) -> str:
 
 
 def graph_from_text(text: str) -> Hypergraph:
-    """The graph of a text in the format above.  A text written exactly as
-    graph_to_text writes it is read in one scan; any other goes through
-    the per-line loop, which alone raises FormatErrors."""
+    """The graph of a text in the format above.  A text written as
+    graph_to_text writes it, its edges in any order, is read in one scan;
+    any other goes through the per-line loop, which alone raises FormatErrors."""
     return _scan_graph(text) or _read_graph_lines(text)
 
 
 def _scan_graph(text: str) -> Hypergraph | None:
-    """The graph of a text that one % render of its tokens reproduces, as
-    graph_to_text writes it, with ASCII digits for every token and every
-    edge strictly increasing inside [0, n); else None.  Each distinct
-    vertex token is int()ed once, and the edges are listed in file order."""
+    """The graph of the header and edges (in file order) of a text's tokens,
+    each distinct token int()ed once, if it builds and a %d render of its
+    header and of the edges it keeps as listed writes back the text; else
+    None.  It keeps them exactly when each is canonical and none repeats."""
     tokens = text.split()
-    if len(tokens) < 2 or not all(t.isascii() and t.isdigit() for t in tokens[:2]):
-        return None
+    distinct = set(tokens)
     try:
-        n, r = map(int, tokens[:2])
-    except ValueError:  # more digits than int() converts
+        number = dict(zip(distinct, map(int, distinct)))
+        n, r, *body = map(number.__getitem__, tokens)
+        if r < 1 or len(body) % r:  # not edges of r tokens each
+            return None
+        g = Hypergraph(n, r, [*zip(*[iter(body)] * r)] if body else [])  # r unbounded
+    except ValueError:  # a token int() refuses, no header, or a graph refused
         return None
-    body = tokens[2:]
-    if r < 1 or len(body) % r:
+    listed = g.__dict__["_listed"]
+    line = " ".join(["%d"] * r) + "\n" if listed else ""
+    if ("%d %d\n" + line * len(listed)) % (n, r, *chain.from_iterable(listed)) != text:
         return None
-    line = " ".join(["%s"] * r) + "\n" if body else ""  # r is unbounded without edges
-    if ("%s %s\n" + line * (len(body) // r)) % tuple(tokens) != text:
-        return None
-    if not body:
-        return Hypergraph(n, r, [])
-    vertices = set(body)
-    width = len(str(n))
-    if not all(t.isascii() and t.isdigit() and len(t) <= width for t in vertices):
-        return None
-    number = dict(zip(vertices, map(int, vertices)))
-    columns = [[*map(number.__getitem__, body[i::r])] for i in range(r)]
-    if not _canonical_columns(columns, n):
-        return None
-    return Hypergraph(n, r, [*zip(*columns)])
+    return g
 
 
 def _read_graph_lines(text: str) -> Hypergraph:
@@ -330,21 +316,35 @@ def _read_graph_lines(text: str) -> Hypergraph:
     return Hypergraph(n, r, edges)
 
 
+def sparseness_witness(graph: Hypergraph) -> tuple[tuple[int, ...], Edge]:
+    """Smallest (colex-first) vertex set contained in exactly one edge,
+    together with that edge."""
+    if not graph.edges:
+        raise ValueError("sparseness is undefined for an empty edge set")
+    edges = graph.sorted_edges
+    for size in range(1, graph.r + 1):
+        for cand in edge_universe(graph.n, size):
+            cs = set(cand)
+            hits = [e for e in edges if cs.issubset(e)]
+            if len(hits) == 1:
+                return cand, hits[0]
+    raise AssertionError("unreachable: a full edge is always a witness")
+
+
+def sparseness(graph: Hypergraph) -> int:
+    """The sparseness s: min |W| over vertex sets W lying in exactly one edge."""
+    return len(sparseness_witness(graph)[0])
+
+
 class Pattern(_Value):
-    """A fixed target hypergraph H together with its sparseness s: the
-    smallest size of a vertex set contained in exactly one edge of H.  Build
-    with templates.make_pattern, which computes s; h and r are read off the
-    graph.
-    """
+    """A fixed target hypergraph H, which must have an edge, with its
+    sparseness s, worked out from H: the smallest size of a vertex set
+    contained in exactly one edge.  h and r are read off the graph."""
 
     _fields = ("graph", "s")
 
-    def __init__(self, graph: Hypergraph, s: int):
-        if not graph.edges:
-            raise ValueError("pattern must have at least one edge")
-        if not 1 <= s <= graph.r:
-            raise ValueError(f"sparseness {s} out of range for r={graph.r}")
-        self.__dict__.update(graph=graph, s=s)
+    def __init__(self, graph: Hypergraph):
+        self.__dict__.update(graph=graph, s=sparseness(graph))
 
     @property
     def h(self) -> int:

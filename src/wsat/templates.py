@@ -16,6 +16,7 @@ is the special edge) the replay checks exactly that every r-subset of W not
 containing Z is present and the edge is new.
 
 Canonical representatives: core = {0..s-1}, special edge = {0..r-1}.
+make_pattern is hypergraph.Pattern, which works out H's sparseness.
 
 template_closure runs percolation.sweep over the missing edges, with one
 fused step per edge (_template_step) that searches for a template copy on a
@@ -44,6 +45,7 @@ from .hypergraph import (
     Hypergraph,
     Pattern,
     edge_universe,
+    sparseness_witness,
 )
 from .percolation import (
     ClosureResult,
@@ -54,28 +56,7 @@ from .percolation import (
 )
 
 
-def sparseness_witness(graph: Hypergraph) -> tuple[tuple[int, ...], Edge]:
-    """Smallest (colex-first) vertex set contained in exactly one edge,
-    together with that edge."""
-    if not graph.edges:
-        raise ValueError("sparseness is undefined for an empty edge set")
-    edges = graph.sorted_edges
-    for size in range(1, graph.r + 1):
-        for cand in edge_universe(graph.n, size):
-            cs = set(cand)
-            hits = [e for e in edges if cs.issubset(e)]
-            if len(hits) == 1:
-                return cand, hits[0]
-    raise AssertionError("unreachable: a full edge is always a witness")
-
-
-def sparseness(graph: Hypergraph) -> int:
-    """The sparseness s: min |W| over vertex sets W lying in exactly one edge."""
-    return len(sparseness_witness(graph)[0])
-
-
-def make_pattern(graph: Hypergraph) -> Pattern:
-    return Pattern(graph, sparseness(graph))
+make_pattern = Pattern
 
 
 def _check_params(r: int, h: int, s: int) -> None:

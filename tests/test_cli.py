@@ -827,6 +827,22 @@ def test_unreadable_input_is_usage_error(tmp_path, capsys, argv):
     assert err == f"wsat: error: cannot read {folder}: Is a directory\n"
 
 
+@pytest.mark.parametrize("argv", [
+    ["closure", "{graph}", "{pattern}"],
+    ["verify", "{graph}", "{pattern}", "{cert}"],
+    ["wsat", "6", "{pattern}", "--exact"],
+])
+def test_edgeless_pattern_is_usage_error(tmp_path, capsys, argv):
+    graph = write_graph(tmp_path / "g.txt", STAR4)
+    pattern = write_graph(tmp_path / "p.txt", Hypergraph(3, 2))
+    cert = tmp_path / "c.cert"
+    cert.write_text("CERT pattern 4 2\n")
+    argv = [a.format(graph=graph, pattern=pattern, cert=cert) for a in argv]
+    code, out, err = run(capsys, *argv, "--output", str(tmp_path / "o"))
+    assert code == 64 and out == ""
+    assert err == "wsat: error: sparseness is undefined for an empty edge set\n"
+
+
 def test_threads_flag_validated_and_inert(tmp_path, capsys):
     gpath = write_graph(tmp_path / "star.txt", STAR4)
     code1, out1, _ = run(capsys, "closure", gpath, "K3",

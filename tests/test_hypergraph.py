@@ -340,7 +340,9 @@ RANDOM_GRAPHS = list(_random_graphs())
 
 
 def _line_mutations(line, n, r):
-    """Ways to change one edge line: (name, lines that replace it)."""
+    """Ways to change one line, the header or an edge line: (name, lines
+    that replace it).  On the header, "leading zero" is a header with a
+    leading zero."""
     tokens = line.split()
     yield "comment line", ["# note", line]
     yield "blank line", ["", line]
@@ -359,6 +361,7 @@ def _line_mutations(line, n, r):
     yield "repeated vertex", [" ".join(tokens[:1] * r)]
     yield "r - 1 vertices", [" ".join(tokens[:-1])]
     yield "r + 1 vertices", [line + " " + str(n - 1)]
+    yield "repeated edge line", [line, line]
 
 
 def test_graph_scan_matches_seed_on_written_texts():
@@ -372,7 +375,7 @@ def test_graph_scan_matches_seed_on_mutated_texts():
     assert {g.r for g in bases} == {1, 2, 3, 4}
     for g in bases:
         lines = graph_to_text(g).splitlines()
-        for j in (1, len(lines) // 2, len(lines) - 1):  # line 2, a middle one, the last
+        for j in (0, 1, len(lines) // 2, len(lines) - 1):  # header, line 2, middle, last
             for _, changed in _line_mutations(lines[j], g.n, g.r):
                 assert_scan_matches_seed("\n".join(lines[:j] + changed + lines[j + 1:])
                                          + "\n")
@@ -381,17 +384,31 @@ def test_graph_scan_matches_seed_on_mutated_texts():
         assert_scan_matches_seed(text.replace(" ", "  ", 1))  # header with two spaces
         assert_scan_matches_seed(text + f"#BOUND edges {g.edge_count} 9 true\n"
                                  "#RATIO edges_over_n 1.000000\n")
+    # an r too large for the edges is refused before any graph is built
+    assert_scan_matches_seed("100000000 50000000\n0 1\n")
+
+
+def _written(n, r, edges):
+    """The text of a graph written as graph_to_text writes it, with its edge
+    lines in the order given."""
+    return "".join([f"{n} {r}\n", *(" ".join(map(str, e)) + "\n" for e in edges)])
 
 
 def test_written_graph_texts_are_scanned(monkeypatch):
-    """graph_to_text's output never reaches the per-line loop."""
+    """graph_to_text's output never reaches the per-line loop, nor does a
+    text written the same way with its edges shuffled or in lex order (as
+    the benchmark's workloads write their graphs)."""
     import wsat.hypergraph as hypergraph
 
     def refuse(text):
         raise AssertionError(f"read line by line: {text!r}")
 
     monkeypatch.setattr(hypergraph, "_read_graph_lines", refuse)
+    rng = random.Random(36)
     for g in RANDOM_GRAPHS:
-        assert graph_from_text(graph_to_text(g)) == g
+        shuffled = rng.sample(g.sorted_edges, g.edge_count)
+        for text in (graph_to_text(g), _written(g.n, g.r, shuffled),
+                     _written(g.n, g.r, sorted(g.edges))):
+            assert graph_from_text(text) == g
     with pytest.raises(AssertionError):
         graph_from_text("# a comment\n3 2\n0 1\n")

@@ -9,10 +9,13 @@ from hypothesis import given, settings, strategies as st
 from wsat.constructions import cone_gadget, percolate_gadget, spartite_gadget
 from wsat.hypergraph import (
     Hypergraph,
+    Pattern,
     canonical_edge,
     colex_key,
     complete_graph,
     edge_universe,
+    sparseness,
+    sparseness_witness,
 )
 from wsat.percolation import (
     CertificateCheck,
@@ -25,8 +28,6 @@ from wsat.percolation import (
 import wsat.templates as templates
 from wsat.templates import (
     make_pattern,
-    sparseness,
-    sparseness_witness,
     template,
     template_cert_to_pattern_cert,
     template_closure,
@@ -71,6 +72,20 @@ def test_sparseness_witness_is_in_exactly_one_edge():
     assert edge == (0, 3)
     with pytest.raises(ValueError):
         sparseness(Hypergraph(4, 2))
+
+
+def test_pattern_sparseness_census():
+    """Pattern(g).s against the definition, the least size of a non-empty
+    vertex set lying in exactly one edge, for every non-empty r-graph with
+    r in {2, 3} on at most 5 vertices."""
+    for r in (2, 3):
+        for n in range(r, 6):
+            universe = edge_universe(n, r)
+            for mask in range(1, 1 << len(universe)):
+                edges = [e for i, e in enumerate(universe) if mask >> i & 1]
+                least = min(k for k in range(1, n + 1) for w in combinations(range(n), k)
+                            if sum(set(w) <= set(e) for e in edges) == 1)
+                assert Pattern(Hypergraph(n, r, edges)).s == least, edges
 
 
 def test_template_counts():

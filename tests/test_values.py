@@ -10,7 +10,8 @@ import pytest
 
 from wsat.constructions import BoundCheck, MainResult
 from wsat.designs import CoverDesign, _check_block
-from wsat.hypergraph import Hypergraph, Pattern, canonical_edge, check_universe, complete_graph
+from wsat.hypergraph import (Hypergraph, Pattern, canonical_edge, check_universe,
+                             complete_graph, sparseness)
 from wsat.percolation import (
     CertificateCheck,
     ClosureResult,
@@ -41,13 +42,10 @@ class HypergraphTwin:
 @dataclass(frozen=True)
 class PatternTwin:
     graph: Hypergraph
-    s: int
+    s: int = field(init=False)
 
     def __post_init__(self):
-        if not self.graph.edges:
-            raise ValueError("pattern must have at least one edge")
-        if not 1 <= self.s <= self.graph.r:
-            raise ValueError(f"sparseness {self.s} out of range for r={self.graph.r}")
+        object.__setattr__(self, "s", sparseness(self.graph))
 
 
 @dataclass(frozen=True)
@@ -139,10 +137,10 @@ VALUES = {
         ((3, 2, [(0, 1)]), {}),
     ]),
     Pattern: (PatternTwin, [
-        ((K3, 2), {}),
-        ((), {"graph": complete_graph(3, 2), "s": 2}),
-        ((K3, 1), {}),
-        ((PATH,), {"s": 2}),
+        ((K3,), {}),
+        ((), {"graph": complete_graph(3, 2)}),
+        ((PATH,), {}),
+        ((complete_graph(4, 3),), {}),
     ]),
     SaturationCertificate: (SaturationCertificateTwin, [
         (("pattern", 4, 2), {}),
@@ -198,7 +196,7 @@ INVALID = {
     Hypergraph: [(3, 0), (-1, 2), (-1, 0), (100, 50), (3, 2, [(0, 0)]), (3, 2, [(0, 5)]),
                  (3, 2, [(0, 1), (0, 1, 2)]), (3, 2, [(1, 0), (-1, 2)]),
                  (3, 2, [(0, 5), (1, 1)]), (3, 0, [(0, 5)])],
-    Pattern: [(Hypergraph(3, 2), 1), (K3, 0), (K3, 3), (Hypergraph(3, 2), 5)],
+    Pattern: [(Hypergraph(3, 2),), (Hypergraph(0, 1),)],
     SaturationCertificate: [("other", 4, 2), ("Pattern", 4, 2, ())],
     CoverDesign: [(2, 3, 1), (4, 2, 0), (4, 2, 2, ((0, 0),)), (4, 2, 2, ((0, 5),)),
                   (4, 2, 2, ((0, 1, 2),)), (4, 2, 2, ((-1, 2),)),
@@ -226,8 +224,9 @@ def test_fields_and_defaults_match_the_twin(cls):
     assert cls._fields == tuple(f.name for f in fields(twin))
     params = inspect.signature(cls).parameters.values()
     assert [p.kind for p in params] == [inspect.Parameter.POSITIONAL_OR_KEYWORD] * len(params)
+    # a field the twin computes (init=False) is not a parameter
     defaults = {f.name: f.default_factory() if f.default_factory is not MISSING else f.default
-                for f in fields(twin)}
+                for f in fields(twin) if f.init}
     assert {p.name: p.default for p in params} == {
         name: inspect.Parameter.empty if default is MISSING else default
         for name, default in defaults.items()}
@@ -290,6 +289,6 @@ def test_derived_attributes_are_computed_once():
 def test_equal_pattern_hits_the_witness_index_cache():
     first = witness_index(5, make_pattern(complete_graph(3, 2)))
     hits = witness_index.cache_info().hits
-    equal = Pattern(Hypergraph(3, 2, [(1, 2), (0, 2), (0, 1)]), 2)
+    equal = Pattern(Hypergraph(3, 2, [(1, 2), (0, 2), (0, 1)]))
     assert witness_index(5, equal) is first
     assert witness_index.cache_info().hits == hits + 1
