@@ -5,8 +5,12 @@ certificate), 2 inconclusive (budget or memory exhausted), 64 usage or
 input error.
 Runs with identical arguments produce byte-identical files and stdout; the
 --threads flag is accepted for compatibility but the engines are serial and
-their schedule is fixed, so it cannot affect any output.  Every generate
-kind writes its files, then prints a summary line and its #BOUND / #RATIO
+their schedule is fixed, so it cannot affect any output.  Each command
+checks all of its arguments, computes, writes its files in one _write call,
+then prints, so a refused or inconclusive run makes no --output directory.
+A usage or input error is a ValueError, which main reports with exit 64.
+A generate kind takes exactly the arguments of its usage line, besides the
+flags every command takes; it prints a summary line and its #BOUND / #RATIO
 report lines, which its graph file also carries at the end.
 
 argv is parsed by parse_args from one table, VERBS: each verb's positionals
@@ -60,10 +64,6 @@ EXIT_INCONCLUSIVE = 2
 EXIT_USAGE = 64
 
 
-class CLIError(Exception):
-    pass
-
-
 PATTERN_SHORTHANDS = "K<t>, K<t>^<r>, edge^<r>, triangle+pendant"
 
 
@@ -78,10 +78,10 @@ def parse_pattern_token(token: str) -> Pattern:
     elif m := re.fullmatch(r"edge\^(\d+)", token):
         t = r = int(m.group(1))
     else:
-        raise CLIError(f"unknown pattern {token!r}; use a file or one of "
-                       f"{PATTERN_SHORTHANDS}")
+        raise ValueError(f"unknown pattern {token!r}; use a file or one of "
+                         f"{PATTERN_SHORTHANDS}")
     if not t >= r >= 1:
-        raise CLIError(f"pattern {token!r} has t={t}, r={r}; need t >= r >= 1")
+        raise ValueError(f"pattern {token!r} has t={t}, r={r}; need t >= r >= 1")
     return Pattern(complete_graph(t, r))
 
 
@@ -92,9 +92,9 @@ def open_input(path_str: str):
     try:
         return open(path_str, encoding="utf-8", errors="replace")
     except FileNotFoundError:
-        raise CLIError(f"no such file: {path_str}") from None
+        raise ValueError(f"no such file: {path_str}") from None
     except OSError as exc:
-        raise CLIError(f"cannot read {path_str}: {exc.strerror}") from None
+        raise ValueError(f"cannot read {path_str}: {exc.strerror}") from None
 
 
 def read_input(path_str: str) -> str:
@@ -116,26 +116,24 @@ def pattern_hash(pattern: Pattern) -> str:
     return hashlib.sha256(graph_to_text(pattern.graph).encode()).hexdigest()[:12]
 
 
-def _outdir(args) -> str:
-    """The --output directory, made if missing ('' is the working
-    directory); a path that cannot be a directory (an existing file, say)
-    is a usage error naming it."""
+def _write(args, files: dict) -> None:
+    """Make the --output directory if missing ('' is the working directory),
+    then write each file name's text, in order.  A path that cannot be a
+    directory (an existing file, say) is a usage error naming it."""
     try:
         os.makedirs(args.output or ".", exist_ok=True)
     except OSError as exc:
-        raise CLIError(f"cannot make directory {args.output}: {exc.strerror}") from None
-    return args.output
-
-
-def _write(out: str, name: str, text: str) -> None:
-    with open(os.path.join(out, name), "w") as file:
-        file.write(text)
+        raise ValueError(f"cannot make directory {args.output}: "
+                         f"{exc.strerror}") from None
+    for name, text in files.items():
+        with open(os.path.join(args.output, name), "w") as file:
+            file.write(text)
 
 
 def cmd_closure(args) -> int:
-    g = load_graph(args.graph)
     if (args.pattern is None) == (args.template is None):
-        raise CLIError("give exactly one of PATTERN or --template H S")
+        raise ValueError("give exactly one of PATTERN or --template H S")
+    g = load_graph(args.graph)
     if args.template is not None:
         h, s = args.template
         result = template_closure(g, h, s)
@@ -144,9 +142,8 @@ def cmd_closure(args) -> int:
         pattern = load_pattern(args.pattern)
         result = closure(g, pattern)
         label = f"pattern {pattern_hash(pattern)}"
-    out = _outdir(args)
-    _write(out, "closure.txt", graph_to_text(result.closure))
-    _write(out, "closure.cert", certificate_to_text(result.certificate))
+    _write(args, {"closure.txt": graph_to_text(result.closure),
+                  "closure.cert": certificate_to_text(result.certificate)})
     print(f"closure {label} n={g.n} r={g.r} start={g.edge_count} "
           f"added={len(result.certificate)} "
           f"percolated={str(result.percolated).lower()}")
@@ -254,7 +251,8 @@ def _gen_cover(args):
 
 
 # kind -> (its arguments as the usage text shows them, builder), in usage
-# order: the positional parameters, or each required flag and its value
+# order: the positional parameters, or each flag and its value; a kind takes
+# exactly these, besides COMMON_FLAGS
 GENERATE = {
     "template": ("r h s", _gen_template),
     "clique-extremal": ("n t r", _gen_clique_extremal),
@@ -268,21 +266,26 @@ GENERATE = {
 
 
 def cmd_generate(args) -> int:
-    out = _outdir(args)
-    spec, build = GENERATE[args.kind]
-    if spec[0] != "-" and len(args.params) != len(spec.split()):
-        raise CLIError(f"generate {args.kind} needs: {spec}")
-    missing = [flag for flag in spec.split()[::2] if flag[0] == "-"
-               and getattr(args, flag[2:].replace("-", "_")) is None]
-    if missing:
-        raise CLIError(f"generate {args.kind} requires {', '.join(missing)}")
+    kind = args.kind
+    if kind not in GENERATE:
+        raise ValueError(f"argument kind: invalid choice {kind!r} "
+                         f"(choose from {', '.join(GENERATE)})")
+    spec, build = GENERATE[kind]
+    named = spec.split()[::2] if spec[0] == "-" else []
+    if len(args.params) != (0 if named else len(spec.split())):
+        raise ValueError(f"generate {kind} needs: {spec}")
+    given = [flag for flag in VERBS["generate"][1] if flag not in COMMON_FLAGS
+             and getattr(args, flag[2:].replace("-", "_")) is not None]
+    if missing := [flag for flag in named if flag not in given]:
+        raise ValueError(f"generate {kind} requires {', '.join(missing)}")
+    if foreign := [flag for flag in given if flag not in named]:
+        raise ValueError(f"generate {kind} does not take {', '.join(foreign)}")
     files, summary, reports, check = build(args)
     ok = check and all(b.holds for b in reports if isinstance(b, cons.BoundCheck))
     lines = [b.as_report() if isinstance(b, cons.BoundCheck) else b for b in reports]
-    for name, content in files.items():
-        if isinstance(content, Hypergraph):
-            content = graph_to_text(content) + "".join(line + "\n" for line in lines)
-        _write(out, name, content)
+    tail = "".join(line + "\n" for line in lines)
+    _write(args, {name: graph_to_text(c) + tail if isinstance(c, Hypergraph) else c
+                  for name, c in files.items()})
     print(summary)
     for line in lines:
         print(line)
@@ -292,23 +295,22 @@ def cmd_generate(args) -> int:
 def _parse_range(token: str) -> range:
     m = re.fullmatch(r"(\d+)\.\.(\d+)", token)
     if not m:
-        raise CLIError(f"range must look like 3..8, got {token!r}")
+        raise ValueError(f"range must look like 3..8, got {token!r}")
     lo, hi = int(m.group(1)), int(m.group(2))
     if hi < lo:
-        raise CLIError(f"empty range {token!r}")
+        raise ValueError(f"empty range {token!r}")
     return range(lo, hi + 1)
 
 
 def cmd_wsat(args) -> int:
     if args.exact + args.upper + (args.table is not None) != 1:
-        raise CLIError("give exactly one of --exact, --upper or --table N1..N2")
+        raise ValueError("give exactly one of --exact, --upper or --table N1..N2")
     pattern = load_pattern(args.pattern)
-    hh = pattern_hash(pattern)
     if args.table is not None:
         for row in ratio_table(pattern, _parse_range(args.table), args.budget):
             print(f"ratio {row.n} {row.value} {row.ratio:.6f} {row.method}")
         return EXIT_OK
-    out = _outdir(args)
+    hh = pattern_hash(pattern)
     if args.exact:
         result = wsat_exact(args.n, pattern, args.budget)
         if result.status != "exact":
@@ -320,11 +322,10 @@ def cmd_wsat(args) -> int:
     else:
         witness = wsat_upper_witness(args.n, pattern)
         value, status = witness.edge_count, "upper"
-    cert = closure(witness, pattern).certificate
+    cert, text = closure(witness, pattern).certificate, graph_to_text(witness)
+    _write(args, {"witness.txt": text, "witness.cert": certificate_to_text(cert)})
     print(f"wsat {args.n} {pattern.r} {hh} {value} {status}")
-    sys.stdout.write(graph_to_text(witness))
-    _write(out, "witness.txt", graph_to_text(witness))
-    _write(out, "witness.cert", certificate_to_text(cert))
+    sys.stdout.write(text)
     return EXIT_OK
 
 
@@ -372,13 +373,6 @@ def _int_list(token: str) -> tuple[int, ...]:
     return tuple(map(int, token.split(",")))
 
 
-def _generate_kind(token: str) -> str:
-    if token not in GENERATE:
-        raise CLIError(f"argument kind: invalid choice {token!r} "
-                       f"(choose from {', '.join(GENERATE)})")
-    return token
-
-
 # flag -> (type, arity, default); arity 0 is a switch, which defaults to
 # False.  --help maps to None: it names no attribute.
 COMMON_FLAGS = {"--output": (str, 1, "."), "--seed": (int, 1, 0),
@@ -390,7 +384,7 @@ _INT = (int, 1, None)
 VERBS = {
     "closure": ((("graph", str, 1), ("pattern", str, "?")),
                 {**COMMON_FLAGS, "--template": (int, 2, None)}),
-    "generate": ((("kind", _generate_kind, 1), ("params", int, "*")),
+    "generate": ((("kind", str, 1), ("params", int, "*")),
                  {**COMMON_FLAGS, "--r": _INT, "--s": _INT, "--h": _INT,
                   "--size-a": _INT, "--size-b": _INT, "--l": _INT, "--t": _INT,
                   "--n": _INT, "--m1": _INT, "--part-sizes": (_int_list, 1, None),
@@ -416,29 +410,30 @@ def _flag(token: str, flags: dict):
     if name not in flags and name.startswith("--"):
         matches = [flag for flag in flags if flag.startswith(name)]
         if len(matches) > 1:
-            raise CLIError(f"ambiguous option: {name} could match "
-                           f"{', '.join(matches)}")
+            raise ValueError(f"ambiguous option: {name} could match "
+                             f"{', '.join(matches)}")
         if matches:
             name = matches[0]
     if name in flags:
         return name, inline if eq else None
     if re.fullmatch(r"-\d+|-\d*\.\d+", token) or " " in token:
         return None
-    raise CLIError(f"unrecognized arguments: {token}")
+    raise ValueError(f"unrecognized arguments: {token}")
 
 
 def _convert(name: str, convert, token: str):
     try:
         return convert(token)
     except ValueError:
-        raise CLIError(f"argument {name}: invalid value {token!r}") from None
+        raise ValueError(f"argument {name}: invalid value {token!r}") from None
 
 
 def parse_args(argv) -> SimpleNamespace | None:
     """The attributes the cmd_* handlers read, or None if help is asked for.
 
-    Raises CLIError on an unknown verb, flag or kind, a bad int, a flag
-    without its values, or a missing or extra positional.
+    Raises ValueError on an unknown verb or flag, a bad int, a flag without
+    its values, or a missing or extra positional; cmd_generate checks the
+    kind.
     """
     if "-h" in argv or "--help" in argv:
         return None
@@ -446,8 +441,8 @@ def parse_args(argv) -> SimpleNamespace | None:
     if verb not in VERBS:
         if _flag(verb, {"--help": None}):
             return None
-        raise CLIError(f"the first argument must be one of {', '.join(VERBS)}, "
-                       f"got {verb!r}")
+        raise ValueError(f"the first argument must be one of {', '.join(VERBS)}, "
+                         f"got {verb!r}")
     positionals, flags = VERBS[verb]
     values = {"command": verb}
     values.update((flag[2:].replace("-", "_"), spec[2])
@@ -469,27 +464,27 @@ def parse_args(argv) -> SimpleNamespace | None:
         convert, arity, _ = flags[flag]
         if inline is not None:
             if arity != 1:
-                raise CLIError(f"argument {flag}: takes {arity} values, "
-                               f"not {flag}={inline}")
+                raise ValueError(f"argument {flag}: takes {arity} values, "
+                                 f"not {flag}={inline}")
             given = [inline]
         else:
             given = rest[i:i + arity]
             i += arity
             if len(given) < arity or any(t == "--" or _flag(t, flags) for t in given):
-                raise CLIError(f"argument {flag}: expected {arity} value(s)")
+                raise ValueError(f"argument {flag}: expected {arity} value(s)")
         dest = flag[2:].replace("-", "_")
         given = [_convert(flag, convert, t) for t in given]
         values[dest] = True if arity == 0 else given[0] if arity == 1 else given
     missing = [name for name, _, count in positionals[len(tokens):] if count == 1]
     if missing:
-        raise CLIError(f"the following arguments are required: {', '.join(missing)}")
+        raise ValueError(f"the following arguments are required: {', '.join(missing)}")
     for name, convert, count in positionals:
         take = len(tokens) if count == "*" else 1
         given = [_convert(name, convert, t) for t in tokens[:take]]
         tokens = tokens[take:]
         values[name] = given if count == "*" else given[0] if given else None
     if tokens:
-        raise CLIError(f"unrecognized arguments: {' '.join(tokens)}")
+        raise ValueError(f"unrecognized arguments: {' '.join(tokens)}")
     return SimpleNamespace(**values)
 
 
@@ -500,15 +495,12 @@ def main(argv=None) -> int:
             sys.stdout.write(USAGE)
             return EXIT_OK
         if args.threads < 1:
-            raise CLIError("--threads must be at least 1")
+            raise ValueError("--threads must be at least 1")
         if args.budget < 1:
-            raise CLIError("--budget must be positive")
+            raise ValueError("--budget must be positive")
         handler = {"closure": cmd_closure, "generate": cmd_generate,
                    "wsat": cmd_wsat, "verify": cmd_verify}[args.command]
         return handler(args)
-    except CLIError as exc:
-        print(f"wsat: error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except FormatError as exc:
         print(f"wsat: format error: {exc}", file=sys.stderr)
         return EXIT_USAGE

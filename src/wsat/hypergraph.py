@@ -92,15 +92,9 @@ def canonical_edge(e, n: int, r: int) -> Edge:
     for a, b in zip(vs, vs[1:]):
         if a == b:
             raise ValueError(f"edge {vs} has a repeated vertex")
-    if vs and (vs[0] < 0 or vs[-1] >= n):
+    if vs[0] < 0 or vs[-1] >= n:
         raise ValueError(f"edge {vs} is out of range for n={n}")
     return vs
-
-
-def edge_rank(e: Edge, n: int) -> int:
-    """Colex rank of an edge among the r-subsets of [n]."""
-    vs = canonical_edge(e, n, len(tuple(e)))
-    return sum(comb(v, i + 1) for i, v in enumerate(vs))
 
 
 @lru_cache(maxsize=64)
@@ -196,9 +190,9 @@ class Hypergraph(_Value):
     @cached_property
     def mask(self) -> int:
         """Edge set as a bitmask over colex ranks.  An edge's rank is the sum
-        over positions i of comb(e[i], i + 1) (edge_rank), summed here one
-        position at a time over all edges, with no universe-sized table; the
-        bits are set in a byte array and read as one integer."""
+        over positions i of comb(e[i], i + 1), summed here one position at a
+        time over all edges, with no universe-sized table; the bits are set
+        in a byte array and read as one integer."""
         edges = self.edges
         ranks = repeat(0, len(edges))
         for i in range(self.r):

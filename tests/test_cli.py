@@ -22,7 +22,6 @@ from wsat.cli import (
     GENERATE,
     USAGE,
     VERBS,
-    CLIError,
     _int_list,
     main,
     parse_args,
@@ -112,6 +111,9 @@ def test_closure_usage_errors(tmp_path, capsys):
     gpath = write_graph(tmp_path / "g.txt", STAR4)
     code, _, err = run(capsys, "closure", gpath)
     assert code == 64 and "exactly one" in err
+    # PATTERN is checked against --template before GRAPH is read
+    assert run(capsys, "closure", str(tmp_path / "nope.txt")) == (
+        64, "", "wsat: error: give exactly one of PATTERN or --template H S\n")
     code, _, err = run(capsys, "closure", str(tmp_path / "nope.txt"), "K3")
     assert code == 64
     # uniformity mismatch is named
@@ -1021,15 +1023,92 @@ def test_generate_missing_argument_is_named(tmp_path, capsys, kind, i):
     assert (GENERATE_POSITIONALS.get(argv[1]) or dropped) in err
 
 
+# a valid value for each kind flag of generate
+KIND_FLAG_VALUES = {"--r": "2", "--s": "2", "--h": "3", "--size-a": "4",
+                    "--size-b": "1", "--l": "3", "--t": "3", "--n": "5",
+                    "--m1": "4", "--part-sizes": "3,3", "--pattern": "K3"}
+# each golden generate command with one argument that its usage line does
+# not name: a kind flag of another kind, or a positional after a flag kind's
+# flags; (name, extra argv, the error)
+STRAY_CASES = [
+    (name, extra, f"wsat: error: generate {argv[1]} {message}\n")
+    for name, argv in GOLDEN_COMMANDS.items() if argv[0] == "generate"
+    for extra, message in (
+        [([flag, value], f"does not take {flag}")
+         for flag, value in KIND_FLAG_VALUES.items() if flag not in argv]
+        + ([(["7"], f"needs: {GENERATE[argv[1]][0]}")]
+           if argv[1] not in GENERATE_POSITIONALS else []))
+]
+
+
+@pytest.mark.parametrize("name, extra, error", STRAY_CASES,
+                         ids=[f"{n}-{' '.join(e)}" for n, e, _ in STRAY_CASES])
+def test_generate_refuses_an_argument_its_kind_does_not_take(tmp_path, capsys, name,
+                                                            extra, error):
+    """A kind takes exactly the arguments of its usage line: another kind's
+    flag, with a valid value, is a usage error naming it, a stray positional
+    one naming the usage line, and nothing is made."""
+    out_dir = tmp_path / "out"
+    assert run(capsys, *GOLDEN_COMMANDS[name], *extra, "--output", str(out_dir)) == (
+        64, "", error)
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("name", [name for name, argv in GOLDEN_COMMANDS.items()
+                                  if argv[0] == "generate"])
+def test_generate_takes_the_common_flags(tmp_path, capsys, name):
+    """--threads, --budget and --seed (its own value) are taken by every
+    kind, as perfbench passes them, with the golden stdout unchanged."""
+    argv = GOLDEN_COMMANDS[name]
+    seed = argv[argv.index("--seed") + 1] if "--seed" in argv else "0"
+    code, out, _ = run(capsys, *argv, "--threads", "2", "--budget", "10000000",
+                       "--seed", seed, "--output", str(tmp_path))
+    assert code == GOLDEN_DIGESTS[name]["exit"]
+    assert _digest(out.encode()) == GOLDEN_DIGESTS[name]["stdout"]
+
+
+REFUSED_OR_INCONCLUSIVE = [
+    (["generate", "cone", "--r", "2", "--s", "2", "--h", "3", "--size-a", "4"], 64),
+    (["generate", "template", "3", "5"], 64),
+    (["generate", "nope", "1"], 64),
+    (["generate", "cone", "--r", "2", "--s", "2", "--h", "3", "--size-a", "2",
+      "--size-b", "5"], 64),
+    (["generate", "main", "--pattern", "K3", "--n", "13", "--m1", "4"], 64),
+    (["wsat", "9", "K3", "--exact"], 64),
+    (["wsat", "6", "K3", "--exact", "--budget", "5"], 2),
+    (["closure", "{graph}", "K4^3"], 64),
+]
+
+
+@pytest.mark.parametrize("argv, code", REFUSED_OR_INCONCLUSIVE,
+                         ids=[" ".join(argv) for argv, _ in REFUSED_OR_INCONCLUSIVE])
+def test_refused_and_inconclusive_runs_make_no_output(tmp_path, capsys, argv, code):
+    """Every check and computation comes before the --output directory is
+    made: a missing flag, a wrong count, an unknown kind, a bad gadget or
+    layout parameter, a universe past the solver limit, a uniformity
+    mismatch and a spent budget leave a fresh --output path absent."""
+    graph = write_graph(tmp_path / "g.txt", STAR4)
+    out_dir = tmp_path / "fresh"
+    got, out, err = run(capsys, *[a.format(graph=graph) for a in argv],
+                        "--output", str(out_dir))
+    assert got == code and "Traceback" not in err
+    assert out == "" if code == 64 else "inconclusive" in out
+    assert not out_dir.exists()
+
+
 # -- argv parsing ---------------------------------------------------------------
 #
 # The argparse parser the CLI used before parse_args, kept as the oracle of
 # the differential test below; only --part-sizes has since gained the
 # converter parse_args uses.
 
+class _ParseError(Exception):
+    pass
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
-        raise CLIError(message)
+        raise _ParseError(message)
 
 
 @lru_cache(maxsize=1)
@@ -1082,7 +1161,7 @@ def _oracle(argv):
     try:
         with redirect_stdout(io.StringIO()):
             return vars(_build_parser().parse_args(argv))
-    except CLIError:
+    except _ParseError:
         return "error"
     except SystemExit as exc:
         assert exc.code == 0
@@ -1216,8 +1295,9 @@ def test_bad_part_sizes_name_their_flag(tmp_path, capsys):
 
 def test_generate_table_matches_the_parser():
     """Each GENERATE spec's flags, at its even positions, take one value in
-    the generate verb's table, every kind-specific flag is in some spec, and
-    the usage text shows each kind's spec, in table order."""
+    the generate verb's table, every kind-specific flag is in some spec and
+    in KIND_FLAG_VALUES, and the usage text shows each kind's spec, in table
+    order."""
     flags = VERBS["generate"][1]
     named = set()
     for kind, (spec, _) in GENERATE.items():
@@ -1226,7 +1306,7 @@ def test_generate_table_matches_the_parser():
         assert spec_flags in ([], words[::2]), kind
         assert all(flags[flag][1] == 1 for flag in spec_flags), kind
         named.update(spec_flags)
-    assert named == set(flags) - set(COMMON_FLAGS)
+    assert named == set(flags) - set(COMMON_FLAGS) == set(KIND_FLAG_VALUES)
     kinds = "".join(f"  {kind} {spec}\n" for kind, (spec, _) in GENERATE.items())
     assert f"generate kinds and their arguments:\n{kinds}\n" in USAGE
 
