@@ -35,11 +35,12 @@ returns as E2 and main_construction adds to its copies without building E1.
 
 Every generator's output is meant to percolate under the engine named in its
 contract; the numbered edge-count bounds are evaluated as exact integer
-inequalities and reported as BoundChecks, never assumed.  No generator
-closes its own output: `wsat generate` runs template_closure(g, h, s) on
-each gadget and is_weakly_saturated on the pattern constructions, and
-passes when that check and every BoundCheck hold.  wsat_upper_witness
-returns the first of its candidates, by edge count, that percolates.
+inequalities and reported as BoundChecks, never assumed.  No construction
+runs an engine, on its input or its output: the verdict's code closes the
+finished graph once.  `wsat generate` runs template_closure(g, h, s) on a
+gadget and is_weakly_saturated on a pattern construction, and passes when
+that check and every BoundCheck hold.  wsat_upper_witness returns the
+first of its candidates, by edge count, that percolates.
 """
 
 from __future__ import annotations
@@ -48,9 +49,9 @@ from itertools import accumulate, chain, combinations, filterfalse, product
 from math import comb
 from typing import Iterator
 
-from .designs import CoverDesign, verify_cover
-from .hypergraph import Edge, Hypergraph, Pattern, _Value, edge_universe
-from .percolation import clique_wsat_value, is_weakly_saturated
+from .designs import CoverDesign
+from .hypergraph import Edge, Hypergraph, Pattern, _Value, check_universe, edge_universe
+from .percolation import clique_wsat_value
 from .templates import _check_params
 
 
@@ -97,6 +98,7 @@ def cone_gadget(r: int, h: int, s: int, size_a: int, size_b: int) -> Hypergraph:
         raise ValueError(f"need size_a >= h, got {size_a} < {h}")
     if size_b < 0:
         raise ValueError(f"need size_b >= 0, got {size_b}")
+    check_universe(size_a + size_b, r)
     edges = set(combinations(range(size_a), r))
     edges |= _near_anchor_edges(size_a + size_b, r, s, h, size_a)
     return Hypergraph(size_a + size_b, r, edges)
@@ -113,8 +115,9 @@ def cone_bound(g: Hypergraph, h: int, s: int, size_a: int) -> BoundCheck:
 # -- padding a smaller example ------------------------------------------------
 
 def padded_example(g_minus: Hypergraph, k2: int, pattern: Pattern) -> Hypergraph:
-    """Extend a weakly saturated graph on k1 vertices by k2 <= k1 fresh
-    vertices, adding the cone gadget's near-anchor edges."""
+    """Extend g_minus on k1 vertices, weakly saturated for the pattern (the
+    caller's precondition, not checked here), by k2 <= k1 fresh vertices,
+    adding the cone gadget's near-anchor edges."""
     k1 = g_minus.n
     if k2 > k1:
         raise ValueError(f"need k2 <= k1, got k2={k2} > k1={k1}")
@@ -127,8 +130,6 @@ def padded_example(g_minus: Hypergraph, k2: int, pattern: Pattern) -> Hypergraph
         raise ValueError(f"padding needs sparseness >= 2, pattern has s={pattern.s}")
     if k1 < pattern.h:
         raise ValueError(f"need k1 >= h = {pattern.h}, got k1={k1}")
-    if not is_weakly_saturated(g_minus, pattern):
-        raise ValueError("base graph is not weakly saturated for the pattern")
     n = k1 + k2
     edges = set(g_minus.edges)
     edges |= _near_anchor_edges(n, pattern.r, pattern.s, pattern.h, k1)
@@ -189,9 +190,9 @@ def spartite_gadget(r: int, h: int, part_sizes) -> Hypergraph:
     if any(size < h for size in part_sizes):
         raise ValueError(f"every part needs at least h={h} vertices, "
                          f"got sizes {tuple(part_sizes)}")
+    universe = edge_universe(sum(part_sizes), r)
     misses = set(_spartite_split(r, *_intervals(part_sizes, h), False))
-    n = sum(part_sizes)
-    return Hypergraph(n, r, filterfalse(misses.__contains__, edge_universe(n, r)))
+    return Hypergraph(sum(part_sizes), r, filterfalse(misses.__contains__, universe))
 
 
 def _percolate_extras(r: int, s: int, parts, rigid) -> set[Edge]:
@@ -220,6 +221,7 @@ def percolate_gadget(r: int, h: int, s: int, clusters: int, cluster_size: int
         raise ValueError(f"need at least s={s} clusters, got {clusters}")
     if cluster_size < h:
         raise ValueError(f"cluster size {cluster_size} below h={h}")
+    check_universe(clusters * cluster_size, r)
     parts, rigid = _intervals([cluster_size] * clusters, h)
     e1: set[Edge] = set()
     for group in combinations(parts, s - 1):
@@ -291,9 +293,10 @@ def main_construction(pattern: Pattern, n: int, m1: int, seed_graph: Hypergraph,
 
     main_clusters(n, m1, s, h) lays out the clusters and checks n and m1.
     cover must be a design on N = n / c points with block size k = c^(s-2)
-    and strength t = s - 1, and seed_graph a weakly saturated graph for the
-    pattern on m = c^(s-1) vertices.  Each of these conditions is checked
-    and raises ValueError when it fails.
+    and strength t = s - 1, and seed_graph an r-graph on m = c^(s-1)
+    vertices; a mismatch raises ValueError.  That the cover covers every
+    t-set and the seed is weakly saturated for the pattern are the caller's
+    preconditions, not checked here.
     """
     r, h, s = pattern.r, pattern.h, pattern.s
     c, m, clusters, k = main_clusters(n, m1, s, h)
@@ -301,14 +304,10 @@ def main_construction(pattern: Pattern, n: int, m1: int, seed_graph: Hypergraph,
         raise ValueError(
             f"cover must have N={clusters}, k={k}, t={s - 1}; "
             f"got N={cover.N}, k={cover.k}, t={cover.t}")
-    if not verify_cover(cover):
-        raise ValueError("cover does not cover every t-subset")
     if seed_graph.n != m or seed_graph.r != r:
         raise ValueError(
             f"seed graph must have n={m}, r={r}; "
             f"got n={seed_graph.n}, r={seed_graph.r}")
-    if not is_weakly_saturated(seed_graph, pattern):
-        raise ValueError("seed graph is not weakly saturated for the pattern")
 
     parts, rigid = _intervals([c] * clusters, h)
     copies: set[Edge] = set()

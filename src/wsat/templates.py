@@ -65,11 +65,11 @@ def _check_params(r: int, h: int, s: int) -> None:
 
 
 def template_minus(r: int, h: int, s: int) -> Hypergraph:
-    """Complete r-graph on h vertices minus all edges containing {0..s-1}."""
+    """Complete r-graph on h vertices minus all edges containing {0..s-1},
+    read off the colex universe of [h], which refuses an oversized one."""
     _check_params(r, h, s)
     core = set(range(s))
-    edges = [e for e in combinations(range(h), r) if not core.issubset(e)]
-    return Hypergraph(h, r, edges)
+    return Hypergraph(h, r, [e for e in edge_universe(h, r) if not core.issubset(e)])
 
 
 def template(r: int, h: int, s: int) -> tuple[Hypergraph, Edge]:

@@ -1,6 +1,7 @@
 import argparse
 import hashlib
 import io
+import math
 import os
 import pkgutil
 import re
@@ -29,6 +30,7 @@ from wsat.cli import (
 )
 from wsat.designs import CoverDesign
 from wsat.hypergraph import (
+    MAX_UNIVERSE,
     FormatError,
     Hypergraph,
     complete_graph,
@@ -458,6 +460,63 @@ def test_cover_past_universe_cap_is_refused(tmp_path):
         preexec_fn=_cap_address_space, capture_output=True, text=True, timeout=60)
     assert done.returncode == 64, done.stderr
     assert "exceeds the configured limit" in done.stderr
+
+
+@pytest.mark.parametrize("argv, n, r", [
+    (["template", "30", "40", "2"], 40, 30),
+    (["cone", "--r", "3", "--s", "2", "--h", "5", "--size-a", "2000",
+      "--size-b", "1"], 2001, 3),
+    (["spartite", "--r", "3", "--h", "5", "--part-sizes", "1000,1000"], 2000, 3),
+    (["percolate", "--r", "3", "--s", "3", "--h", "4", "--l", "2000", "--t", "4"],
+     8000, 3),
+], ids=["template", "cone", "spartite", "percolate"])
+def test_oversized_gadgets_are_refused_before_they_enumerate(tmp_path, argv, n, r):
+    """Each gadget checks its own universe before it builds an edge, so a
+    child capped at 1 GB is refused at once instead of running out."""
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    src = str(Path(__import__("wsat").__file__).resolve().parent.parent)
+    done = subprocess.run(
+        [sys.executable, "-c", "import sys, wsat.cli; sys.exit(wsat.cli.main())",
+         "generate", *argv, "--output", "out"],
+        cwd=tmp_path, env={**os.environ, "PYTHONPATH": src},
+        preexec_fn=cap, capture_output=True, text=True, timeout=20)
+    assert (done.returncode, done.stdout) == (64, ""), done.stderr
+    assert done.stderr == (f"wsat: error: edge universe C({n},{r}) = {math.comb(n, r)} "
+                           f"exceeds the configured limit {MAX_UNIVERSE}\n")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("argv, builds, closes", [
+    (["generate", "main", "--pattern", "K3", "--n", "12", "--m1", "4"], [4, 12], 13),
+    (["generate", "main", "--pattern", "K4^3", "--n", "16", "--m1", "16"], [16], 2),
+    (["wsat", "8", "K4", "--upper"], [8], 1),
+    (["wsat", "30", "K5", "--upper"], [30], 1),
+], ids=["main-K3", "main-K4^3", "upper-8-K4", "upper-30-K5"])
+def test_engine_runs_per_command(tmp_path, capsys, monkeypatch, argv, builds, closes):
+    """No construction runs an engine: the witness indexes a command builds,
+    by n, and its closes are those of the code that states the verdict."""
+    import wsat.percolation as percolation
+    index = percolation.WitnessIndex
+    built, closed = [], []
+    real_init, real_close = index.__init__, index.close
+
+    def init(self, n, pattern):
+        built.append(n)
+        real_init(self, n, pattern)
+
+    def close(self, mask):
+        closed.append(mask)
+        return real_close(self, mask)
+
+    monkeypatch.setattr(index, "__init__", init)
+    monkeypatch.setattr(index, "close", close)
+    percolation.witness_index.cache_clear()
+    code, out, _ = run(capsys, *argv, "--output", str(tmp_path))
+    percolation.witness_index.cache_clear()
+    assert code == 0, out
+    assert (built, len(closed)) == (builds, closes)
 
 
 def test_wsat_table(capsys):

@@ -19,7 +19,7 @@ from wsat.constructions import (
     s1_construction,
     spartite_gadget,
 )
-from wsat.designs import greedy_cover
+from wsat.designs import CoverDesign, greedy_cover
 from wsat.hypergraph import Hypergraph, complete_graph, edge_universe
 from wsat.percolation import clique_wsat_value, is_weakly_saturated
 from wsat.templates import make_pattern, template_closure
@@ -70,9 +70,15 @@ def test_padded_example_rejections():
     with pytest.raises(ValueError):
         padded_example(STAR4, 5, K3)  # k2 > k1
     with pytest.raises(ValueError):
-        padded_example(Hypergraph(4, 2, [(0, 1)]), 1, K3)  # not saturated
-    with pytest.raises(ValueError):
         padded_example(STAR4, 1, TRI_PENDANT)  # sparseness 1
+
+
+def test_padded_example_leaves_the_base_to_its_caller():
+    """An unsaturated base is the caller's fault: the graph is built, and
+    the caller's closure rejects it."""
+    padded = padded_example(Hypergraph(4, 2, [(0, 1)]), 1, K3)
+    assert padded.n == 5 and (0, 1) in padded.edges
+    assert not is_weakly_saturated(padded, K3)
 
 
 def test_spartite_small_example():
@@ -147,11 +153,19 @@ def test_main_construction_k3():
     assert result.copies_edge_count <= len(cover.blocks) * STAR4.edge_count
 
 
-def test_main_construction_rejects_bad_seed():
+def test_main_construction_leaves_the_seed_and_cover_to_its_caller():
+    """An unsaturated seed or a cover that misses a t-set is the caller's
+    fault: the graph is built, and the caller's closure rejects it."""
     cover = greedy_cover(3, 1, 1)
     bad_seed = Hypergraph(4, 2, [(0, 1)])
-    with pytest.raises(ValueError, match="not weakly saturated"):
-        main_construction(K3, 12, 4, bad_seed, cover)
+    result = main_construction(K3, 12, 4, bad_seed, cover)
+    assert result.graph.n == 12 and result.copies_edge_count == 3
+    assert not is_weakly_saturated(result.graph, K3)
+
+    short = CoverDesign(3, 1, 1, ((0,), (1,)))
+    result = main_construction(K3, 12, 4, STAR4, short)
+    assert result.copies_edge_count == 2 * STAR4.edge_count
+    assert not is_weakly_saturated(result.graph, K3)
 
 
 def test_main_construction_named_invariant_failures():
@@ -202,6 +216,17 @@ def test_clique_extremal_percolates_sampled():
         g = clique_extremal(n, t, r)
         assert g.edge_count == clique_wsat_value(n, t, r)
         assert is_weakly_saturated(g, make_pattern(complete_graph(t, r)))
+    # what wsat_upper_witness's padded base rests on: clique_extremal(n, h, r)
+    # percolates under every pattern on h vertices that has an edge
+    for r in (2, 3):
+        for h in range(r, 5):
+            universe = edge_universe(h, r)
+            for size in range(1, len(universe) + 1):
+                for edges in combinations(universe, size):
+                    pattern = make_pattern(Hypergraph(h, r, edges))
+                    for n in (h, h + 2):
+                        assert is_weakly_saturated(clique_extremal(n, h, r),
+                                                   pattern), (n, edges)
 
 
 def test_clique_extremal_t_equals_r_is_empty():
